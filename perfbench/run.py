@@ -13,6 +13,15 @@ untimed warm-up request (repeated SETUP_REPEATS times); setup_s adds the
 two medians. Then requests run back to back for --seconds, and every one
 is checked against its reference.
 
+Every time the benchmark reports (setup_s, tok_per_s, req_p50_ms,
+req_tail_ms, and the overhead of tracing) is measured at a reference
+core speed: a fixed probe is timed between the segments of each request
+and of set-up, and each segment is scaled by the probe's reference time
+over its measured time (refclock.py). The host's per-core speed drifts by
+up to 1.6x within minutes, which wall time alone cannot tell from a
+change to the program. The wall times are printed beside them and kept
+in the manifest; per-layer self times are wall time.
+
 --trace 0 measures the end-to-end metrics with tracing off. --trace 1
 wraps the library's layer functions on every other request and reports
 per-layer figures per request (median over traced requests); the
@@ -119,17 +128,22 @@ def import_library():
         raise SystemExit(f"error: hybridssm imported from {hybridssm.__file__}, not {SRC}")
 
 
-def import_seconds() -> list:
+def import_clocks() -> list:
     """Process start to libraries loaded, timed in IMPORT_SAMPLES fresh
     interpreters; one sample alone is too noisy to compare runs by."""
+    from refclock import RefClock
+
     code = (f"import sys; sys.path.insert(0, {str(BENCH_DIR)!r}); import run; "
-            "run.pin_blas_threads(); run.import_library(); import workloads, tracer, stats")
-    samples = []
+            "run.pin_blas_threads(); run.import_library(); "
+            "import workloads, tracer, stats, refclock")
+    clocks = []
     for _ in range(IMPORT_SAMPLES):
-        t0 = time.perf_counter()
+        clock = RefClock()
+        clock.start()
         subprocess.run([sys.executable, "-c", code], check=True, timeout=CHILD_TIMEOUT_S)
-        samples.append(time.perf_counter() - t0)
-    return samples
+        clock.lap()
+        clocks.append(clock)
+    return clocks
 
 
 def git_commit():
@@ -173,15 +187,26 @@ def environment() -> dict:
             "git_commit": git_commit(), "source_sha256": source_sha256()}
 
 
-def run_request(wl, inp):
-    """Time one request. Returns (seconds, outputs, error); a raising
-    request is a failed request, recorded and counted, never retried."""
-    t0 = time.perf_counter()
+def run_request(wl, inp, clock=None):
+    """Time one request, a lap of `clock` per segment. Returns (clock,
+    outputs, error); a raising request is a failed request, recorded and
+    counted, never retried. A given clock must be running already."""
+    from refclock import RefClock
+
+    if clock is None:
+        clock = RefClock()
+        clock.start()
+    steps = wl.run(inp)
     try:
-        out = wl.run(inp)
+        while True:
+            next(steps)
+            clock.lap()
+    except StopIteration as stop:
+        clock.lap()
+        return clock, stop.value, None
     except Exception:  # noqa: BLE001 - the request loop must keep running
-        return time.perf_counter() - t0, None, traceback.format_exc(limit=3)
-    return time.perf_counter() - t0, out, None
+        clock.lap()
+        return clock, None, traceback.format_exc(limit=3)
 
 
 def check_request(wl, inp, out, error):
@@ -215,23 +240,27 @@ class Ledger:
 def run_workload(name: str, seed: int, seconds: int, trace: bool) -> dict:
     import stats
     import tracer as tracing
+    from refclock import REF_PROBE_S, RefClock
     from workloads import WORKLOADS, Check
 
-    import_samples = import_seconds()
+    imports = import_clocks()
     cls = WORKLOADS[name]
     ledger = Ledger()
-    setup_times, warm_latencies = [], []
+    setups, warm_up = [], []
     for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
+        clock = RefClock()
+        clock.start()
         wl = cls(seed)
         inp = wl.inputs(0)
-        dt, out, error = run_request(wl, inp)
-        setup_times.append(time.perf_counter() - t0)
-        warm_latencies.append(dt)
+        clock.lap()
+        before = clock.ref_s
+        _, out, error = run_request(wl, inp, clock)
+        setups.append(clock)
+        warm_up.append(clock.ref_s - before)
         ledger.record(0, *check_request(wl, inp, out, error))
 
     tracer = tracing.Tracer() if trace else None
-    untraced, traced, layer_rows = [], [], []
+    untraced, traced, layer_rows = [], [], []  # a RefClock per timed request
     deadline = time.perf_counter() + seconds
     index = 1
     while True:
@@ -241,7 +270,7 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool) -> dict:
             tracer.reset()
             restore = tracing.instrument(tracer)
         try:
-            dt, out, error = run_request(wl, inp)
+            clock, out, error = run_request(wl, inp)
         finally:
             if traced_now:
                 restore()
@@ -249,27 +278,28 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool) -> dict:
         if traced_now:
             row = tracer.request_metrics()
             layer_rows.append(row)
-            traced.append(dt)
+            traced.append(clock)
             # counts that must repeat exactly: bus traffic and tile traffic
             checks = checks + [Check(f"trace.{key}", abs(row.get(key, 0.0) - want), 0.0)
                                for key, want in wl.expected_counts.items()]
         else:
-            untraced.append(dt)
+            untraced.append(clock)
         ledger.record(index, checks, error)
         index += 1
         if time.perf_counter() >= deadline:
             break
 
     timed = traced + untraced
-    base = untraced or timed  # a traced run of one request has no untraced one
-    tail_ms, tail_pct, tail_n = stats.tail([x * 1e3 for x in base])
-    end_to_end = {
-        "setup_s": stats.median(import_samples) + stats.median(setup_times),
-        "tok_per_s": wl.tokens * len(base) / sum(base),
-        "req_p50_ms": stats.median(base) * 1e3,
-        "req_tail_ms": tail_ms,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }
+    base = untraced or traced  # a traced run of one request has no untraced one
+
+    def metrics(attr):  # "ref_s" at reference speed, "raw_s" by the wall clock
+        return request_metrics(wl.tokens, *([getattr(c, attr) for c in clocks]
+                                            for clocks in (base, imports, setups)))
+
+    end_to_end, wall = metrics("ref_s"), metrics("raw_s")
+    tail_pct, tail_n = end_to_end.pop("tail_percentile"), end_to_end.pop("tail_samples")
+    end_to_end["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    probes = [p for c in imports + setups + timed for p in c.probes]
     failed = len(ledger.failures)
     result = {
         "workload": name, "seed": seed, "seconds": seconds, "trace": int(trace),
@@ -278,16 +308,33 @@ def run_workload(name: str, seed: int, seconds: int, trace: bool) -> dict:
         "requests": {"attempted": ledger.attempted, "failed": failed,
                      "fail_frac": failed / ledger.attempted, "timed": len(timed),
                      "warm_up": SETUP_REPEATS, "tail_percentile": tail_pct,
-                     "tail_samples": tail_n, "setup_repeats_s": setup_times,
-                     "import_samples_s": import_samples,
-                     "latencies_ms": [x * 1e3 for x in timed]},
+                     "tail_samples": tail_n,
+                     "setup_repeats_s": [c.ref_s for c in setups],
+                     "import_samples_s": [c.ref_s for c in imports],
+                     "latencies_ms": [c.ref_s * 1e3 for c in timed]},
         "check_worst": ledger.worst, "failures": ledger.failures[:20],
         "end_to_end": end_to_end,
+        "wall_clock": {"end_to_end": wall, "latencies_ms": [c.raw_s * 1e3 for c in timed],
+                       "probe_median_s": stats.median(probes),
+                       "ref_probe_s": REF_PROBE_S},
     }
     if trace:
-        overhead = stats.median(traced) / stats.median(untraced or warm_latencies) - 1.0
+        overhead = (stats.median([c.ref_s for c in traced])
+                    / stats.median([c.ref_s for c in untraced] or warm_up) - 1.0)
         result["per_layer"] = per_layer(layer_rows, ledger.worst, overhead)
     return result
+
+
+def request_metrics(tokens, latencies, imports, setups) -> dict:
+    """End-to-end time metrics from request latencies, import times and
+    set-up times, each given in seconds."""
+    import stats
+
+    tail_ms, tail_pct, tail_n = stats.tail([x * 1e3 for x in latencies])
+    return {"setup_s": stats.median(imports) + stats.median(setups),
+            "tok_per_s": tokens * len(latencies) / sum(latencies),
+            "req_p50_ms": stats.median(latencies) * 1e3, "req_tail_ms": tail_ms,
+            "tail_percentile": tail_pct, "tail_samples": tail_n}
 
 
 def per_layer(rows, worst, overhead) -> dict:
@@ -324,8 +371,10 @@ def report(result: dict) -> dict:
         metrics = {n: {"value": result["end_to_end"][n], "unit": u}
                    for n, u in END_TO_END.items()}
         print(f"  {'fail_frac':<52} {req['fail_frac']:>14.6g} ratio")
+    wall = result["wall_clock"]["end_to_end"] if not result["trace"] else {}
     for name, m in metrics.items():
-        print(f"  {name:<52} {m['value']:>14.6g} {m['unit']}")
+        extra = f"   (wall clock {wall[name]:.6g})" if name in wall else ""
+        print(f"  {name:<52} {m['value']:>14.6g} {m['unit']}{extra}")
     print(f"  req_tail_ms is the p{req['tail_percentile']:.1f} latency of "
           f"{req['tail_samples']} requests")
     for failure in result["failures"]:

@@ -10,6 +10,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+import refclock
 import run
 import stats
 import tracer as tracing
@@ -22,15 +23,21 @@ def test_tail_below_twenty_samples_is_the_median():
     assert stats.tail(xs) == (10.0, 50.0, 19)
 
 
-def test_tail_has_exactly_ten_samples_beyond_it():
+def test_tail_has_ten_samples_beyond_it_up_to_a_hundred():
     xs = [float(x) for x in range(100, 0, -1)]
     value, pct, n = stats.tail(xs)
     assert (value, pct, n) == (90.0, 90.0, 100)
     assert sum(x > value for x in xs) == stats.TAIL_BEYOND
     value, pct, n = stats.tail(range(1, 21))
     assert (value, pct, n) == (10.0, 50.0, 20)
+
+
+def test_tail_stops_at_p90():
     value, pct, _ = stats.tail(range(1, 1001))
-    assert (value, pct) == (990.0, 99.0)
+    assert (value, pct) == (900.0, 90.0)
+    value, pct, n = stats.tail(range(1, 502))
+    assert n - value == 51  # a tenth of 501, rounded up, lies beyond it
+    assert pct == pytest.approx(100.0 * 450 / 501)
 
 
 def test_tail_needs_samples():
@@ -42,6 +49,35 @@ def test_spread_is_interquartile_range_over_median():
     values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
     # statistics.quantiles (exclusive method): 2.75, 5.5, 8.25
     assert stats.spread(values) == pytest.approx((8.25 - 2.75) / 5.5)
+
+
+def test_refclock_scales_each_segment_by_its_neighbouring_probes():
+    clock = refclock.RefClock()
+    ref = refclock.REF_PROBE_S
+    clock.add(1.0, ref, ref)  # probe at reference speed: unchanged
+    clock.add(2.0, 2 * ref, 2 * ref)  # host twice as slow: halved
+    clock.add(3.0, ref, 3 * ref)  # mean of the two probes
+    assert clock.raw_s == pytest.approx(6.0)
+    assert clock.ref_s == pytest.approx(1.0 + 1.0 + 1.5)
+
+
+def test_run_request_laps_once_per_segment_and_keeps_failures():
+    probes = iter([1.0, 2.0, 4.0, 8.0, 16.0])
+
+    class Steps:
+        def run(self, inp):
+            yield
+            yield
+            if inp == "fail":
+                raise RuntimeError("boom")
+            return inp * 2
+
+    clock = refclock.RefClock(lambda: next(probes))
+    clock.start()
+    assert run.run_request(Steps(), 21, clock) == (clock, 42, None)
+    assert clock.probes == [1.0, 2.0, 4.0, 8.0]  # start, two yields, return
+    clock, out, error = run.run_request(Steps(), "fail")
+    assert out is None and "boom" in error and len(clock.probes) == 4
 
 
 def test_covered_merges_overlaps():

@@ -4,7 +4,9 @@ the previous one has returned.
 
 A workload object holds what set-up builds (the decode state, shard
 plans); ``inputs(i)`` draws request i's inputs from the seed alone, and
-``run`` is the request, the library work that is timed. ``checks`` then
+``run`` is the request, the library work that is timed. ``run`` is a
+generator: each ``yield`` ends one timed segment of the request (see
+refclock.py), and its return value is the request's output. ``checks`` then
 compares the outputs with their references at the library's documented
 tolerances; a check with ``tol == 0`` must hold exactly.
 """
@@ -63,7 +65,7 @@ class Realize:
     """Minimal LTV realization of one softmax mixer per request."""
 
     name = "realize"
-    T, D_K = 128, 8
+    T, D_K = 64, 8  # T=128 takes 1.5-2 s a request, too few for a steady median
     tokens = T
     TOL = 1e-9
 
@@ -78,8 +80,11 @@ class Realize:
 
     def run(self, mix):
         profile = mixing.hankel_profile(mix)
+        yield
         real = realization.realize(mix)
+        yield
         report = realization.verify_minimality(real, mix)
+        yield
         # the CLI's check that no cut of the reconstruction exceeds rank n
         recon_ranks = mixing.hankel_profile(np.tril(realization.io_matrix(real))).ranks
         return {"n_min": profile.n_min, "n": real.n, "report": report,
@@ -139,14 +144,17 @@ class PrefillLinear:
         out = {}
         for kind in ("mamba2", "gdn"):
             y, state = ssm_core.ssm_forward(kind, k, v, q, gates)
+            yield
             bus = seqpar.MessageBus(N_RANKS)
             y_p2p, state_p2p = seqpar.p2p_forward(kind, k, v, q, gates, self.plan, bus)
+            yield
             records = [composition.run_chunk(kind, k[c * step:(c + 1) * step],
                                              v[c * step:(c + 1) * step], sub)
                        for c, sub in enumerate(inp["chunk_gates"])]
             out[kind] = {"y": y, "state": state, "y_p2p": y_p2p, "state_p2p": state_p2p,
                          "bus": bus.total_bytes(), "caso": composition.caso_compose(records),
                          "picaso": composition.picaso_r(records)}
+            yield
         y_conv = kernels.conv1d_direct(inp["u"], inp["w"])
         bus = seqpar.MessageBus(N_RANKS)
         out["conv"] = {"y": y_conv, "y_sp": seqpar.conv1d_sp(inp["u"], inp["w"], self.plan, bus),
@@ -209,15 +217,19 @@ class PrefillGka:
     def run(self, inp):
         k, v, q, exact = inp["k"], inp["v"], inp["q"], inp["exact"]
         y, info = ssm_core.ssm_forward("gka", k, v, q, exact)
+        yield
         y_cheb, _ = ssm_core.ssm_forward("gka", k, v, q, inp["decaying"],
                                          solver="chebyshev", r=self.CHEB_R)
+        yield
         form_gap = ssm_core.gka_recurrence_equivalence(k, v, q, exact)
+        yield
 
         def layer(x):
             return ssm_core.ssm_forward("gka", k, x, q, exact)[0]
 
         bus = seqpar.MessageBus(N_RANKS)
         y_usp = seqpar.usp_forward(layer, v, self.plan, bus)
+        yield
         step = self.T // self.N_CHUNKS
         records = [composition.run_chunk("gka", k[c * step:(c + 1) * step],
                                          v[c * step:(c + 1) * step], sub)
@@ -269,10 +281,13 @@ class DecodeGka:
                 "beta": float(rng.uniform(0.3, 1.0))}
 
     def run(self, inp):
-        results = {variant: tiled_decode.decode_step(
-            self.state, inp["k"], inp["v"], inp["q"], inp["gamma"], inp["beta"], variant,
-            r=self.CHEB_R, alpha=self.ALPHA, b_k=self.TILE, b_v=self.TILE)
-            for variant in tiled_decode.VARIANTS}
+        results = {}
+        for variant in tiled_decode.VARIANTS:
+            if results:
+                yield
+            results[variant] = tiled_decode.decode_step(
+                self.state, inp["k"], inp["v"], inp["q"], inp["gamma"], inp["beta"], variant,
+                r=self.CHEB_R, alpha=self.ALPHA, b_k=self.TILE, b_v=self.TILE)
         self.state = results["reference"].state
         return results
 
