@@ -1,11 +1,8 @@
-"""Hot sequential kernels: SSM scans, the GKA information-form forward,
-Chebyshev iteration, and the causal conv1d.
+"""Sequential numpy kernels: SSM scans, the GKA information-form forward,
+Chebyshev iteration, the Sherman-Morrison downdate, and the causal conv1d.
 
-Every kernel is written as a plain numpy loop and compiled with numba's
-``@njit`` when available. Setting ``HYBRIDSSM_NO_NUMBA=1`` (or running
-without numba installed) selects the uncompiled pure-numpy path; both
-paths execute the same source. ``benchmarks/bench_kernels.py`` compares
-them.
+Each computation has exactly one body here; ``ssm_core`` and ``seqpar``
+call these rather than restating them.
 
 Conventions: states are ``d_v x d_k`` matrices updated on the right
 (``S_t = S_{t-1} A_t + v_t B_t``), outputs are ``y_t = S_t q_t``. All
@@ -14,66 +11,36 @@ arrays are float64 and C-contiguous.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_DISABLED = os.environ.get("HYBRIDSSM_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-try:
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    NUMBA_AVAILABLE = False
-
-USING_NUMBA = NUMBA_AVAILABLE and not NUMBA_DISABLED
+USING_NUMBA = False  # recorded by run manifests; every kernel is plain numpy
 
 
-def _jit(fn):
-    if USING_NUMBA:
-        return _njit(cache=True)(fn)
-    return fn
-
-
-def py_impl(fn):
-    """The pure-numpy implementation behind a (possibly) jitted kernel."""
-    return getattr(fn, "py_func", fn)
-
-
-@_jit
 def mamba2_scan(k, v, q, gamma, s0):
     """Mamba-2 recurrence: S_t = gamma_t * S_{t-1} + v_t k_t^T, y_t = S_t q_t."""
-    T, d_k = k.shape
-    d_v = v.shape[1]
     S = s0.copy()
-    y = np.empty((T, d_v))
-    for t in range(T):
-        S = gamma[t] * S + v[t].reshape(d_v, 1) * k[t].reshape(1, d_k)
+    y = np.empty((k.shape[0], v.shape[1]))
+    for t in range(k.shape[0]):
+        S = gamma[t] * S + np.outer(v[t], k[t])
         y[t] = S @ q[t]
     return y, S
 
 
-@_jit
 def gdn_scan(k, v, q, gamma, beta, s0):
     """GDN recurrence: S_t = S_{t-1} gamma_t (I - beta_t k_t k_t^T) + beta_t v_t k_t^T.
 
     The right-multiplication by gamma (I - beta k k^T) is expanded as
     gamma * (S - beta (S k) k^T) to stay O(d_v d_k) per step.
     """
-    T, d_k = k.shape
-    d_v = v.shape[1]
     S = s0.copy()
-    y = np.empty((T, d_v))
-    for t in range(T):
-        Sk = S @ k[t]
-        S = gamma[t] * (S - beta[t] * Sk.reshape(d_v, 1) * k[t].reshape(1, d_k)) \
-            + beta[t] * v[t].reshape(d_v, 1) * k[t].reshape(1, d_k)
+    y = np.empty((k.shape[0], v.shape[1]))
+    for t in range(k.shape[0]):
+        S = gamma[t] * (S - np.outer(beta[t] * (S @ k[t]), k[t])) \
+            + np.outer(beta[t] * v[t], k[t])
         y[t] = S @ q[t]
     return y, S
 
 
-@_jit
 def gdn_transition_prefixes(k, gamma, beta):
     """Cumulative transition products A_{1:t} = A_1 ... A_t for the GDN
     recurrence, with A_t = gamma_t (I - beta_t k_t k_t^T). Returns (T, d_k, d_k);
@@ -82,58 +49,37 @@ def gdn_transition_prefixes(k, gamma, beta):
     out = np.empty((T, d_k, d_k))
     P = np.eye(d_k)
     for t in range(T):
-        Pk = P @ k[t]
-        P = gamma[t] * (P - beta[t] * Pk.reshape(d_k, 1) * k[t].reshape(1, d_k))
+        P = gamma[t] * (P - np.outer(beta[t] * (P @ k[t]), k[t]))
         out[t] = P
     return out
 
 
-@_jit
-def frobenius_norm(m):
-    acc = 0.0
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            acc += m[i, j] * m[i, j]
-    return np.sqrt(acc)
-
-
-@_jit
-def chebyshev_dense(hm, lam, rhs, iters, a, b):
-    """Chebyshev iteration for (hm + lam I) x = rhs with spectrum in [a, b].
+def chebyshev_dense(matvec, lam, rhs, iters, a, b):
+    """Chebyshev iteration for (H + lam I) x = rhs with spectrum in [a, b],
+    where matvec(p) returns H p (a dense product or a tiled operator).
 
     Standard SPD two-term recurrence; one matrix-vector product per
     iteration. Returns (x, residual_history) with residual_history[i] the
     2-norm of the maintained residual after iteration i+1.
     """
-    n = rhs.shape[0]
     theta = 0.5 * (b + a)
     delta = 0.5 * (b - a)
-    x = np.zeros(n)
+    x = np.zeros_like(rhs)
     r = rhs.copy()
-    p = np.zeros(n)
-    alpha = 0.0
+    p = r
+    alpha = 1.0 / theta
     hist = np.empty(iters)
     for it in range(iters):
-        if it == 0:
-            p = r.copy()
-            alpha = 1.0 / theta
-        else:
-            if it == 1:
-                beta = 0.5 * (delta * alpha) ** 2
-            else:
-                beta = (0.5 * delta * alpha) ** 2
+        if it > 0:
+            beta = 0.5 * (delta * alpha) ** 2 if it == 1 else (0.5 * delta * alpha) ** 2
             alpha = 1.0 / (theta - beta / alpha)
             p = r + beta * p
         x = x + alpha * p
-        r = r - alpha * (hm @ p + lam * p)
-        acc = 0.0
-        for i in range(n):
-            acc += r[i] * r[i]
-        hist[it] = np.sqrt(acc)
+        r = r - alpha * (matvec(p) + lam * p)
+        hist[it] = np.linalg.norm(r)
     return x, hist
 
 
-@_jit
 def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r, bounds_pad):
     """GKA information-form forward pass.
 
@@ -152,26 +98,32 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r, bounds_pad):
     y = np.empty((T, d_v))
     lam_used = np.empty(T)
     for t in range(T):
-        H = gamma[t] * H + beta[t] * k[t].reshape(d_k, 1) * k[t].reshape(1, d_k)
-        U = gamma[t] * U + beta[t] * v[t].reshape(d_v, 1) * k[t].reshape(1, d_k)
-        fro = frobenius_norm(H)
-        if alpha > 0.0:
-            lam_t = alpha * fro
-        else:
-            lam_t = lam[t]
+        H = gamma[t] * H + np.outer(beta[t] * k[t], k[t])
+        U = gamma[t] * U + np.outer(beta[t] * v[t], k[t])
+        fro = np.linalg.norm(H)
+        lam_t = alpha * fro if alpha > 0.0 else lam[t]
         lam_used[t] = lam_t
         if lam_t <= 0.0:
             # H (hence U) still empty: nothing to read, any solve is moot
             x = np.zeros(d_k)
         elif solver_r > 0:
-            x, _ = chebyshev_dense(H, lam_t, q[t], solver_r, lam_t, lam_t + fro * bounds_pad)
+            x, _ = chebyshev_dense(H.__matmul__, lam_t, q[t], solver_r,
+                                   lam_t, lam_t + fro * bounds_pad)
         else:
             x = np.linalg.solve(H + lam_t * np.eye(d_k), q[t])
         y[t] = U @ x
     return y, H, U, lam_used
 
 
-@_jit
+def sherman_morrison_downdate(phi, k, beta):
+    """Fold beta k k^T into Phi = M^{-1}: returns (Phi', g) with
+    Phi' = (M + beta k k^T)^{-1} by the Sherman-Morrison identity and the
+    gain g = beta Phi' k."""
+    pk = phi @ k
+    phi = phi - np.outer((beta / (1.0 + beta * (k @ pk))) * pk, pk)
+    return phi, beta * (phi @ k)
+
+
 def gka_recurrent_scan(k, v, q, beta, lam):
     """GKA state-recurrence form, valid for gamma == 1 and fixed lam.
 
@@ -181,57 +133,35 @@ def gka_recurrent_scan(k, v, q, beta, lam):
     Returns (y, S, Phi).
     """
     T, d_k = k.shape
-    d_v = v.shape[1]
     phi = np.eye(d_k) / lam
-    S = np.zeros((d_v, d_k))
-    y = np.empty((T, d_v))
+    S = np.zeros((v.shape[1], d_k))
+    y = np.empty((T, v.shape[1]))
     for t in range(T):
-        pk = phi @ k[t]
-        denom = 1.0 + beta[t] * (k[t] @ pk)
-        phi = phi - (beta[t] / denom) * pk.reshape(d_k, 1) * pk.reshape(1, d_k)
-        g = beta[t] * (phi @ k[t])
-        Sk = S @ k[t]
-        S = S - Sk.reshape(d_v, 1) * g.reshape(1, d_k) + v[t].reshape(d_v, 1) * g.reshape(1, d_k)
+        phi, g = sherman_morrison_downdate(phi, k[t], beta[t])
+        S = S - np.outer(S @ k[t], g) + np.outer(v[t], g)
         y[t] = S @ q[t]
     return y, S, phi
 
 
-@_jit
 def conv1d_direct(u, w):
     """Causal conv: y_t = sum_{i=1..d_conv} w_i u_{t-d_conv+i}, u_j = 0 for j <= 0.
 
     u is (l, channels); the filter is applied per channel.
     """
-    l, channels = u.shape
-    d_conv = w.shape[0]
-    y = np.zeros((l, channels))
-    for t in range(l):
-        for i in range(d_conv):
-            j = t - d_conv + 1 + i
-            if j >= 0:
-                for c in range(channels):
-                    y[t, c] += w[i] * u[j, c]
-    return y
+    return conv1d_with_left_context(u, w, np.zeros((w.shape[0] - 1, u.shape[1])))
 
 
-@_jit
 def conv1d_with_left_context(u, w, left):
-    """conv1d_direct on a chunk whose d_conv-1 preceding tokens are `left`.
+    """The causal conv of a chunk whose d_conv-1 preceding tokens are `left`.
 
     left is ((d_conv-1), channels); rows beyond the true history are zero.
-    Accumulation order per output matches conv1d_direct exactly.
+    One shifted axpy per filter tap, taps in ascending order, so every
+    output accumulates its terms in the same order however the sequence is
+    chunked.
     """
-    l, channels = u.shape
-    d_conv = w.shape[0]
-    y = np.zeros((l, channels))
-    for t in range(l):
-        for i in range(d_conv):
-            j = t - d_conv + 1 + i
-            if j >= 0:
-                for c in range(channels):
-                    y[t, c] += w[i] * u[j, c]
-            else:
-                jl = j + d_conv - 1  # index into the left-context rows
-                for c in range(channels):
-                    y[t, c] += w[i] * left[jl, c]
+    l = u.shape[0]
+    x = np.concatenate([left, u])
+    y = np.zeros(u.shape)
+    for i in range(w.shape[0]):
+        y += w[i] * x[i:i + l]
     return y

@@ -13,7 +13,8 @@ mechanisms are modeled:
     Valid for recurrences with linear readout (Mamba-2, GDN).
   * USP gather-compute-slice: reconstruct the full sequence per rank, run
     the unmodified layer, keep the local slice. Works for any layer,
-    including GKA.
+    including GKA; the simulator runs the layer once and slices it for
+    every rank, since every rank would compute the same output.
 
 ``comm_volume`` is the accounting side: P2P volume is constant in sequence
 length, A2A and USP scale linearly.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .ssm_core import GateTrack, SsmKind, _as_kind, ssm_forward
+from .ssm_core import GateTrack, SsmKind, _as_kind, _require_finite, ssm_forward
 
 DEFAULT_ELEM_BYTES = 2  # BF16 accounting; simulation arithmetic stays float64
 
@@ -211,6 +212,7 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     q = np.ascontiguousarray(q, dtype=np.float64)
     if k.shape[0] != plan.length:
         raise ValueError(f"sequence length {k.shape[0]} != plan length {plan.length}")
+    _require_finite(k=k, v=v, q=q)  # name a sequence row, not a chunk row
     d_v, d_k = v.shape[1], k.shape[1]
     y = np.zeros((plan.length, d_v))
     state = np.zeros((d_v, d_k))
@@ -236,25 +238,26 @@ def usp_forward(layer_fn, x: np.ndarray, plan: ShardPlan,
                 bus: MessageBus | None = None,
                 elem_bytes: int = DEFAULT_ELEM_BYTES) -> np.ndarray:
     """Universal SP: AllGather the full sequence on every rank, run the
-    black-box layer there, slice the local part back. The concatenation
-    equals layer_fn(full) exactly (identical code path)."""
+    black-box layer on it, slice each rank's part back. Every rank would
+    compute the same full output, so the layer runs once and each rank's
+    slices are cut from that one result; the bus still carries every
+    rank's AllGather. The concatenation equals layer_fn(full) exactly."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != plan.length:
         raise ValueError(f"sequence length {x.shape[0]} != plan length {plan.length}")
     width = int(np.prod(x.shape[1:], dtype=np.int64))
-    out = None
-    for rank in range(plan.n_ranks):
-        # gather every other rank's shard
-        if bus is not None:
+    if bus is not None:
+        for rank in range(plan.n_ranks):
+            # gather every other rank's shard
             for other in range(plan.n_ranks):
                 if other == rank:
                     continue
                 n_tok = sum(s.stop - s.start for s in plan.rank_token_slices(other))
                 bus.send(other, rank, "allgather", None, n_tok * width * elem_bytes)
                 bus.recv(rank, other, "allgather")
-        y_full = np.asarray(layer_fn(x))
-        if out is None:
-            out = np.zeros_like(y_full)
+    y_full = np.asarray(layer_fn(x))
+    out = np.zeros_like(y_full)
+    for rank in range(plan.n_ranks):
         for sl in plan.rank_token_slices(rank):
             out[sl] = y_full[sl]
     return out

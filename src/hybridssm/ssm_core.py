@@ -144,8 +144,8 @@ def ssm_step(kind: SsmKind | str, state: SsmState, k_t: np.ndarray, v_t: np.ndar
     kind = _as_kind(kind)
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma out of (0, 1]: {gamma}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta out of (0, 1]: {beta}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta out of [0, 1]: {beta}")
     s = state.s
     k_t = np.asarray(k_t, dtype=np.float64)
     v_t = np.asarray(v_t, dtype=np.float64)
@@ -198,11 +198,9 @@ class ShermanMorrisonGain:
 
     def update(self, k_t: np.ndarray, beta_t: float) -> np.ndarray:
         """Fold in beta_t k_t k_t^T and return the gain g_t = beta_t Phi_t k_t."""
-        k_t = np.asarray(k_t, dtype=np.float64)
-        pk = self.phi @ k_t
-        denom = 1.0 + beta_t * (k_t @ pk)
-        self.phi = self.phi - (beta_t / denom) * np.outer(pk, pk)
-        return beta_t * (self.phi @ k_t)
+        self.phi, g = kernels.sherman_morrison_downdate(
+            self.phi, np.asarray(k_t, dtype=np.float64), beta_t)
+        return g
 
 
 def default_spectral_bounds(h: np.ndarray, lam: float) -> tuple[float, float]:
@@ -219,6 +217,8 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     or as a matrix-vector operator. spectral_bounds = (a, b) must cover the
     spectrum of H + lam I; defaults to [lam, lam + ||H||_F] for dense H.
 
+    Both forms run the one recurrence in kernels.chebyshev_dense, a dense H
+    as its product H @ p, so they agree bit for bit on the same products.
     Returns (x_r, residual_history); raises on a non-finite iterate, naming
     the iteration."""
     if r < 1:
@@ -235,27 +235,8 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     if b < a:
         raise ValueError(f"invalid spectral interval [{a}, {b}]")
 
-    if dense:
-        x, hist = kernels.chebyshev_dense(np.ascontiguousarray(apply_h, dtype=np.float64),
-                                          float(lam), np.ascontiguousarray(q), int(r), a, b)
-    else:
-        theta, delta = 0.5 * (b + a), 0.5 * (b - a)
-        x = np.zeros_like(q)
-        res = q.copy()
-        p = np.zeros_like(q)
-        alpha = 0.0
-        hist = np.empty(r)
-        for it in range(r):
-            if it == 0:
-                p = res.copy()
-                alpha = 1.0 / theta
-            else:
-                beta = 0.5 * (delta * alpha) ** 2 if it == 1 else (0.5 * delta * alpha) ** 2
-                alpha = 1.0 / (theta - beta / alpha)
-                p = res + beta * p
-            x = x + alpha * p
-            res = res - alpha * (apply_h(p) + lam * p)
-            hist[it] = np.linalg.norm(res)
+    matvec = apply_h.__matmul__ if dense else apply_h
+    x, hist = kernels.chebyshev_dense(matvec, float(lam), q, int(r), a, b)
     bad = np.flatnonzero(~np.isfinite(hist))
     if bad.size or not np.all(np.isfinite(x)):
         idx = int(bad[0]) + 1 if bad.size else r
@@ -288,6 +269,15 @@ def gka_output(info: GkaInfoState, q_t: np.ndarray, lam_t: float,
     return info.u @ x
 
 
+def _require_finite(**arrays: np.ndarray) -> None:
+    """Raise ValueError naming the first argument with a non-finite entry
+    and the first row that holds one."""
+    for name, arr in arrays.items():
+        bad_rows = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+        if bad_rows.any():
+            raise ValueError(f"{name} is non-finite at row {int(np.argmax(bad_rows))}")
+
+
 def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
                 gates: GateTrack, s0: np.ndarray | None = None,
                 solver: str = "exact", r: int = 30, alpha: float = DEFAULT_ALPHA):
@@ -295,7 +285,8 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     an (d_v, d_k) array for Mamba-2/GDN and a GkaInfoState for GKA.
 
     GKA runs in information form; gates.lam supplies fixed per-step
-    regularizers, otherwise lam_t = alpha ||H_t||_F.
+    regularizers, otherwise lam_t = alpha ||H_t||_F. Raises ValueError on a
+    non-finite k, v, q or s0, naming the argument and its first bad row.
     """
     kind = _as_kind(kind)
     k = np.ascontiguousarray(k, dtype=np.float64)
@@ -303,15 +294,14 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     q = np.ascontiguousarray(q, dtype=np.float64)
     if gates.T != k.shape[0]:
         raise ValueError(f"gate track length {gates.T} != T {k.shape[0]}")
-    if s0 is None:
-        s0 = np.zeros((v.shape[1], k.shape[1]))
+    s0 = (np.zeros((v.shape[1], k.shape[1])) if s0 is None
+          else np.ascontiguousarray(s0, dtype=np.float64))
+    _require_finite(k=k, v=v, q=q, s0=s0)
     if kind is SsmKind.MAMBA2:
-        y, s = kernels.mamba2_scan(k, v, q, gates.gamma, np.ascontiguousarray(s0))
-        return y, s
+        return kernels.mamba2_scan(k, v, q, gates.gamma, s0)
     if kind is SsmKind.GDN:
-        y, s = kernels.gdn_scan(k, v, q, gates.gamma, gates.beta, np.ascontiguousarray(s0))
-        return y, s
-    if np.any(np.asarray(s0) != 0.0):
+        return kernels.gdn_scan(k, v, q, gates.gamma, gates.beta, s0)
+    if np.any(s0 != 0.0):
         raise ValueError("GKA forward starts from the zero information state")
     lam = gates.lam if gates.lam is not None else np.zeros(gates.T)
     a = -1.0 if gates.lam is not None else float(alpha)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ssm_core import DEFAULT_ALPHA, GkaInfoState, chebyshev_solve
+from .ssm_core import DEFAULT_ALPHA, GkaInfoState, chebyshev_solve, gka_info_update
 
 VARIANTS = ("reference", "tiled_small_batch", "tiled_large_batch")
 DEFAULT_TILE = 64
@@ -174,6 +174,8 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
         raise ValueError(f"variant must be one of {VARIANTS}")
     if r < 1:
         raise ValueError("need r >= 1 Chebyshev iterations")
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= beta <= 1.0):
+        raise ValueError(f"gates out of [0, 1]: gamma={gamma}, beta={beta}")
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -181,20 +183,18 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     counters = TileCounters()
 
     if variant == "reference":
-        h_new = gamma * state.h + beta * np.outer(k, k)
-        fro = float(np.linalg.norm(h_new))
+        new_state = gka_info_update(state, k, v, gamma, beta)
+        fro = float(np.linalg.norm(new_state.h))
         g = d_k // b_k if d_k % b_k == 0 else 1
         counters.loads += g * g      # whole-matrix update traversal
         counters.stores += g * g
         lam = alpha * fro
         if lam > 0.0:
-            x, _ = chebyshev_solve(h_new, lam, q, r, spectral_bounds=(lam, lam + fro))
+            x, _ = chebyshev_solve(new_state.h, lam, q, r, spectral_bounds=(lam, lam + fro))
         else:
             x = np.zeros(d_k)  # empty information matrix: nothing to read
         counters.loads += r * g * g  # whole matrix per CH iteration
-        u_new = gamma * state.u + beta * np.outer(v, k)
-        y = u_new @ x
-        return DecodeResult(y=y, state=GkaInfoState(h=h_new, u=u_new), lam=lam,
+        return DecodeResult(y=new_state.u @ x, state=new_state, lam=lam,
                             fro_norm=fro, counters=counters)
 
     grid = TileGrid(b_k=b_k, b_v=b_v,

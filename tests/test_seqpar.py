@@ -180,6 +180,19 @@ class TestP2pForward:
         sizes = {m.nbytes for t in bus.traces for m in t.sent}
         assert sizes == {3 * 4 * 2}  # d_v * d_k * elem_bytes
 
+    def test_non_finite_key_raises(self):
+        T, d = 64, 8
+        rng = np.random.default_rng(14)
+        k, v, q = (rng.standard_normal((T, d)) for _ in range(3))
+        k[5, 0] = np.nan
+        gates = GateTrack(gamma=rng.uniform(0.6, 1.0, T), beta=rng.uniform(0.2, 1.0, T))
+        with pytest.raises(ValueError, match="k is non-finite at row 5"):
+            p2p_forward(SsmKind.GDN, k, v, q, gates, shard(T, 4, "zigzag"), MessageBus(4))
+        k[5, 0] = 0.0
+        k[20, 0] = np.nan  # in the third chunk: the row is a sequence row
+        with pytest.raises(ValueError, match="k is non-finite at row 20"):
+            p2p_forward(SsmKind.GDN, k, v, q, gates, shard(T, 4, "zigzag"), MessageBus(4))
+
     def test_gka_rejected(self):
         T = 8
         k, v, q, gates = rand_layer_inputs(T, seed=9)

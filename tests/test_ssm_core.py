@@ -198,8 +198,8 @@ class TestChebyshev:
         bounds = default_spectral_bounds(h, lam)
         x_dense, hist_dense = chebyshev_solve(h, lam, q, r=20, spectral_bounds=bounds)
         x_op, hist_op = chebyshev_solve(lambda p: h @ p, lam, q, r=20, spectral_bounds=bounds)
-        assert np.allclose(x_dense, x_op, atol=1e-12)
-        assert np.allclose(hist_dense, hist_op, atol=1e-12)
+        np.testing.assert_array_equal(x_dense, x_op)
+        np.testing.assert_array_equal(hist_dense, hist_op)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_residuals_respect_classical_bound(self, seed):
@@ -406,6 +406,44 @@ class TestForwardAndGates:
             state = ssm_step(SsmKind.GDN, state, k[t], v[t], gamma=gates.gamma[t], beta=gates.beta[t])
         assert np.allclose(s, state.s, atol=1e-12)
         assert np.allclose(y[-1], state.s @ q[-1], atol=1e-12)
+
+    def test_step_oracle_replays_gdn_with_filtered_tokens(self):
+        # beta = 0 is a valid gate (the token is filtered out); the per-step
+        # oracle must replay such a track
+        T, d_k, d_v = 8, 3, 2
+        k, v, q = rand_kvq(T, d_k, d_v, seed=21)
+        rng = np.random.default_rng(22)
+        beta = rng.uniform(0.3, 1.0, T)
+        beta[[0, 3, 4]] = 0.0
+        gates = GateTrack(gamma=rng.uniform(0.5, 1.0, T), beta=beta)
+        y, s = ssm_forward(SsmKind.GDN, k, v, q, gates)
+        state = SsmState(np.zeros((d_v, d_k)))
+        for t in range(T):
+            state = ssm_step(SsmKind.GDN, state, k[t], v[t], gamma=gates.gamma[t], beta=beta[t])
+            assert np.allclose(y[t], state.s @ q[t], atol=1e-12)
+        assert np.allclose(s, state.s, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(SsmKind))
+    def test_non_finite_input_named(self, kind):
+        T, d = 64, 8
+        k, v, q = rand_kvq(T, d, d, seed=23)
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.5))
+        k[5, 0] = np.nan
+        with pytest.raises(ValueError, match="k is non-finite at row 5"):
+            ssm_forward(kind, k, v, q, gates)
+        k[5, 0] = 0.0
+        q[9, 3] = np.inf
+        with pytest.raises(ValueError, match="q is non-finite at row 9"):
+            ssm_forward(kind, k, v, q, gates)
+        q[9, 3] = 0.0
+        v[2, 1] = -np.inf
+        with pytest.raises(ValueError, match="v is non-finite at row 2"):
+            ssm_forward(kind, k, v, q, gates)
+        v[2, 1] = 0.0
+        s0 = np.zeros((d, d))
+        s0[4, 7] = np.nan
+        with pytest.raises(ValueError, match="s0 is non-finite at row 4"):
+            ssm_forward(kind, k, v, q, gates, s0=s0)
 
     def test_gka_forward_adaptive_lambda_runs(self):
         T = 6

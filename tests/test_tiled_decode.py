@@ -171,6 +171,14 @@ class TestDecodeStep:
         with pytest.raises(ValueError):
             decode_step(state, np.ones(8), np.ones(8), np.ones(8), 1.0, 1.0, "fused", r=1)
 
+    @pytest.mark.parametrize("variant", ["reference", "tiled_small_batch", "tiled_large_batch"])
+    def test_gates_out_of_range_rejected_by_every_variant(self, variant):
+        state, _ = self.setup_state()
+        for gamma, beta in ((1.0, 1.5), (1.2, 0.5), (0.9, -0.1)):
+            with pytest.raises(ValueError, match="gates"):
+                decode_step(state, np.ones(8), np.ones(8), np.ones(8), gamma, beta, variant,
+                            r=1, b_k=4, b_v=4)
+
     def test_indivisible_tiles_rejected(self):
         state, rng = self.setup_state()
         with pytest.raises(ValueError):
