@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ssm_core import GateTrack, GkaInfoState, SsmKind, ssm_forward, _as_kind
+from .ssm_core import GateTrack, GkaInfoState, SsmKind, ssm_forward, _as_kind, _require_finite
 from . import kernels
 from .stack import ToyHybridStack
 
@@ -88,8 +88,8 @@ def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrac
     q = np.zeros_like(k)  # outputs are irrelevant for the record
     _, state = ssm_forward(kind, k, v, q, gates, alpha=alpha)
     if kind is SsmKind.GDN:
-        a_acc = kernels.gdn_transition_prefixes(
-            np.ascontiguousarray(k, dtype=np.float64), gates.gamma, gates.beta)[-1]
+        _, a_acc = kernels.gdn_transition_prefixes(
+            np.ascontiguousarray(k, dtype=np.float64), gates.gamma, gates.beta, q)
     else:
         a_acc = float(np.prod(gates.gamma))
     return ChunkRecord(state=state, a_acc=a_acc, length=k.shape[0])
@@ -215,7 +215,9 @@ def chunked_prefill(model: ToyHybridStack, tokens: np.ndarray, chunk_len: int,
     prefix copy, and merge SSM states per merge_mode.
 
     A non-divisible tail is padded with zero tokens (they write nothing;
-    decay still applies), and the pad count is reported.
+    decay still applies), and the pad count is reported. Raises ValueError
+    on a non-finite tokens or prefix, naming the argument and its first
+    bad row.
     """
     if merge_mode not in MERGE_MODES:
         raise ValueError(f"merge_mode must be one of {MERGE_MODES}")
@@ -223,6 +225,7 @@ def chunked_prefill(model: ToyHybridStack, tokens: np.ndarray, chunk_len: int,
     if chunk_len < 1:
         raise ValueError("chunk_len must be >= 1")
     prefix = np.zeros((0, model.d_model)) if prefix is None else np.asarray(prefix, dtype=np.float64)
+    _require_finite(tokens=tokens, prefix=prefix)
     pad = (-tokens.shape[0]) % chunk_len
     if pad:
         tokens = np.vstack([tokens, np.zeros((pad, tokens.shape[1]))])

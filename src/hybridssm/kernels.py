@@ -1,5 +1,6 @@
-"""Sequential numpy kernels: SSM scans, the GKA information-form forward,
-Chebyshev iteration, the Sherman-Morrison downdate, and the causal conv1d.
+"""Numpy kernels: the chunkwise Mamba-2 (SSD) and GDN (WY) scans, the GKA
+information-form forward, Chebyshev iteration, the Sherman-Morrison
+downdate, and the causal conv1d.
 
 Each computation has exactly one body here; ``ssm_core`` and ``seqpar``
 call these rather than restating them.
@@ -16,42 +17,115 @@ import numpy as np
 USING_NUMBA = False  # recorded by run manifests; every kernel is plain numpy
 
 
-def mamba2_scan(k, v, q, gamma, s0):
-    """Mamba-2 recurrence: S_t = gamma_t * S_{t-1} + v_t k_t^T, y_t = S_t q_t."""
+CHUNK = 64  # tokens per block of the chunkwise Mamba-2 and GDN scans
+
+
+def _blocks(x, L, fill=0.0):
+    """x (T, ...) padded with `fill` to whole chunks of L, as (C, L, ...)."""
+    pad = -x.shape[0] % L
+    if pad:
+        x = np.concatenate([x, np.full((pad,) + x.shape[1:], fill)])
+    return x.reshape((-1, L) + x.shape[1:])
+
+
+def _ssd_terms(k, q, gamma):
+    """The state-free terms shared by both scans, per chunk of
+    L = min(CHUNK, T) tokens (a short last chunk is padded with tokens
+    that neither decay nor write). G[t] = gamma_1 ... gamma_t and
+    D[t, i] = gamma_{i+1} ... gamma_t on and below the diagonal, 0 above
+    it. Both come from the cumulative log-decays cs, D as exp(cs_t - cs_i),
+    so a small gamma never makes D a ratio of two underflowed products.
+
+    Returns (K, Q, G, D, qk, kd): the blocked keys and queries, G, D,
+    qk = (Q K^T) o D, and kd = the keys decayed to their chunk's end."""
+    L = max(1, min(CHUNK, k.shape[0]))
+    K, Q = _blocks(k, L), _blocks(q, L)
+    cs = np.cumsum(np.log(_blocks(gamma, L, fill=1.0)), axis=1)
+    lower = np.tri(L, dtype=bool)
+    D = np.exp(np.where(lower, cs[:, :, None] - cs[:, None, :], -np.inf))
+    qk = (Q @ K.transpose(0, 2, 1)) * D
+    return K, Q, np.exp(cs), D, qk, D[:, -1, :, None] * K
+
+
+def _carry(y0, e, aq, a_end, s0, T):
+    """Chain the chunks from s0: with S_c the state entering chunk c,
+    y_c = y0_c + aq_c S_c^T and S_{c+1} = e_c + S_c a_end_c, where y0 and e
+    are the chunks' zero-start outputs and end states."""
     S = s0.copy()
-    y = np.empty((k.shape[0], v.shape[1]))
-    for t in range(k.shape[0]):
-        S = gamma[t] * S + np.outer(v[t], k[t])
-        y[t] = S @ q[t]
-    return y, S
+    y = np.empty_like(y0)
+    for c in range(y0.shape[0]):
+        y[c] = y0[c] + aq[c] @ S.T
+        S = e[c] + S @ a_end[c]
+    return y.reshape(-1, y.shape[2])[:T], S
+
+
+def mamba2_scan(k, v, q, gamma, s0):
+    """Mamba-2 recurrence: S_t = gamma_t * S_{t-1} + v_t k_t^T, y_t = S_t q_t.
+
+    Chunkwise SSD form: per chunk Y = ((Q K^T) o D) V + diag(G) Q S_0^T,
+    with the state carried between chunks."""
+    K, Q, G, _, qk, kd = _ssd_terms(k, q, gamma)
+    V = _blocks(v, K.shape[1])
+    a_end = G[:, -1, None, None] * np.eye(k.shape[1])
+    return _carry(qk @ V, V.transpose(0, 2, 1) @ kd, G[:, :, None] * Q, a_end,
+                  s0, k.shape[0])
+
+
+def _forward_substitution(n, rhs):
+    """Solve (I + tril(n, -1)) x = rhs row by row, for every chunk at once;
+    only the strictly lower triangle of n is read."""
+    x = rhs.copy()
+    for t in range(1, n.shape[1]):
+        x[:, t] -= (n[:, t, None, :t] @ x[:, :t])[:, 0]
+    return x
+
+
+def _wy_chunks(k, q, gamma, beta, v=None):
+    """Per-chunk terms of the GDN scan in the gated WY/UT form.
+
+    Within a chunk S_t = gamma_t S_{t-1} + u_t k_t^T with the pseudo-values
+    u_t = beta_t (v_t - gamma_t S_{t-1} k_t). Stacked as rows they are
+    U = U_0 - W S_0^T, where
+
+        (I + diag(beta) (tril(K K^T, -1) o D)) [U_0 | W] = diag(beta) [V | G o K].
+
+    The chunk is then an SSD chunk with values U: its outputs are
+    qk U_0 + aq S_0^T with aq = diag(G) Q - qk W, and its end state is
+    U_0^T kd + S_0 a_end with a_end = G_L I - W^T kd. Returns (aq, a_end)
+    and, given v, the zero-start outputs qk U_0 and end states U_0^T kd.
+    """
+    d_k = k.shape[1]
+    K, Q, G, D, qk, kd = _ssd_terms(k, q, gamma)
+    B = _blocks(beta, K.shape[1])[:, :, None]
+    n = B * (K @ K.transpose(0, 2, 1)) * D  # its strict lower triangle is read
+    rhs = G[:, :, None] * K
+    if v is not None:
+        rhs = np.concatenate([_blocks(v, K.shape[1]), rhs], axis=2)
+    x = _forward_substitution(n, B * rhs)
+    w = x[:, :, -d_k:]
+    aq = G[:, :, None] * Q - qk @ w
+    a_end = G[:, -1, None, None] * np.eye(d_k) - w.transpose(0, 2, 1) @ kd
+    if v is None:
+        return aq, a_end
+    u0 = x[:, :, :-d_k]
+    return aq, a_end, qk @ u0, u0.transpose(0, 2, 1) @ kd
 
 
 def gdn_scan(k, v, q, gamma, beta, s0):
-    """GDN recurrence: S_t = S_{t-1} gamma_t (I - beta_t k_t k_t^T) + beta_t v_t k_t^T.
-
-    The right-multiplication by gamma (I - beta k k^T) is expanded as
-    gamma * (S - beta (S k) k^T) to stay O(d_v d_k) per step.
-    """
-    S = s0.copy()
-    y = np.empty((k.shape[0], v.shape[1]))
-    for t in range(k.shape[0]):
-        S = gamma[t] * (S - np.outer(beta[t] * (S @ k[t]), k[t])) \
-            + np.outer(beta[t] * v[t], k[t])
-        y[t] = S @ q[t]
-    return y, S
+    """GDN recurrence: S_t = S_{t-1} gamma_t (I - beta_t k_t k_t^T) + beta_t v_t k_t^T,
+    y_t = S_t q_t, chunkwise in the WY form (see _wy_chunks)."""
+    aq, a_end, y0, e = _wy_chunks(k, q, gamma, beta, v)
+    return _carry(y0, e, aq, a_end, s0, k.shape[0])
 
 
-def gdn_transition_prefixes(k, gamma, beta):
-    """Cumulative transition products A_{1:t} = A_1 ... A_t for the GDN
-    recurrence, with A_t = gamma_t (I - beta_t k_t k_t^T). Returns (T, d_k, d_k);
-    the last slice is the whole-chunk product."""
-    T, d_k = k.shape
-    out = np.empty((T, d_k, d_k))
-    P = np.eye(d_k)
-    for t in range(T):
-        P = gamma[t] * (P - np.outer(beta[t] * (P @ k[t]), k[t]))
-        out[t] = P
-    return out
+def gdn_transition_prefixes(k, gamma, beta, q):
+    """The GDN transitions A_t = gamma_t (I - beta_t k_t k_t^T) as seen by
+    a linear readout: returns (aq, a_end) with aq[t] = A_{1:t} q_t and
+    a_end = A_{1:T}, where A_{1:t} = A_1 ... A_t. That is the WY scan run
+    from S_0 = I with nothing written."""
+    aq, a_end = _wy_chunks(k, q, gamma, beta)
+    return _carry(np.zeros_like(aq), np.zeros_like(a_end), aq, a_end,
+                  np.eye(k.shape[1]), k.shape[0])
 
 
 def chebyshev_dense(matvec, lam, rhs, iters, a, b):

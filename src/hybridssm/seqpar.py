@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .ssm_core import GateTrack, SsmKind, _as_kind, _require_finite, ssm_forward
+from .ssm_core import GateTrack, SsmKind, _as_kind, _finite_output, _require_finite, ssm_forward
 
 DEFAULT_ELEM_BYTES = 2  # BF16 accounting; simulation arithmetic stays float64
 
@@ -180,14 +180,14 @@ def conv1d_sp(u: np.ndarray, w: np.ndarray, plan: ShardPlan,
 
 
 def _zero_init_chunk(kind: SsmKind, k, v, q, gates: GateTrack):
-    """Zero-init outputs, per-step cumulative transitions, and final state."""
+    """Zero-init outputs and final state, and the chunk's transitions as a
+    linear readout sees them: (aq, a_end) with aq[t] = A_{1:t} q_t and
+    a_end = A_{1:n}."""
     y0, s_end = ssm_forward(kind, k, v, q, gates)
     if kind is SsmKind.MAMBA2:
-        prefixes = np.cumprod(gates.gamma)
-    else:
-        prefixes = kernels.gdn_transition_prefixes(
-            np.ascontiguousarray(k, dtype=np.float64), gates.gamma, gates.beta)
-    return y0, s_end, prefixes
+        decay = np.cumprod(gates.gamma)
+        return y0, s_end, decay[:, None] * q, decay[-1] * np.eye(k.shape[1])
+    return (y0, s_end) + kernels.gdn_transition_prefixes(k, gates.gamma, gates.beta, q)
 
 
 def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
@@ -202,7 +202,8 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
 
     and the corrected final state is relayed onward. Returns (y, final
     state); raises for kinds without a linear readout (GKA reads through a
-    matrix solve over the whole key history)."""
+    matrix solve over the whole key history), and FloatingPointError
+    naming the first non-finite output row of the sequence."""
     kind = _as_kind(kind)
     if kind is SsmKind.GKA:
         raise ValueError("p2p_forward needs a linear readout; GKA's solve-based "
@@ -221,17 +222,11 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
         sl = plan.chunk_slice(c)
         sub = GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl],
                         lam=None if gates.lam is None else gates.lam[sl])
-        y0, s_end, prefixes = _zero_init_chunk(kind, k[sl], v[sl], q[sl], sub)
-        if kind is SsmKind.MAMBA2:
-            # corrections: prefixes[t] * (S_0 q_t)
-            y[sl] = y0 + prefixes[:, None] * (state @ q[sl].T).T
-            state = s_end + state * prefixes[-1]
-        else:
-            corr = np.einsum("vk,tkj,tj->tv", state, prefixes, q[sl])
-            y[sl] = y0 + corr
-            state = s_end + state @ prefixes[-1]
+        y0, s_end, aq, a_end = _zero_init_chunk(kind, k[sl], v[sl], q[sl], sub)
+        y[sl] = y0 + aq @ state.T
+        state = s_end + state @ a_end
         state = _relay(bus, plan, c, "ssm_state", state, state_bytes)
-    return y, state
+    return _finite_output(kind, y, state)  # corrections can overflow where no chunk did
 
 
 def usp_forward(layer_fn, x: np.ndarray, plan: ShardPlan,

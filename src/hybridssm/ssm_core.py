@@ -278,15 +278,30 @@ def _require_finite(**arrays: np.ndarray) -> None:
             raise ValueError(f"{name} is non-finite at row {int(np.argmax(bad_rows))}")
 
 
+def _finite_output(kind: SsmKind, y: np.ndarray, s: np.ndarray):
+    """Return (y, s) if both are finite; otherwise raise FloatingPointError
+    naming the first non-finite output row (or the state, if only it is)."""
+    bad_rows = ~np.isfinite(y).all(axis=1)
+    if bad_rows.any():
+        raise FloatingPointError(
+            f"{kind.value} output is non-finite from row {int(np.argmax(bad_rows))}")
+    if not np.isfinite(s).all():
+        raise FloatingPointError(f"{kind.value} final state is non-finite")
+    return y, s
+
+
 def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
                 gates: GateTrack, s0: np.ndarray | None = None,
                 solver: str = "exact", r: int = 30, alpha: float = DEFAULT_ALPHA):
-    """Sequential layer forward. Returns (y, final_state) where the state is
-    an (d_v, d_k) array for Mamba-2/GDN and a GkaInfoState for GKA.
+    """Layer forward. Returns (y, final_state) where the state is an
+    (d_v, d_k) array for Mamba-2/GDN and a GkaInfoState for GKA.
 
-    GKA runs in information form; gates.lam supplies fixed per-step
+    Mamba-2 and GDN run the chunkwise scans of ``kernels``; GKA runs in
+    information form, token by token; gates.lam supplies fixed per-step
     regularizers, otherwise lam_t = alpha ||H_t||_F. Raises ValueError on a
-    non-finite k, v, q or s0, naming the argument and its first bad row.
+    non-finite k, v, q or s0, naming the argument and its first bad row,
+    and FloatingPointError when a Mamba-2/GDN output or final state
+    overflows, naming the first non-finite output row.
     """
     kind = _as_kind(kind)
     k = np.ascontiguousarray(k, dtype=np.float64)
@@ -298,9 +313,9 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
           else np.ascontiguousarray(s0, dtype=np.float64))
     _require_finite(k=k, v=v, q=q, s0=s0)
     if kind is SsmKind.MAMBA2:
-        return kernels.mamba2_scan(k, v, q, gates.gamma, s0)
+        return _finite_output(kind, *kernels.mamba2_scan(k, v, q, gates.gamma, s0))
     if kind is SsmKind.GDN:
-        return kernels.gdn_scan(k, v, q, gates.gamma, gates.beta, s0)
+        return _finite_output(kind, *kernels.gdn_scan(k, v, q, gates.gamma, gates.beta, s0))
     if np.any(s0 != 0.0):
         raise ValueError("GKA forward starts from the zero information state")
     lam = gates.lam if gates.lam is not None else np.zeros(gates.T)

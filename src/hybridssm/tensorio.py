@@ -52,9 +52,8 @@ def config_hash(config: dict) -> str:
 
 
 def format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    # np.float64 subclasses float, but under numpy 2 its repr is "np.float64(...)"
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (np.integer,)):
         return str(int(value))

@@ -1,0 +1,88 @@
+"""Properties of the chunkwise Mamba-2 and GDN scans over generated inputs:
+they replay the per-step oracle ``ssm_step``, and the P2P and CASO paths
+built on them reproduce the single-device forward."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from hybridssm.composition import caso_compose, run_chunk
+from hybridssm.kernels import CHUNK
+from hybridssm.seqpar import MessageBus, p2p_forward, shard
+from hybridssm.ssm_core import GateTrack, SsmKind, SsmState, ssm_forward, ssm_step
+
+LINEAR_KINDS = st.sampled_from([SsmKind.MAMBA2, SsmKind.GDN])
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)  # same inputs every run
+
+
+def layer_inputs(rng, T, d_k, d_v, max_key_norm, unit_keys, gamma_floor, filtered_frac):
+    """Keys with norms in (0, max_key_norm] (or exactly 1), decays down to
+    gamma_floor, and a share of rows with beta = 0 (filtered tokens)."""
+    k = rng.standard_normal((T, d_k))
+    norms = 1.0 if unit_keys else rng.uniform(0.0, max_key_norm, (T, 1))
+    k *= norms / np.maximum(np.linalg.norm(k, axis=1, keepdims=True), 1e-300)
+    gamma = np.exp(rng.uniform(np.log(gamma_floor), 0.0, T))
+    beta = rng.uniform(0.0, 1.0, T)
+    beta[rng.uniform(size=T) < filtered_frac] = 0.0
+    return (k, rng.standard_normal((T, d_v)), rng.standard_normal((T, d_k)),
+            GateTrack(gamma=gamma, beta=beta))
+
+
+def relative_error(got, ref):
+    return float(np.max(np.abs(got - ref), initial=0.0)) / max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+
+
+@PROPERTY_SETTINGS
+@given(kind=LINEAR_KINDS,
+       T=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]),
+       d_k=st.integers(1, 6), d_v=st.integers(1, 6),
+       unit_keys=st.booleans(), max_key_norm=st.floats(0.1, 2.0),
+       gamma_floor=st.sampled_from([1e-6, 1e-2, 0.5, 0.9, 1.0]),
+       filtered_frac=st.sampled_from([0.0, 0.2, 1.0]),
+       with_s0=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_scan_replays_the_step_oracle(kind, T, d_k, d_v, unit_keys, max_key_norm,
+                                      gamma_floor, filtered_frac, with_s0, seed):
+    rng = np.random.default_rng(seed)
+    k, v, q, gates = layer_inputs(rng, T, d_k, d_v, max_key_norm, unit_keys,
+                                  gamma_floor, filtered_frac)
+    s0 = rng.standard_normal((d_v, d_k)) if with_s0 else np.zeros((d_v, d_k))
+    y, s = ssm_forward(kind, k, v, q, gates, s0=s0)
+    state = SsmState(s0)
+    y_ref = np.empty_like(y)
+    for t in range(T):
+        state = ssm_step(kind, state, k[t], v[t], gamma=gates.gamma[t], beta=gates.beta[t])
+        y_ref[t] = state.s @ q[t]
+    assert relative_error(y, y_ref) <= 1e-12
+    assert relative_error(s, state.s) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(kind=LINEAR_KINDS, pattern=st.sampled_from(["simple", "zigzag"]),
+       n_ranks=st.integers(1, 8), chunk_len=st.integers(1, 2 * CHUNK + 3),
+       d=st.integers(1, 6), gamma_floor=st.sampled_from([1e-3, 0.5, 0.9, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_p2p_equals_single_device_forward(kind, pattern, n_ranks, chunk_len, d,
+                                          gamma_floor, seed):
+    n_chunks = n_ranks if pattern == "simple" else 2 * n_ranks
+    T = n_chunks * chunk_len
+    rng = np.random.default_rng(seed)
+    k, v, q, gates = layer_inputs(rng, T, d, d, 1.0, False, gamma_floor, 0.1)
+    y, s = p2p_forward(kind, k, v, q, gates, shard(T, n_ranks, pattern), MessageBus(n_ranks))
+    y_ref, s_ref = ssm_forward(kind, k, v, q, gates)
+    assert relative_error(y, y_ref) <= 1e-10
+    assert relative_error(s, s_ref) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(kind=LINEAR_KINDS,
+       lengths=st.lists(st.integers(1, 2 * CHUNK + 3), min_size=1, max_size=8),
+       d_k=st.integers(1, 6), d_v=st.integers(1, 6),
+       gamma_floor=st.sampled_from([1e-3, 0.5, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_caso_equals_single_pass(kind, lengths, d_k, d_v, gamma_floor, seed):
+    rng = np.random.default_rng(seed)
+    k, v, q, gates = layer_inputs(rng, sum(lengths), d_k, d_v, 1.0, False, gamma_floor, 0.1)
+    bounds = np.cumsum([0] + lengths)
+    records = [run_chunk(kind, k[a:b], v[a:b],
+                         GateTrack(gamma=gates.gamma[a:b], beta=gates.beta[a:b]))
+               for a, b in zip(bounds[:-1], bounds[1:])]
+    _, s_ref = ssm_forward(kind, k, v, q, gates)
+    assert relative_error(caso_compose(records), s_ref) <= 1e-10

@@ -95,6 +95,17 @@ class TestRun:
         assert not bundle.violations
         assert (tmp_path / "compose_report.csv").exists()
 
+    def test_chebyshev_residuals_are_plain_numbers(self, tmp_path):
+        cfg = fixture("ssm_equiv.json")
+        cfg["out"] = str(tmp_path)
+        run(cfg)
+        lines = (tmp_path / "chebyshev_residuals.csv").read_text().splitlines()
+        assert lines[1] == "iteration,residual,classical_bound"
+        assert len(lines) > 2
+        for line in lines[2:]:
+            for cell in line.split(","):
+                float(cell)  # a numpy repr such as np.float64(2.5) raises
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = fixture("select_layers.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -264,3 +264,12 @@ class TestChunkedPrefill:
         tokens = np.zeros((4, 8))
         with pytest.raises(ValueError):
             chunked_prefill(model, tokens, chunk_len=2, merge_mode="gka_sum")
+
+    @pytest.mark.parametrize("name", ["tokens", "prefix"])
+    def test_non_finite_input_named(self, name):
+        model = ToyHybridStack(("attn", "mamba2"), d_model=8, d_k=4, seed=16)
+        rng = np.random.default_rng(17)
+        args = {"tokens": rng.standard_normal((8, 8)), "prefix": rng.standard_normal((3, 8))}
+        args[name][2, 5] = np.nan
+        with pytest.raises(ValueError, match=f"{name} is non-finite at row 2"):
+            chunked_prefill(model, args["tokens"], chunk_len=4, prefix=args["prefix"])

@@ -24,17 +24,19 @@ class TestAgainstVectorizedReference:
         assert np.allclose(s, expected, atol=1e-12)
 
     def test_gdn_transition_prefixes_match_explicit_products(self):
-        T, d_k = 8, 4
+        T, d_k = 150, 4  # crosses two chunk boundaries
         rng = np.random.default_rng(7)
         k = rng.standard_normal((T, d_k))
+        q = rng.standard_normal((T, d_k))
         g = rng.uniform(0.5, 1.0, T)
         b = rng.uniform(0.1, 1.0, T)
-        prefixes = K.gdn_transition_prefixes(k, g, b)
+        aq, a_end = K.gdn_transition_prefixes(k, g, b, q)
         P = np.eye(d_k)
         for t in range(T):
             A_t = g[t] * (np.eye(d_k) - b[t] * np.outer(k[t], k[t]))
             P = P @ A_t
-            assert np.allclose(prefixes[t], P, atol=1e-12)
+            assert np.allclose(aq[t], P @ q[t], atol=1e-12)
+        assert np.allclose(a_end, P, atol=1e-12)
 
     def test_conv1d_matches_numpy_convolve(self):
         rng = np.random.default_rng(8)

@@ -193,6 +193,20 @@ class TestP2pForward:
         with pytest.raises(ValueError, match="k is non-finite at row 20"):
             p2p_forward(SsmKind.GDN, k, v, q, gates, shard(T, 4, "zigzag"), MessageBus(4))
 
+    @pytest.mark.parametrize("pattern", ["simple", "zigzag"])
+    def test_overflow_in_the_corrections_raises(self, pattern):
+        # no chunk overflows from the zero state; the relayed state does,
+        # and the error names a sequence row
+        T, d = 400, 16
+        rng = np.random.default_rng(0)
+        k = rng.standard_normal((T, d))
+        k *= 8.0 / np.linalg.norm(k, axis=1, keepdims=True)
+        v, q = rng.standard_normal((T, d)), rng.standard_normal((T, d))
+        gates = GateTrack(gamma=np.full(T, 0.99), beta=np.ones(T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"gdn output is non-finite from row 3\d\d"):
+                p2p_forward(SsmKind.GDN, k, v, q, gates, shard(T, 4, pattern), MessageBus(4))
+
     def test_gka_rejected(self):
         T = 8
         k, v, q, gates = rand_layer_inputs(T, seed=9)

@@ -445,6 +445,32 @@ class TestForwardAndGates:
         with pytest.raises(ValueError, match="s0 is non-finite at row 4"):
             ssm_forward(kind, k, v, q, gates, s0=s0)
 
+    def test_gdn_overflow_names_first_non_finite_row(self):
+        # keys of norm 8 make the erase factor expand the state ~60x along
+        # k; the output overflows at row 332 of 400
+        T, d = 400, 16
+        rng = np.random.default_rng(0)
+        k = rng.standard_normal((T, d))
+        k *= 8.0 / np.linalg.norm(k, axis=1, keepdims=True)
+        v, q = rng.standard_normal((T, d)), rng.standard_normal((T, d))
+        gates = GateTrack(gamma=np.full(T, 0.99), beta=np.ones(T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="gdn output is non-finite from row 332"):
+                ssm_forward(SsmKind.GDN, k, v, q, gates)
+            y, _ = ssm_forward(SsmKind.GDN, k[:300], v[:300], q[:300],
+                               GateTrack(gamma=gates.gamma[:300], beta=gates.beta[:300]))
+        assert np.all(np.isfinite(y))
+
+    def test_mamba2_overflow_names_first_non_finite_row(self):
+        T, d = 30, 4
+        k, v, q = rand_kvq(T, d, d, seed=24)
+        k[10] *= 1e200
+        v[10] *= 1e200
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.ones(T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="mamba2 output is non-finite from row 10"):
+                ssm_forward(SsmKind.MAMBA2, k, v, q, gates)
+
     def test_gka_forward_adaptive_lambda_runs(self):
         T = 6
         k, v, q = rand_kvq(T, 4, 3, seed=19)
