@@ -19,12 +19,13 @@ ids, concatenate KV caches keeping one prefix copy, and merge SSM states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .ssm_core import GateTrack, GkaInfoState, SsmKind, ssm_forward, _as_kind, _require_finite
-from . import kernels
+from .ssm_core import (GateTrack, GkaInfoState, SsmKind, chunk_forward, ssm_forward, _as_kind,
+                       _require_finite)
 from .stack import ToyHybridStack
 
 MERGE_MODES = ("soup", "picaso_r", "gka_sum")
@@ -40,7 +41,6 @@ class ChunkRecord:
 
     state: np.ndarray | GkaInfoState
     a_acc: float | np.ndarray
-    length: int
 
     def __post_init__(self):
         a = self.a_acc
@@ -83,29 +83,30 @@ def _identity_like(trans):
 
 def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrack,
               alpha: float = 0.05) -> ChunkRecord:
-    """Process one chunk from the zero state and record (state, A_acc)."""
+    """Process one chunk from the zero state and record (state, A_acc): for
+    GDN both from one chunk_forward, for Mamba-2 and GKA A_acc = prod(gamma).
+    The record reads no outputs, so the queries are zero."""
     kind = _as_kind(kind)
-    q = np.zeros_like(k)  # outputs are irrelevant for the record
-    _, state = ssm_forward(kind, k, v, q, gates, alpha=alpha)
+    q = np.zeros_like(k, dtype=np.float64)
     if kind is SsmKind.GDN:
-        _, a_acc = kernels.gdn_transition_prefixes(
-            np.ascontiguousarray(k, dtype=np.float64), gates.gamma, gates.beta, q)
+        _, state, _, a_acc = chunk_forward(kind, k, v, q, gates)
     else:
+        _, state = ssm_forward(kind, k, v, q, gates, alpha=alpha)
         a_acc = float(np.prod(gates.gamma))
-    return ChunkRecord(state=state, a_acc=a_acc, length=k.shape[0])
+    return ChunkRecord(state=state, a_acc=a_acc)
+
+
+def _carry(merged, chunk: ChunkRecord):
+    """The state after one more chunk: merged . A^(c) + S^(c)."""
+    return _add(_apply(merged, chunk.a_acc), chunk.state)
 
 
 def caso_compose(chunks: Sequence[ChunkRecord]):
-    """Exact composition of ordered chunk states for linear recurrences."""
+    """Exact composition of ordered chunk states for linear recurrences,
+    carried forward chunk by chunk."""
     if not chunks:
         raise ValueError("need at least one chunk")
-    merged = chunks[-1].state
-    suffix = None
-    for c in range(len(chunks) - 2, -1, -1):
-        nxt = chunks[c + 1].a_acc
-        suffix = nxt if suffix is None else _compose(nxt, suffix)
-        merged = _add(merged, _apply(chunks[c].state, suffix))
-    return merged
+    return reduce(_carry, chunks[1:], chunks[0].state)
 
 
 def picaso_r(chunks: Sequence[ChunkRecord]):
@@ -126,7 +127,7 @@ def picaso_r(chunks: Sequence[ChunkRecord]):
     prefix_caso = [zero]
     for s in range(1, K + 1):
         prefix_prod.append(_compose(prefix_prod[-1], chunks[s - 1].a_acc))
-        prefix_caso.append(_add(_apply(prefix_caso[-1], chunks[s - 1].a_acc), chunks[s - 1].state))
+        prefix_caso.append(_carry(prefix_caso[-1], chunks[s - 1]))
 
     # suffix products R_s = A^(s+1..K) and suffix compositions
     # W_s = sum_{c>s} S^(c) A^(c+1..K)
@@ -193,16 +194,14 @@ def _merge_ssm_layer(kind: str, caches: list, merge_mode: str):
             return gka_compose(infos, mode="sum")
         if merge_mode == "soup":
             return gka_compose(infos, mode="soup")
-        records = [ChunkRecord(state=i, a_acc=c.decay_prod, length=0)
-                   for i, c in zip(infos, caches)]
+        records = [ChunkRecord(state=i, a_acc=c.decay_prod) for i, c in zip(infos, caches)]
         return picaso_r(records)
     if merge_mode == "gka_sum":
         raise ValueError(f"gka_sum merge is only defined for GKA layers, not {kind!r}")
     if merge_mode == "soup":
         return soup_states([c.state for c in caches])
-    records = [ChunkRecord(state=c.state,
-                           a_acc=c.trans_prod if kind == "gdn" else c.decay_prod,
-                           length=0) for c in caches]
+    records = [ChunkRecord(state=c.state, a_acc=c.trans_prod if kind == "gdn" else c.decay_prod)
+               for c in caches]
     return picaso_r(records)
 
 

@@ -80,7 +80,7 @@ def _forward_substitution(n, rhs):
     return x
 
 
-def _wy_chunks(k, q, gamma, beta, v=None):
+def _wy_chunks(k, v, q, gamma, beta):
     """Per-chunk terms of the GDN scan in the gated WY/UT form.
 
     Within a chunk S_t = gamma_t S_{t-1} + u_t k_t^T with the pseudo-values
@@ -92,40 +92,33 @@ def _wy_chunks(k, q, gamma, beta, v=None):
     The chunk is then an SSD chunk with values U: its outputs are
     qk U_0 + aq S_0^T with aq = diag(G) Q - qk W, and its end state is
     U_0^T kd + S_0 a_end with a_end = G_L I - W^T kd. Returns (aq, a_end)
-    and, given v, the zero-start outputs qk U_0 and end states U_0^T kd.
+    and the zero-start outputs qk U_0 and end states U_0^T kd.
     """
     d_k = k.shape[1]
     K, Q, G, D, qk, kd = _ssd_terms(k, q, gamma)
     B = _blocks(beta, K.shape[1])[:, :, None]
     n = B * (K @ K.transpose(0, 2, 1)) * D  # its strict lower triangle is read
-    rhs = G[:, :, None] * K
-    if v is not None:
-        rhs = np.concatenate([_blocks(v, K.shape[1]), rhs], axis=2)
+    rhs = np.concatenate([_blocks(v, K.shape[1]), G[:, :, None] * K], axis=2)
     x = _forward_substitution(n, B * rhs)
-    w = x[:, :, -d_k:]
+    u0, w = x[:, :, :-d_k], x[:, :, -d_k:]
     aq = G[:, :, None] * Q - qk @ w
     a_end = G[:, -1, None, None] * np.eye(d_k) - w.transpose(0, 2, 1) @ kd
-    if v is None:
-        return aq, a_end
-    u0 = x[:, :, :-d_k]
     return aq, a_end, qk @ u0, u0.transpose(0, 2, 1) @ kd
 
 
 def gdn_scan(k, v, q, gamma, beta, s0):
     """GDN recurrence: S_t = S_{t-1} gamma_t (I - beta_t k_t k_t^T) + beta_t v_t k_t^T,
     y_t = S_t q_t, chunkwise in the WY form (see _wy_chunks)."""
-    aq, a_end, y0, e = _wy_chunks(k, q, gamma, beta, v)
+    aq, a_end, y0, e = _wy_chunks(k, v, q, gamma, beta)
     return _carry(y0, e, aq, a_end, s0, k.shape[0])
 
 
 def gdn_transition_prefixes(k, gamma, beta, q):
     """The GDN transitions A_t = gamma_t (I - beta_t k_t k_t^T) as seen by
     a linear readout: returns (aq, a_end) with aq[t] = A_{1:t} q_t and
-    a_end = A_{1:T}, where A_{1:t} = A_1 ... A_t. That is the WY scan run
-    from S_0 = I with nothing written."""
-    aq, a_end = _wy_chunks(k, q, gamma, beta)
-    return _carry(np.zeros_like(aq), np.zeros_like(a_end), aq, a_end,
-                  np.eye(k.shape[1]), k.shape[0])
+    a_end = A_{1:T}, where A_{1:t} = A_1 ... A_t. That is the scan run
+    from S_0 = I with nothing written: its state is A_{1:t}."""
+    return gdn_scan(k, np.zeros_like(k), q, gamma, beta, np.eye(k.shape[1]))
 
 
 def chebyshev_dense(matvec, lam, rhs, iters, a, b):

@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .ssm_core import GateTrack, SsmKind, _as_kind, _finite_output, _require_finite, ssm_forward
+from .ssm_core import (GateTrack, NonFiniteOutput, SsmKind, _as_kind, _finite_output,
+                       _require_finite, chunk_forward)
+from .ssm_core import ssm_forward  # noqa: F401  (perfbench's tracer test reads seqpar.ssm_forward)
 
 DEFAULT_ELEM_BYTES = 2  # BF16 accounting; simulation arithmetic stays float64
 
@@ -179,17 +181,6 @@ def conv1d_sp(u: np.ndarray, w: np.ndarray, plan: ShardPlan,
     return y
 
 
-def _zero_init_chunk(kind: SsmKind, k, v, q, gates: GateTrack):
-    """Zero-init outputs and final state, and the chunk's transitions as a
-    linear readout sees them: (aq, a_end) with aq[t] = A_{1:t} q_t and
-    a_end = A_{1:n}."""
-    y0, s_end = ssm_forward(kind, k, v, q, gates)
-    if kind is SsmKind.MAMBA2:
-        decay = np.cumprod(gates.gamma)
-        return y0, s_end, decay[:, None] * q, decay[-1] * np.eye(k.shape[1])
-    return (y0, s_end) + kernels.gdn_transition_prefixes(k, gates.gamma, gates.beta, q)
-
-
 def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
                 gates: GateTrack, plan: ShardPlan, bus: MessageBus | None = None,
                 elem_bytes: int = DEFAULT_ELEM_BYTES):
@@ -222,7 +213,10 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
         sl = plan.chunk_slice(c)
         sub = GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl],
                         lam=None if gates.lam is None else gates.lam[sl])
-        y0, s_end, aq, a_end = _zero_init_chunk(kind, k[sl], v[sl], q[sl], sub)
+        try:
+            y0, s_end, aq, a_end = chunk_forward(kind, k[sl], v[sl], q[sl], sub)
+        except NonFiniteOutput as err:  # name a sequence row, not a chunk row
+            raise NonFiniteOutput(kind, sl.start + err.row) from None
         y[sl] = y0 + aq @ state.T
         state = s_end + state @ a_end
         state = _relay(bus, plan, c, "ssm_state", state, state_bytes)

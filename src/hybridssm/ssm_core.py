@@ -108,6 +108,7 @@ class GateTrack:
         object.__setattr__(self, "beta", beta)
         if gamma.shape != beta.shape or gamma.ndim != 1:
             raise ValueError("gamma/beta must be 1-D arrays of equal length")
+        _require_finite(gamma=gamma, beta=beta)  # NaN passes both range tests
         if np.any(gamma <= 0.0) or np.any(gamma > 1.0):
             raise ValueError("gamma must lie in (0, 1]")
         if np.any(beta < 0.0) or np.any(beta > 1.0):
@@ -278,13 +279,21 @@ def _require_finite(**arrays: np.ndarray) -> None:
             raise ValueError(f"{name} is non-finite at row {int(np.argmax(bad_rows))}")
 
 
+class NonFiniteOutput(FloatingPointError):
+    """A Mamba-2/GDN forward overflowed; row is its first non-finite output row."""
+
+    def __init__(self, kind: SsmKind, row: int):
+        super().__init__(f"{kind.value} output is non-finite from row {row}")
+        self.row = row
+
+
 def _finite_output(kind: SsmKind, y: np.ndarray, s: np.ndarray):
-    """Return (y, s) if both are finite; otherwise raise FloatingPointError
-    naming the first non-finite output row (or the state, if only it is)."""
+    """Return (y, s) if both are finite; otherwise raise NonFiniteOutput
+    naming the first non-finite output row (or FloatingPointError naming
+    the state, if only it is)."""
     bad_rows = ~np.isfinite(y).all(axis=1)
     if bad_rows.any():
-        raise FloatingPointError(
-            f"{kind.value} output is non-finite from row {int(np.argmax(bad_rows))}")
+        raise NonFiniteOutput(kind, int(np.argmax(bad_rows)))
     if not np.isfinite(s).all():
         raise FloatingPointError(f"{kind.value} final state is non-finite")
     return y, s
@@ -299,11 +308,16 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     Mamba-2 and GDN run the chunkwise scans of ``kernels``; GKA runs in
     information form, token by token; gates.lam supplies fixed per-step
     regularizers, otherwise lam_t = alpha ||H_t||_F. Raises ValueError on a
-    non-finite k, v, q or s0, naming the argument and its first bad row,
-    and FloatingPointError when a Mamba-2/GDN output or final state
-    overflows, naming the first non-finite output row.
+    non-finite k, v, q or s0, naming the argument and its first bad row, or
+    on an unknown solver or fewer than one Chebyshev iteration; and
+    FloatingPointError (NonFiniteOutput) when a Mamba-2/GDN output or final
+    state overflows, naming the first non-finite output row.
     """
     kind = _as_kind(kind)
+    if solver not in ("exact", "chebyshev"):
+        raise ValueError(f"unknown solver: {solver!r}")
+    if solver == "chebyshev" and r < 1:
+        raise ValueError(f"need r >= 1 iterations, got {r}")
     k = np.ascontiguousarray(k, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
@@ -324,6 +338,21 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     y, h, u, _ = kernels.gka_info_forward(k, v, q, gates.gamma, gates.beta,
                                           np.ascontiguousarray(lam), a, solver_r, 1.0)
     return y, GkaInfoState(h=h, u=u)
+
+
+def chunk_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
+                  gates: GateTrack):
+    """A Mamba-2/GDN chunk from the zero state: returns (y, s_end, aq, a_end),
+    its zero-start outputs and end state, aq[t] = A_{1:t} q_t and
+    a_end = A_{1:n}. The state is linear in the values and in S_0, so one
+    forward from S_0 = [0; I], with d_k zero value columns appended, gives
+    (y, s_end) in its first d_v columns and rows and (aq, a_end) in the rest."""
+    if _as_kind(kind) is SsmKind.GKA:
+        raise ValueError("chunk_forward needs a linear transition (Mamba-2 or GDN), not GKA")
+    (T, d_v), d_k = np.shape(v), np.shape(k)[1]
+    y, s = ssm_forward(kind, k, np.hstack([v, np.zeros((T, d_k))]), q, gates,
+                       np.vstack([np.zeros((d_v, d_k)), np.eye(d_k)]))
+    return y[:, :d_v], s[:d_v], y[:, d_v:], s[d_v:]
 
 
 def gka_recurrence_equivalence(k: np.ndarray, v: np.ndarray, q: np.ndarray,
@@ -366,16 +395,9 @@ def gka_recurrence_equivalence(k: np.ndarray, v: np.ndarray, q: np.ndarray,
 def ssm_io_matrix(kind: SsmKind | str, keys: np.ndarray, queries: np.ndarray,
                   gates: GateTrack, solver: str = "exact", r: int = 30) -> np.ndarray:
     """Finite-horizon input-output matrix of the layer with gates and keys
-    frozen: probe with value basis inputs e_j per position (the layer acts
-    identically and independently on each value coordinate, so one scalar
-    channel suffices)."""
-    keys = np.ascontiguousarray(keys, dtype=np.float64)
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    T = keys.shape[0]
-    out = np.zeros((T, T))
-    for j in range(T):
-        v = np.zeros((T, 1))
-        v[j, 0] = 1.0
-        y, _ = ssm_forward(kind, keys, v, queries, gates, solver=solver, r=r)
-        out[:, j] = y[:, 0]
-    return out
+    frozen. The layer acts identically and independently on each value
+    column, so one forward with the values v = I (column j the basis input
+    e_j at position j) returns the matrix as its outputs."""
+    T = np.shape(keys)[0]
+    y, _ = ssm_forward(kind, keys, np.eye(T), queries, gates, solver=solver, r=r)
+    return y

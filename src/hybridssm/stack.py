@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 
 ATTENTION_KINDS = ("attn", "swa")
 SSM_KINDS = ("mamba2", "gdn", "gka")
@@ -166,24 +167,21 @@ class ToyHybridStack:
                                    decay_prod=float(np.prod(ad.value(gamma))))
             return ad.stack_rows(ys), cache
         s = np.zeros((self.d_v, self.d_k))
-        trans = np.eye(self.d_k)
         for t in range(T):
             if kind == "mamba2":
                 s = gamma[t] * s + ad.outer(v[t], k[t])
             else:  # gdn
                 sk = s @ k[t]
                 s = gamma[t] * (s - beta[t] * ad.outer(sk, k[t])) + beta[t] * ad.outer(v[t], k[t])
-                if collect_cache:
-                    kv = ad.value(k[t])
-                    a_t = float(ad.value(gamma[t])) * (np.eye(self.d_k)
-                                                       - float(ad.value(beta[t])) * np.outer(kv, kv))
-                    trans = trans @ a_t
             ys.append(s @ q[t])
         cache = None
         if collect_cache:
+            trans = None
+            if kind == "gdn":
+                _, trans = kernels.gdn_transition_prefixes(
+                    ad.value(k), ad.value(gamma), ad.value(beta), ad.value(q))
             cache = LayerCache(kind=kind, state=ad.value(s),
-                               decay_prod=float(np.prod(ad.value(gamma))),
-                               trans_prod=trans if kind == "gdn" else None)
+                               decay_prod=float(np.prod(ad.value(gamma))), trans_prod=trans)
         return ad.stack_rows(ys), cache
 
     def forward(self, x: np.ndarray, params: dict | None = None,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridssm import kernels
 from hybridssm.composition import (
     ChunkRecord,
     caso_compose,
@@ -48,7 +49,7 @@ def chunk_records(kind, k, v, gates, chunk_len):
 
 class TestCaso:
     def test_single_chunk_identity(self):
-        rec = ChunkRecord(state=np.ones((2, 3)), a_acc=0.5, length=4)
+        rec = ChunkRecord(state=np.ones((2, 3)), a_acc=0.5)
         assert np.array_equal(caso_compose([rec]), rec.state)
 
     def test_mamba2_scalar_two_chunks_by_hand(self):
@@ -78,6 +79,16 @@ class TestCaso:
         full = full_sequence_state(kind, k, v, gates)
         assert np.max(np.abs(merged - full)) < 1e-10
 
+    def test_gdn_run_chunk_solves_once(self, monkeypatch):
+        calls = []
+        substitute = kernels._forward_substitution
+        monkeypatch.setattr(kernels, "_forward_substitution",
+                            lambda n, rhs: calls.append(1) or substitute(n, rhs))
+        k, v, gates = random_run(SsmKind.GDN, 8, 3, 2, seed=3)
+        rec = run_chunk(SsmKind.GDN, k, v, gates)
+        assert len(calls) == 1
+        assert rec.a_acc.shape == (3, 3)
+
     def test_gka_info_caso_matches_full_sequence(self):
         k, v, gates = random_run(SsmKind.GKA, 12, 3, 2, seed=5)
         records = chunk_records(SsmKind.GKA, k, v, gates, 4)
@@ -92,19 +103,19 @@ class TestCaso:
 
 class TestPicasoR:
     def test_single_chunk_equals_caso(self):
-        rec = ChunkRecord(state=np.ones((2, 2)), a_acc=0.3, length=1)
+        rec = ChunkRecord(state=np.ones((2, 2)), a_acc=0.3)
         assert np.array_equal(picaso_r([rec]), caso_compose([rec]))
 
     def test_identity_transitions_sum_states(self):
         rng = np.random.default_rng(0)
-        recs = [ChunkRecord(state=rng.standard_normal((2, 3)), a_acc=1.0, length=2)
+        recs = [ChunkRecord(state=rng.standard_normal((2, 3)), a_acc=1.0)
                 for _ in range(4)]
         expected = sum(r.state for r in recs)
         assert np.allclose(picaso_r(recs), expected, atol=1e-12)
 
     def test_scalar_three_chunks_vs_enumeration(self):
         # oracle: enumerate cyclic shifts and apply caso_compose to each
-        recs = [ChunkRecord(state=np.array([[s]]), a_acc=a, length=1)
+        recs = [ChunkRecord(state=np.array([[s]]), a_acc=a)
                 for s, a in [(1.0, 0.5), (2.0, 0.25), (4.0, 0.125)]]
         shifts = [caso_compose(recs[s:] + recs[:s]) for s in range(3)]
         expected = sum(shifts) / 3.0
@@ -211,6 +222,18 @@ class TestChunkedPrefill:
         chunked = chunked_prefill(model, tokens, chunk_len=4, merge_mode="picaso_r")
         single = single_pass_prefill(model, tokens)
         assert state_deviation(chunked.ssm_states[0], single.ssm_states[0]) < 1e-12
+
+    def test_caso_over_gdn_stack_caches_matches_single_pass(self):
+        # the GDN first layer sees raw tokens, so its per-chunk caches
+        # (state, trans_prod) compose exactly into the single-pass state
+        model = ToyHybridStack(("gdn", "attn"), d_model=8, d_k=4, seed=18)
+        tokens = np.random.default_rng(19).standard_normal((24, 8))
+        records = []
+        for c in range(3):
+            cache = model.forward(tokens[8 * c:8 * (c + 1)], collect_caches=True).caches[0]
+            records.append(ChunkRecord(state=cache.state, a_acc=cache.trans_prod))
+        single = single_pass_prefill(model, tokens)
+        assert state_deviation(caso_compose(records), single.ssm_states[0]) < 1e-12
 
     def test_gka_sum_merge_exact_without_decay(self):
         model = ToyHybridStack(("gka", "attn"), d_model=8, d_k=4, seed=6,

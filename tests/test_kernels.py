@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hybridssm import kernels as K
+from hybridssm.ssm_core import GateTrack, chunk_forward, ssm_forward
 
 
 def rand_inputs(T=16, d_k=5, d_v=4, seed=0):
@@ -24,19 +25,34 @@ class TestAgainstVectorizedReference:
         assert np.allclose(s, expected, atol=1e-12)
 
     def test_gdn_transition_prefixes_match_explicit_products(self):
-        T, d_k = 150, 4  # crosses two chunk boundaries
+        # gdn_transition_prefixes and chunk_forward's (aq, a_end), for both
+        # kinds, against P_t = A_1 ... A_t multiplied out token by token
+        T, d_k, d_v = 150, 4, 3  # crosses two chunk boundaries
         rng = np.random.default_rng(7)
         k = rng.standard_normal((T, d_k))
         q = rng.standard_normal((T, d_k))
+        v = rng.standard_normal((T, d_v))
         g = rng.uniform(0.5, 1.0, T)
         b = rng.uniform(0.1, 1.0, T)
-        aq, a_end = K.gdn_transition_prefixes(k, g, b, q)
-        P = np.eye(d_k)
-        for t in range(T):
-            A_t = g[t] * (np.eye(d_k) - b[t] * np.outer(k[t], k[t]))
-            P = P @ A_t
-            assert np.allclose(aq[t], P @ q[t], atol=1e-12)
-        assert np.allclose(a_end, P, atol=1e-12)
+        gates = GateTrack(gamma=g, beta=b)
+        transitions = {
+            "gdn": lambda t: g[t] * (np.eye(d_k) - b[t] * np.outer(k[t], k[t])),
+            "mamba2": lambda t: g[t] * np.eye(d_k),
+        }
+        for kind, A in transitions.items():
+            y, s_end, aq, a_end = chunk_forward(kind, k, v, q, gates)
+            y_ref, s_ref = ssm_forward(kind, k, v, q, gates)
+            assert np.allclose(y, y_ref, atol=1e-12) and np.allclose(s_end, s_ref, atol=1e-12)
+            results = [(aq, a_end)]
+            if kind == "gdn":
+                results.append(K.gdn_transition_prefixes(k, g, b, q))
+            P = np.eye(d_k)
+            for t in range(T):
+                P = P @ A(t)
+                for prefixes, _ in results:
+                    assert np.allclose(prefixes[t], P @ q[t], atol=1e-12)
+            for _, total in results:
+                assert np.allclose(total, P, atol=1e-12)
 
     def test_conv1d_matches_numpy_convolve(self):
         rng = np.random.default_rng(8)

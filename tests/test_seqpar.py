@@ -10,7 +10,7 @@ from hybridssm.seqpar import (
     shard,
     usp_forward,
 )
-from hybridssm.ssm_core import GateTrack, SsmKind, ssm_forward
+from hybridssm.ssm_core import GateTrack, NonFiniteOutput, SsmKind, ssm_forward
 
 
 def rand_layer_inputs(T, d_k=4, d_v=3, seed=0, gamma_range=(0.6, 1.0)):
@@ -206,6 +206,35 @@ class TestP2pForward:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"gdn output is non-finite from row 3\d\d"):
                 p2p_forward(SsmKind.GDN, k, v, q, gates, shard(T, 4, pattern), MessageBus(4))
+
+    def test_overflow_inside_a_chunk_names_a_sequence_row(self):
+        # unit keys, then keys of norm 8 from row 400: the second of two
+        # chunks overflows from the zero state, 332 rows into the chunk
+        T, d = 800, 16
+        rng = np.random.default_rng(0)
+        k = rng.standard_normal((T, d))
+        k /= np.linalg.norm(k, axis=1, keepdims=True)
+        k[400:] *= 8.0
+        v, q = rng.standard_normal((T, d)), rng.standard_normal((T, d))
+        gates = GateTrack(gamma=np.full(T, 0.99), beta=np.ones(T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteOutput, match="gdn output is non-finite from row 732"):
+                ssm_forward(SsmKind.GDN, k, v, q, gates)
+            # the chunk's transition columns may overflow a row before its outputs
+            with pytest.raises(NonFiniteOutput, match="gdn output is non-finite from row 73[12]"):
+                p2p_forward(SsmKind.GDN, k, v, q, gates, shard(T, 2, "simple"), MessageBus(2))
+
+    @pytest.mark.parametrize("pattern", ["simple", "zigzag"])
+    def test_gdn_solves_each_chunk_once(self, monkeypatch, pattern):
+        calls = []
+        substitute = kernels._forward_substitution
+        monkeypatch.setattr(kernels, "_forward_substitution",
+                            lambda n, rhs: calls.append(1) or substitute(n, rhs))
+        T = 32
+        k, v, q, gates = rand_layer_inputs(T, seed=10)
+        plan = shard(T, 4, pattern)
+        p2p_forward(SsmKind.GDN, k, v, q, gates, plan, MessageBus(4))
+        assert len(calls) == plan.n_chunks
 
     def test_gka_rejected(self):
         T = 8

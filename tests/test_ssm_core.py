@@ -394,6 +394,24 @@ class TestForwardAndGates:
             GateTrack(gamma=np.array([0.5]), beta=np.array([-0.1]))
         with pytest.raises(ValueError):
             GateTrack(gamma=np.array([0.5]), beta=np.array([0.5]), lam=np.array([0.0]))
+        # NaN fails both range comparisons, so it needs its own check
+        bad = np.full(8, 0.5)
+        bad[5] = np.nan
+        with pytest.raises(ValueError, match="gamma is non-finite at row 5"):
+            GateTrack(gamma=bad, beta=np.full(8, 0.5))
+        with pytest.raises(ValueError, match="beta is non-finite at row 5"):
+            GateTrack(gamma=np.full(8, 0.5), beta=bad)
+
+    @pytest.mark.parametrize("kind", list(SsmKind))
+    def test_bad_solver_arguments_rejected(self, kind):
+        T = 6
+        k, v, q = rand_kvq(T, 3, 2, seed=25)
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.5), lam=np.full(T, 0.5))
+        with pytest.raises(ValueError, match="unknown solver: 'bogus'"):
+            ssm_forward(kind, k, v, q, gates, solver="bogus")
+        for r in (0, -3):
+            with pytest.raises(ValueError, match=f"need r >= 1 iterations, got {r}"):
+                ssm_forward(kind, k, v, q, gates, solver="chebyshev", r=r)
 
     def test_forward_final_state_matches_steps(self):
         T, d_k, d_v = 7, 3, 2
