@@ -7,7 +7,8 @@ call these rather than restating them.
 
 Conventions: states are ``d_v x d_k`` matrices updated on the right
 (``S_t = S_{t-1} A_t + v_t B_t``), outputs are ``y_t = S_t q_t``. All
-arrays are float64 and C-contiguous.
+arrays are C-contiguous float64, or complex128 when a complex-step
+derivative runs through them (see ``autodiff``).
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r, bounds_pad):
     d_v = v.shape[1]
     H = np.zeros((d_k, d_k))
     U = np.zeros((d_v, d_k))
-    y = np.empty((T, d_v))
+    y = np.empty((T, d_v), dtype=np.result_type(k, v, q, gamma, beta))
     lam_used = np.empty(T)
     for t in range(T):
         H = gamma[t] * H + np.outer(beta[t] * k[t], k[t])

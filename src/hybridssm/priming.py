@@ -268,7 +268,7 @@ def alignment_loss(mode: str, hybrid_trace: StackTrace, teacher_trace: StackTrac
     """e2e: squared Frobenius distance of the post-norm final hidden states.
     layerwise: mean over decoder layers of the squared distance between each
     model's own layer output (teacher layer on teacher input vs hybrid layer
-    on hybrid input). Dual inputs propagate to a Dual loss."""
+    on hybrid input). A complex-step perturbed trace gives a complex loss."""
     if mode == "e2e":
         ha, ta = hybrid_trace.final, teacher_trace.final
         if ad.value(ha).shape != ad.value(ta).shape:
@@ -306,7 +306,7 @@ def stage1_align(teacher: ToyHybridStack, hybrid: ToyHybridStack,
                  inputs: list[np.ndarray], mode: str = "e2e",
                  steps: int = 10, lr: float = 0.02) -> list[float]:
     """Demonstration Stage-1 loop: plain fixed-step gradient descent on the
-    hybrid's SSM gate parameters only, via forward-mode gradients.
+    hybrid's SSM gate parameters only, via complex-step gradients.
 
     This verifies loss/gradient plumbing, nothing more. The production-scale
     recipe trains the SSM parameters (everything else frozen) against the

@@ -63,8 +63,8 @@ class GkaInfoState:
     u: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64)
-        u = np.asarray(self.u, dtype=np.float64)
+        h = _real_or_complex(self.h)
+        u = _real_or_complex(self.u)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "u", u)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -75,7 +75,7 @@ class GkaInfoState:
             raise ValueError("non-finite info state")
         if np.max(np.abs(h - h.T), initial=0.0) > 1e-12:
             raise ValueError("H must be symmetric within 1e-12")
-        if h.size and float(np.linalg.eigvalsh(h)[0]) < -1e-10:
+        if h.size and float(np.linalg.eigvalsh(h.real)[0]) < -1e-10:
             raise ValueError("H must be PSD (eigenvalues >= -1e-10)")
 
     @property
@@ -102,16 +102,16 @@ class GateTrack:
     lam: np.ndarray | None = None
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=np.float64)
-        beta = np.asarray(self.beta, dtype=np.float64)
+        gamma = _real_or_complex(self.gamma)
+        beta = _real_or_complex(self.beta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "beta", beta)
         if gamma.shape != beta.shape or gamma.ndim != 1:
             raise ValueError("gamma/beta must be 1-D arrays of equal length")
         _require_finite(gamma=gamma, beta=beta)  # NaN passes both range tests
-        if np.any(gamma <= 0.0) or np.any(gamma > 1.0):
+        if np.any(gamma.real <= 0.0) or np.any(gamma.real > 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-        if np.any(beta < 0.0) or np.any(beta > 1.0):
+        if np.any(beta.real < 0.0) or np.any(beta.real > 1.0):
             raise ValueError("beta must lie in [0, 1]")
         if self.lam is not None:
             lam = np.asarray(self.lam, dtype=np.float64)
@@ -270,6 +270,13 @@ def gka_output(info: GkaInfoState, q_t: np.ndarray, lam_t: float,
     return info.u @ x
 
 
+def _real_or_complex(x) -> np.ndarray:
+    """x as a C-contiguous float64 array, or complex128 if it is complex: a
+    complex-step perturbation (see ``autodiff``) must keep its imaginary
+    part, which a float64 cast would drop and so zero the derivative."""
+    return np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64, order="C")
+
+
 def _require_finite(**arrays: np.ndarray) -> None:
     """Raise ValueError naming the first argument with a non-finite entry
     and the first row that holds one."""
@@ -309,22 +316,21 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     information form, token by token; gates.lam supplies fixed per-step
     regularizers, otherwise lam_t = alpha ||H_t||_F. Raises ValueError on a
     non-finite k, v, q or s0, naming the argument and its first bad row, or
-    on an unknown solver or fewer than one Chebyshev iteration; and
+    on an unknown solver or fewer than one Chebyshev iteration, or on a
+    complex GKA forward with the adaptive regularizer or Chebyshev; and
     FloatingPointError (NonFiniteOutput) when a Mamba-2/GDN output or final
-    state overflows, naming the first non-finite output row.
+    state overflows, naming the first non-finite output row. Complex inputs
+    (a complex-step derivative, see ``autodiff``) stay complex128 throughout.
     """
     kind = _as_kind(kind)
     if solver not in ("exact", "chebyshev"):
         raise ValueError(f"unknown solver: {solver!r}")
     if solver == "chebyshev" and r < 1:
         raise ValueError(f"need r >= 1 iterations, got {r}")
-    k = np.ascontiguousarray(k, dtype=np.float64)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    q = np.ascontiguousarray(q, dtype=np.float64)
+    k, v, q = _real_or_complex(k), _real_or_complex(v), _real_or_complex(q)
     if gates.T != k.shape[0]:
         raise ValueError(f"gate track length {gates.T} != T {k.shape[0]}")
-    s0 = (np.zeros((v.shape[1], k.shape[1])) if s0 is None
-          else np.ascontiguousarray(s0, dtype=np.float64))
+    s0 = np.zeros((v.shape[1], k.shape[1])) if s0 is None else _real_or_complex(s0)
     _require_finite(k=k, v=v, q=q, s0=s0)
     if kind is SsmKind.MAMBA2:
         return _finite_output(kind, *kernels.mamba2_scan(k, v, q, gates.gamma, s0))
@@ -332,6 +338,13 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
         return _finite_output(kind, *kernels.gdn_scan(k, v, q, gates.gamma, gates.beta, s0))
     if np.any(s0 != 0.0):
         raise ValueError("GKA forward starts from the zero information state")
+    if ((gates.lam is None or solver == "chebyshev")
+            and any(map(np.iscomplexobj, (k, gates.gamma, gates.beta)))):
+        # H_t depends on these; the adaptive lam_t and the Chebyshev interval
+        # read ||H_t||_F, a norm that drops the imaginary part and with it
+        # their share of the derivative
+        raise ValueError("||H_t||_F is not analytic: a complex-step GKA forward "
+                         "needs a fixed gates.lam and the exact solver")
     lam = gates.lam if gates.lam is not None else np.zeros(gates.T)
     a = -1.0 if gates.lam is not None else float(alpha)
     solver_r = 0 if solver == "exact" else int(r)

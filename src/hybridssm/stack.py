@@ -3,9 +3,11 @@ MLP with residuals) over vector sequences, used to exercise the alignment
 losses, gate gradients, and chunked prefill without any pretrained model.
 
 Mixers: full causal attention, sliding-window attention, or one of the
-three SSM recurrences with sigmoid gates computed from the layer input.
-The forward pass is written against the Dual-aware ops in ``autodiff`` so
-gate parameters can be differentiated in forward mode.
+three SSM recurrences with sigmoid gates computed from the layer input. An
+SSM layer runs ``ssm_core.ssm_forward`` (or ``chunk_forward`` when caches
+are collected), the same chunkwise kernels as everything else. The forward
+pass is plain analytic numpy that keeps a complex dtype, so ``autodiff``
+differentiates gate parameters by the complex step.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from . import kernels
+from .ssm_core import GateTrack, _require_finite, chunk_forward, ssm_forward
 
 ATTENTION_KINDS = ("attn", "swa")
 SSM_KINDS = ("mamba2", "gdn", "gka")
@@ -24,10 +25,14 @@ SSM_KINDS = ("mamba2", "gdn", "gka")
 
 def parse_mixer(spec: str | tuple) -> tuple[str, int | None]:
     if isinstance(spec, tuple):
-        return spec[0], (spec[1] if len(spec) > 1 else None)
-    if spec.startswith("swa:"):
-        return "swa", int(spec.split(":")[1])
-    return spec, None
+        kind, window = spec[0], (spec[1] if len(spec) > 1 else None)
+    elif spec.startswith("swa:"):
+        kind, window = "swa", int(spec.split(":")[1])
+    else:
+        kind, window = spec, None
+    if kind not in ATTENTION_KINDS + SSM_KINDS:
+        raise ValueError(f"unknown mixer kind: {kind!r}")
+    return kind, window
 
 
 @dataclass
@@ -56,23 +61,18 @@ class StackTrace:
 
 
 def _causal_softmax_rows(scores, lo):
-    """Dual-aware causal (optionally windowed) row softmax. The row max is
-    treated as a constant shift; softmax is shift-invariant so gradients
-    are unaffected."""
-    T = ad.value(scores).shape[0]
-    rows = []
-    for i in range(T):
-        seg = scores[i][lo[i]: i + 1]
-        e = ad.exp(seg - float(ad.value(seg).max()))
-        w = e / e.sum()
-        if ad.is_dual(w):
-            pad_l = np.zeros(lo[i])
-            pad_r = np.zeros(T - i - 1)
-            rows.append(ad.Dual(np.concatenate([pad_l, w.val, pad_r]),
-                                np.concatenate([pad_l, w.dot, pad_r])))
-        else:
-            rows.append(np.concatenate([np.zeros(lo[i]), w, np.zeros(T - i - 1)]))
-    return ad.stack_rows(rows)
+    """Causal (optionally windowed) row softmax, row i over columns
+    lo[i]..i. The row max of the real part is a constant shift; softmax is
+    shift-invariant, so complex-step derivatives are unaffected."""
+    mix = np.zeros_like(scores)
+    for i in range(scores.shape[0]):
+        seg = scores[i, lo[i]: i + 1]
+        e = np.exp(seg - seg.real.max())
+        mix[i, lo[i]: i + 1] = e / e.sum()
+    return mix
+
+
+_GATE_BIAS = {"gamma": 1.0, "beta": 0.5}
 
 
 class ToyHybridStack:
@@ -85,11 +85,10 @@ class ToyHybridStack:
                  fixed_gates: dict[int, tuple[float, float]] | None = None):
         if final_norm not in ("rms", "none"):
             raise ValueError(f"unknown final_norm: {final_norm!r}")
+        if not gka_lam > 0.0:
+            raise ValueError(f"gka_lam must be > 0, got {gka_lam}")
         self.fixed_gates = dict(fixed_gates or {})  # layer -> (gamma, beta) constants
         self.mixers = [parse_mixer(m) for m in mixers]
-        for kind, _ in self.mixers:
-            if kind not in ATTENTION_KINDS + SSM_KINDS:
-                raise ValueError(f"unknown mixer kind: {kind!r}")
         self.d_model = d_model
         self.d_k = d_k
         self.d_v = d_v or d_k
@@ -105,20 +104,32 @@ class ToyHybridStack:
                                 ("mlp1", (2 * d_model, d_model)), ("mlp2", (d_model, 2 * d_model))):
                 self.weights[f"{i}.{name}"] = scale * rng.standard_normal(shape)
             if kind in SSM_KINDS:
-                self.params[f"{i}.gamma_w"] = scale * rng.standard_normal(d_model)
-                self.params[f"{i}.gamma_b"] = np.array(1.0)
-                self.params[f"{i}.beta_w"] = scale * rng.standard_normal(d_model)
-                self.params[f"{i}.beta_b"] = np.array(0.5)
+                for gate, bias in _GATE_BIAS.items():
+                    self.params[f"{i}.{gate}_w"] = scale * rng.standard_normal(d_model)
+                    self.params[f"{i}.{gate}_b"] = np.array(bias)
 
     def ssm_param_names(self) -> list[str]:
         return sorted(self.params)
 
     def swap_layer(self, i: int, spec: str | tuple) -> "ToyHybridStack":
-        mixers = [m for m in self.mixers]
-        mixers[i] = parse_mixer(spec)
+        """A copy with mixer i replaced; the copy shares no mutable state
+        with this stack. A slot that becomes an SSM keeps its gate
+        parameters if it had them, else starts from zero gate weights and
+        the constructor's biases; a slot that becomes attention drops them."""
         clone = object.__new__(ToyHybridStack)
         clone.__dict__.update(self.__dict__)
-        clone.mixers = mixers
+        clone.mixers = list(self.mixers)
+        clone.mixers[i] = parse_mixer(spec)
+        clone.weights = dict(self.weights)
+        clone.params = {name: p.copy() for name, p in self.params.items()}
+        clone.fixed_gates = dict(self.fixed_gates)
+        for gate, bias in _GATE_BIAS.items():
+            if clone.mixers[i][0] in SSM_KINDS:
+                clone.params.setdefault(f"{i}.{gate}_w", np.zeros(self.d_model))
+                clone.params.setdefault(f"{i}.{gate}_b", np.array(bias))
+            else:
+                clone.params.pop(f"{i}.{gate}_w", None)
+                clone.params.pop(f"{i}.{gate}_b", None)
         return clone
 
     # -- forward -------------------------------------------------------
@@ -129,7 +140,7 @@ class ToyHybridStack:
         q = x @ w[f"{i}.wq"].T
         k = x @ w[f"{i}.wk"].T
         v = x @ w[f"{i}.wv"].T
-        T = ad.value(x).shape[0]
+        T = x.shape[0]
         cache = None
         if kind in ATTENTION_KINDS:
             lo = np.zeros(T, dtype=np.int64) if kind == "attn" \
@@ -137,7 +148,7 @@ class ToyHybridStack:
             mix = _causal_softmax_rows(q @ k.T, lo)
             y = mix @ v
             if collect_cache:
-                cache = LayerCache(kind=kind, keys=ad.value(k), values=ad.value(v),
+                cache = LayerCache(kind=kind, keys=k, values=v,
                                    pos_ids=np.arange(pos_offset, pos_offset + T))
         else:
             if i in self.fixed_gates:
@@ -145,53 +156,41 @@ class ToyHybridStack:
                 gamma = np.full(T, float(g0))
                 beta = np.full(T, float(b0))
             else:
-                gamma = ad.sigmoid(x @ params[f"{i}.gamma_w"] + params[f"{i}.gamma_b"])
-                beta = ad.sigmoid(x @ params[f"{i}.beta_w"] + params[f"{i}.beta_b"])
+                gamma = _sigmoid(x @ params[f"{i}.gamma_w"] + params[f"{i}.gamma_b"])
+                beta = _sigmoid(x @ params[f"{i}.beta_w"] + params[f"{i}.beta_b"])
             y, cache = self._ssm_scan(kind, k, v, q, gamma, beta, collect_cache)
         return x + y @ w[f"{i}.wo"].T, cache
 
     def _ssm_scan(self, kind, k, v, q, gamma, beta, collect_cache):
-        T = ad.value(k).shape[0]
-        ys = []
+        """GKA runs with the fixed regularizer lam_t = gka_lam: the adaptive
+        alpha ||H_t||_F is not analytic, so a complex step cannot pass it."""
+        decay_prod = float(np.prod(gamma.real))
         if kind == "gka":
-            h = np.zeros((self.d_k, self.d_k))
-            u = np.zeros((self.d_v, self.d_k))
-            for t in range(T):
-                h = gamma[t] * h + beta[t] * ad.outer(k[t], k[t])
-                u = gamma[t] * u + beta[t] * ad.outer(v[t], k[t])
-                x_t = ad.solve(h + self.gka_lam * np.eye(self.d_k), q[t])
-                ys.append(u @ x_t)
-            cache = None
-            if collect_cache:
-                cache = LayerCache(kind=kind, info_h=ad.value(h), info_u=ad.value(u),
-                                   decay_prod=float(np.prod(ad.value(gamma))))
-            return ad.stack_rows(ys), cache
-        s = np.zeros((self.d_v, self.d_k))
-        for t in range(T):
-            if kind == "mamba2":
-                s = gamma[t] * s + ad.outer(v[t], k[t])
-            else:  # gdn
-                sk = s @ k[t]
-                s = gamma[t] * (s - beta[t] * ad.outer(sk, k[t])) + beta[t] * ad.outer(v[t], k[t])
-            ys.append(s @ q[t])
-        cache = None
-        if collect_cache:
-            trans = None
-            if kind == "gdn":
-                _, trans = kernels.gdn_transition_prefixes(
-                    ad.value(k), ad.value(gamma), ad.value(beta), ad.value(q))
-            cache = LayerCache(kind=kind, state=ad.value(s),
-                               decay_prod=float(np.prod(ad.value(gamma))), trans_prod=trans)
-        return ad.stack_rows(ys), cache
+            y, info = ssm_forward(kind, k, v, q,
+                                  GateTrack(gamma, beta, np.full(len(gamma), self.gka_lam)))
+            cache = LayerCache(kind=kind, info_h=info.h, info_u=info.u,
+                               decay_prod=decay_prod) if collect_cache else None
+            return y, cache
+        gates = GateTrack(gamma, beta)
+        if not collect_cache:
+            return ssm_forward(kind, k, v, q, gates)[0], None
+        y, s, _, a_end = chunk_forward(kind, k, v, q, gates)
+        return y, LayerCache(kind=kind, state=s, decay_prod=decay_prod,
+                             trans_prod=a_end if kind == "gdn" else None)
 
     def forward(self, x: np.ndarray, params: dict | None = None,
                 pos_offset: int = 0, collect_caches: bool = False) -> StackTrace:
+        """Run the stack on x (T, d_model). params overrides named gate
+        parameters; a complex x or params (a complex step) stays complex.
+        Raises ValueError naming the first row of x that is non-finite."""
+        x = np.asarray(x)
+        _require_finite(x=x)
         params = self.params if params is None else {**self.params, **params}
         hidden = [x]
         caches = []
         for i, (kind, window) in enumerate(self.mixers):
             x, cache = self._mixer_forward(i, kind, window, x, params, pos_offset, collect_caches)
-            x = x + ad.tanh(x @ self.weights[f"{i}.mlp1"].T) @ self.weights[f"{i}.mlp2"].T
+            x = x + np.tanh(x @ self.weights[f"{i}.mlp1"].T) @ self.weights[f"{i}.mlp2"].T
             hidden.append(x)
             if collect_caches:
                 caches.append(cache)
@@ -199,8 +198,10 @@ class ToyHybridStack:
         return StackTrace(hidden=hidden, final=final, caches=caches)
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def rmsnorm(x, eps: float = 1e-6):
-    """Per-token RMS normalization, Dual-aware."""
-    ms = (x * x).mean(axis=-1, keepdims=True) if isinstance(x, ad.Dual) \
-        else np.mean(x * x, axis=-1, keepdims=True)
-    return x / ad.sqrt(ms + eps)
+    """Per-token RMS normalization."""
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridssm import kernels
 from hybridssm.mixing import hankel_profile
 from hybridssm.ssm_core import (
     GateTrack,
@@ -488,6 +489,45 @@ class TestForwardAndGates:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="mamba2 output is non-finite from row 10"):
                 ssm_forward(SsmKind.MAMBA2, k, v, q, gates)
+
+    @pytest.mark.parametrize("kind", list(SsmKind))
+    def test_complex_step_matches_central_differences(self, kind):
+        # the complex step (see autodiff) keeps complex128 through every
+        # forward; a dropped imaginary part would read as a zero derivative.
+        # T = 150 crosses two chunk boundaries of the chunkwise scans.
+        T, d_k, d_v = 150, 4, 3
+        assert T > 2 * kernels.CHUNK
+        k, v, q = rand_kvq(T, d_k, d_v, seed=31, unit_keys=True)
+        rng = np.random.default_rng(32)
+        inputs = {"k": k, "gamma": rng.uniform(0.8, 0.99, T), "beta": rng.uniform(0.2, 0.9, T)}
+        directions = {"k": rng.standard_normal((T, d_k)),
+                      "gamma": 0.01 * rng.standard_normal(T),
+                      "beta": 0.01 * rng.standard_normal(T)}
+        w = rng.standard_normal((T, d_v))
+
+        def loss(arg, x):
+            args = {**inputs, arg: x}
+            gates = GateTrack(args["gamma"], args["beta"], np.full(T, 0.5))
+            y, state = ssm_forward(kind, args["k"], v, q, gates)
+            return (w * y).sum(), y, state
+
+        for arg in ("k", "gamma") if kind is SsmKind.MAMBA2 else ("k", "gamma", "beta"):
+            x0, d = inputs[arg], directions[arg]
+            out, y, state = loss(arg, x0 + 1e-30j * d)
+            arrays = (y, state.h, state.u) if kind is SsmKind.GKA else (y, state)
+            assert all(a.dtype == np.complex128 for a in arrays)
+            h = 1e-5
+            fd = (loss(arg, x0 + h * d)[0] - loss(arg, x0 - h * d)[0]) / (2 * h)
+            assert out.imag / 1e-30 == pytest.approx(fd, rel=1e-7), arg
+        if kind is SsmKind.GKA:
+            # ||H_t||_F drops the imaginary part: the adaptive lam_t and the
+            # Chebyshev interval would silently lose their derivatives
+            k_step = k + 1e-30j * directions["k"]
+            with pytest.raises(ValueError, match="not analytic"):
+                ssm_forward(kind, k_step, v, q, GateTrack(inputs["gamma"], inputs["beta"]))
+            with pytest.raises(ValueError, match="not analytic"):
+                ssm_forward(kind, k_step, v, q, GateTrack(inputs["gamma"], inputs["beta"],
+                                                          np.full(T, 0.5)), solver="chebyshev")
 
     def test_gka_forward_adaptive_lambda_runs(self):
         T = 6

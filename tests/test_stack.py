@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hybridssm import autodiff as ad
+from hybridssm import kernels
 from hybridssm.stack import ToyHybridStack, parse_mixer, rmsnorm
 
 
@@ -31,19 +32,12 @@ class TestAutodiffOps:
         a = rng.standard_normal((3, 3)) + 3 * np.eye(3)
         b0 = rng.standard_normal(3)
         direction = rng.standard_normal(3)
-        f = lambda b: ad.solve(a, b).sum()
+        f = lambda b: np.linalg.solve(a, b).sum()
         got = ad.derivative(f, b0, direction)
         h = 1e-6
         fd = (np.linalg.solve(a, b0 + h * direction).sum()
               - np.linalg.solve(a, b0 - h * direction).sum()) / (2 * h)
         assert got == pytest.approx(fd, rel=1e-6)
-
-    def test_numpy_defers_to_dual(self):
-        x = ad.Dual(np.ones(3), np.ones(3))
-        out = np.ones(3) + x          # must hit Dual.__radd__, not broadcast
-        assert isinstance(out, ad.Dual)
-        out = np.eye(3) @ x
-        assert isinstance(out, ad.Dual)
 
 
 class TestToyHybridStack:
@@ -75,6 +69,36 @@ class TestToyHybridStack:
         assert not np.array_equal(out_full, out_swa)
         # window covering the whole horizon is a no-op swap
         assert np.array_equal(stack.swap_layer(1, "swa:6").forward(x).final, out_full)
+
+    def test_swap_layer_to_ssm_makes_an_independent_gated_layer(self):
+        stack = ToyHybridStack(("attn", "attn"), d_model=8, d_k=4, seed=3)
+        x = np.random.default_rng(4).standard_normal((6, 8))
+        for kind in ("mamba2", "gdn", "gka"):
+            hybrid = stack.swap_layer(1, kind)
+            assert hybrid.ssm_param_names() == ["1.beta_b", "1.beta_w", "1.gamma_b", "1.gamma_w"]
+            assert np.all(np.isfinite(hybrid.forward(x).final))
+            hybrid.params["1.gamma_b"] = np.array(2.0)
+            hybrid.weights["1.wq"] = np.zeros((4, 8))
+            hybrid.fixed_gates[1] = (1.0, 1.0)
+            assert stack.params == {} and stack.fixed_gates == {}
+            assert np.any(stack.weights["1.wq"] != 0.0)
+            # and back: an attention slot has no gate parameters
+            assert hybrid.swap_layer(1, "swa:3").ssm_param_names() == []
+            assert "1.gamma_b" in hybrid.params
+        ssm = ToyHybridStack(("gdn",), d_model=8, d_k=4, seed=3)
+        assert ssm.swap_layer(0, "gka").params.keys() == ssm.params.keys()
+        with pytest.raises(ValueError, match="unknown mixer kind"):
+            ssm.swap_layer(0, "lstm")
+
+    def test_bad_input_rejected_at_entry(self):
+        for lam in (0.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match="gka_lam must be > 0"):
+                ToyHybridStack(("gka",), gka_lam=lam)
+        x = np.random.default_rng(4).standard_normal((6, 8))
+        x[3, 2] = np.nan
+        for mixers in (("attn",), ("gdn", "attn")):
+            with pytest.raises(ValueError, match="x is non-finite at row 3"):
+                ToyHybridStack(mixers, d_model=8, d_k=4).forward(x)
 
     def test_final_norm_hook(self):
         x = np.random.default_rng(5).standard_normal((4, 8))
@@ -110,3 +134,26 @@ class TestToyHybridStack:
         fd = (float(ad.value(f(p0 + h * direction))) -
               float(ad.value(f(p0 - h * direction)))) / (2 * h)
         assert got == pytest.approx(fd, rel=1e-3)
+
+        # every gate parameter of GKA-, GDN- and Mamba-2-first stacks at
+        # T = 70, which crosses a chunk boundary of the chunkwise scans
+        T = 70
+        assert T > kernels.CHUNK
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((T, 6))
+        w = rng.standard_normal((T, 6))
+        for first in ("gka", "gdn", "mamba2"):
+            stack = ToyHybridStack((first, "attn"), d_model=6, d_k=3, seed=9)
+            for name in stack.ssm_param_names():
+                def f(p, _name=name):
+                    return (w * stack.forward(x, params={_name: p}).final).sum()
+
+                p0 = stack.params[name]
+                direction = rng.standard_normal(p0.shape)
+                got = ad.derivative(f, p0, direction)
+                if first == "mamba2" and name.startswith("0.beta"):
+                    assert got == 0.0  # Mamba-2 has no write gate
+                    continue
+                h = 1e-5
+                fd = (f(p0 + h * direction) - f(p0 - h * direction)) / (2 * h)
+                assert got == pytest.approx(fd, rel=1e-5), (first, name)
