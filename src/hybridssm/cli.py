@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import composition, kernels, perf_model, seqpar, tiled_decode
-from .mixing import (build_attention_mixer, build_swa_mixer, hankel_profile,
+from .mixing import (DEFAULT_RANK_TOL, build_attention_mixer, build_swa_mixer, hankel_profile,
                      random_token_sequence)
 from .priming import importance_scores, make_recall_evaluator, select_layers
 from .realization import io_matrix, realize, save_realization, verify_minimality
@@ -37,10 +37,10 @@ from .tensorio import config_hash, ensure_dir, save_tensor, write_csv
 # per-command validators below
 _SCHEMAS = {
     "realize": {"T_values": (list, [4, 8, 16, 32, 64]), "trials_per_T": (int, 20),
-                "d_k": (int, 8), "scale": (float, 1.0), "rank_tol": (float, 1e-8),
+                "d_k": (int, 8), "scale": (float, 1.0), "rank_tol": (float, DEFAULT_RANK_TOL),
                 "tolerance": (float, 1e-9)},
     "hankel": {"T": (int, 3), "d_k": (int, 4), "scale": (float, 0.0),
-               "rank_tol": (float, 1e-8), "window": (int, 0),
+               "rank_tol": (float, DEFAULT_RANK_TOL), "window": (int, 0),
                "swa_windows": (list, []), "swa_trials": (int, 0)},
     "ssm-equiv": {"trials": (int, 50), "T": (int, 16), "d_k": (int, 6), "d_v": (int, 4),
                   "lam": (float, 0.5), "chebyshev_r": (int, 30),
@@ -105,6 +105,8 @@ def validate(config: dict) -> list[str]:
         return diags
 
     p = resolved_params(config)
+    if command in ("realize", "hankel") and not 0.0 < p["rank_tol"] < 1.0:
+        diags.append("rank_tol must lie in (0, 1)")
     if command == "tile-bench":
         if p["d_k"] % p["b_k"] != 0:
             diags.append(f"b_k={p['b_k']} does not divide d_k={p['d_k']}")
@@ -113,8 +115,6 @@ def validate(config: dict) -> list[str]:
         if p["r"] < 1:
             diags.append("r must be >= 1")
     elif command == "hankel":
-        if not 0.0 < p["rank_tol"] < 1.0:
-            diags.append("rank_tol must lie in (0, 1)")
         if p["window"] < 0:
             diags.append("window must be >= 1 (0 means full attention)")
     elif command == "compose":

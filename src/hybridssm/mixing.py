@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_RANK_TOL = 1e-8
+DEFAULT_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -147,24 +147,42 @@ class HankelProfile:
         return np.array([sv[0] if len(sv) else 0.0 for sv in self.singular_values])
 
 
-def hankel_profile(m: MixingMatrix | np.ndarray,
-                   rank_tol: float = DEFAULT_RANK_TOL) -> HankelProfile:
-    """Rank of M[k:, :k] for every cut; rank counts singular values above
-    rank_tol relative to the block's largest one."""
+def numerical_rank(s: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Number of singular values (sorted descending) above rank_tol times
+    the largest one; 0 for an empty or zero block."""
+    if not s.size or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > rank_tol * s[0]))
+
+
+def _checked_causal(m: MixingMatrix | np.ndarray, rank_tol: float) -> np.ndarray:
+    """The mixer as a float64 array, after checking that it is square,
+    finite and lower-triangular and that rank_tol lies in (0, 1)."""
     mat = m.m if isinstance(m, MixingMatrix) else np.asarray(m, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("need a square matrix")
-    if np.any(np.triu(mat, k=1) != 0.0):
-        raise ValueError("matrix must be lower-triangular")
+        raise ValueError(f"need a square matrix, got shape {mat.shape}")
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        raise ValueError(f"non-finite entry at (row, col) = {tuple(int(i) for i in bad[0])}")
+    bad = np.argwhere(np.triu(mat, k=1) != 0.0)
+    if bad.size:
+        raise ValueError("matrix must be lower-triangular, nonzero entry above the "
+                         f"diagonal at (row, col) = {tuple(int(i) for i in bad[0])}")
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
+    return mat
+
+
+def hankel_profile(m: MixingMatrix | np.ndarray,
+                   rank_tol: float = DEFAULT_RANK_TOL) -> HankelProfile:
+    """Rank of M[k:, :k] for every cut, by ``numerical_rank``."""
+    mat = _checked_causal(m, rank_tol)
     T = mat.shape[0]
     ranks = np.zeros(max(T - 1, 0), dtype=np.int64)
     svs: list[np.ndarray] = []
     for k in range(1, T):
         s = np.linalg.svd(hankel_block(mat, k), compute_uv=False)
         svs.append(s)
-        if s.size and s[0] > 0.0:
-            ranks[k - 1] = int(np.count_nonzero(s > rank_tol * s[0]))
+        ranks[k - 1] = numerical_rank(s, rank_tol)
     n_min = int(ranks.max()) if ranks.size else 0
     return HankelProfile(ranks=ranks, n_min=n_min, singular_values=svs)

@@ -15,9 +15,12 @@ T_ii = D_i = M_ii. Under this convention the unit-delay matrix (Hankel rank
 1) is realizable at n = 1, which the read-after-write indexing cannot do.
 
 Construction: at each time cut k the reachable future-tail space is
-im(H_k) with H_k = M[k:, :k]. Q_k holds an orthonormal basis of that space
-(thin-SVD left singular vectors, padded with orthonormal complement
-vectors, then zero columns once the ambient dimension T-k is exhausted).
+im(H_k) with H_k = M[k:, :k]. Each cut costs one thin SVD, whose singular
+values also give its rank (``mixing.numerical_rank``), and one QR: Q_k
+holds the left singular vectors up to that rank, padded to width n with
+orthonormal complement vectors (Gram-Schmidt of fixed reference columns,
+computed as a Householder QR), then zero columns once the ambient
+dimension T-k is exhausted.
 Advancing the cut drops the tail's first coordinate (P_k) and adds the new
 input's column, which in coordinates gives
 
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import DEFAULT_RANK_TOL, MixingMatrix, hankel_block, hankel_profile
+from .mixing import (DEFAULT_RANK_TOL, MixingMatrix, _checked_causal, hankel_block,
+                     hankel_profile, numerical_rank)
 from .tensorio import obj_to_tensor, tensor_to_obj
 
 CONVENTION = "past-only-state"
@@ -74,26 +78,20 @@ class TimeVaryingRealization:
 
 
 def _complement_pad(cols: np.ndarray, ref: np.ndarray, count: int) -> np.ndarray:
-    """Up to `count` orthonormal vectors orthogonal to `cols`, obtained by
-    Gram-Schmidt of the reference columns; exhausted directions become zero
-    columns (the ambient space can be smaller than the target width)."""
-    dim = cols.shape[0]
-    basis = [cols[:, i] for i in range(cols.shape[1])]
-    out = []
-    for cand in ref.T:
-        if len(out) == count:
-            break
-        u = cand[:dim].copy()
-        for bvec in basis:
-            u -= (bvec @ u) * bvec
-        norm = np.linalg.norm(u)
-        if norm > 1e-10:
-            u /= norm
-            basis.append(u)
-            out.append(u)
-    while len(out) < count:
-        out.append(np.zeros(dim))
-    return np.column_stack(out) if out else np.zeros((dim, 0))
+    """`count` columns orthonormal to each other and to the orthonormal
+    `cols`: Gram-Schmidt of the first reference columns, computed as one
+    Householder QR of [cols | ref] with signs flipped so that diag(R) > 0.
+    Directions past the ambient dimension become zero columns (the ambient
+    space can be smaller than the target width)."""
+    dim, rho = cols.shape
+    out = np.zeros((dim, count))
+    width = min(count, dim - rho)
+    if width == 0:
+        return out
+    q, r = np.linalg.qr(np.hstack([cols, ref[:dim, :count]]))
+    signs = np.where(np.diag(r)[rho:rho + width] < 0.0, -1.0, 1.0)
+    out[:, :width] = q[:, rho:rho + width] * signs
+    return out
 
 
 def realize(m: MixingMatrix | np.ndarray,
@@ -105,10 +103,15 @@ def realize(m: MixingMatrix | np.ndarray,
     bases; any seed yields the same input-output matrix (basis invariance),
     only the internal system matrices differ.
     """
-    mat = m.m if isinstance(m, MixingMatrix) else np.asarray(m, dtype=np.float64)
-    profile = hankel_profile(mat, rank_tol)
+    mat = _checked_causal(m, rank_tol)
     T = mat.shape[0]
-    n = profile.n_min
+    # left singular vectors of cuts 1..T-1, truncated at each cut's rank
+    # (copied, so the full factor is not kept alive)
+    cut_cols = []
+    for k in range(1, T):
+        u, s, _ = np.linalg.svd(hankel_block(mat, k), full_matrices=False)
+        cut_cols.append(u[:, :numerical_rank(s, rank_tol)].copy())
+    n = max((cols.shape[1] for cols in cut_cols), default=0)
 
     a = np.tile(np.eye(n), (T, 1, 1)) if n else np.zeros((T, 0, 0))
     b = np.zeros((T, n))
@@ -118,14 +121,8 @@ def realize(m: MixingMatrix | np.ndarray,
         return TimeVaryingRealization(a=a, b=b, c=c, d=d)
 
     pad_ref = np.random.default_rng(pad_seed).standard_normal((T, n + T))
-
-    q_bases: list[np.ndarray | None] = [None] * T
-    for k in range(1, T):
-        hk = hankel_block(mat, k)
-        u, s, _ = np.linalg.svd(hk, full_matrices=False)
-        rho = int(profile.ranks[k - 1])
-        cols = u[:, :rho]
-        q_bases[k] = np.hstack([cols, _complement_pad(cols, pad_ref, n - rho)])
+    q_bases = [None] + [np.hstack([cols, _complement_pad(cols, pad_ref, n - cols.shape[1])])
+                        for cols in cut_cols]
 
     for t in range(1, T):
         c[t] = q_bases[t][0, :]
@@ -139,18 +136,21 @@ def realize(m: MixingMatrix | np.ndarray,
 
 def io_matrix(r: TimeVaryingRealization, T: int | None = None) -> np.ndarray:
     """Dense finite-horizon input-output matrix of the realization:
-    T_ij = B_j A_{j+1} ... A_{i-1} C_i below the diagonal, D_i on it."""
+    T_ij = B_j A_{j+1} ... A_{i-1} C_i below the diagonal, D_i on it.
+
+    Row j of the carried state matrix is the state that input j has
+    reached, so each step is one product with C_i and one with A_i.
+    """
     if T is None:
         T = r.T
     if T != r.T:
         raise ValueError(f"realization has horizon {r.T}, requested {T}")
-    out = np.zeros((T, T))
-    for j in range(T):
-        out[j, j] = r.d[j]
-        w = r.b[j]
-        for i in range(j + 1, T):
-            out[i, j] = w @ r.c[i]
-            w = w @ r.a[i]
+    out = np.diag(r.d).astype(np.float64)
+    states = np.zeros((T, r.n))
+    for i in range(1, T):
+        states[i - 1] = r.b[i - 1]
+        out[i, :i] = states[:i] @ r.c[i]
+        states[:i] = states[:i] @ r.a[i]
     return out
 
 
@@ -167,8 +167,10 @@ def verify_minimality(r: TimeVaryingRealization, m: MixingMatrix | np.ndarray,
     """Max-abs reconstruction error of r against m, and whether r's state
     dimension matches m's Hankel-rank lower bound."""
     mat = m.m if isinstance(m, MixingMatrix) else np.asarray(m, dtype=np.float64)
-    err = float(np.max(np.abs(io_matrix(r) - mat)))
     n_min = hankel_profile(mat, rank_tol).n_min
+    if mat.shape[0] != r.T:
+        raise ValueError(f"realization has horizon {r.T}, mixer has horizon {mat.shape[0]}")
+    err = float(np.max(np.abs(io_matrix(r) - mat)))
     return MinimalityReport(reconstruction_error=err, n=r.n, n_min=n_min,
                             is_minimal=(r.n == n_min))
 

@@ -155,6 +155,13 @@ class TestMain:
         assert main(["--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["realize", "hankel"])
+    def test_cli_rejects_rank_tol_outside_unit_interval(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"command": command, "params": {"rank_tol": 0.0}}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "rank_tol must lie in (0, 1)" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         cfg = fixture("compose_gdn.json")

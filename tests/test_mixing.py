@@ -8,6 +8,7 @@ from hybridssm.mixing import (
     build_swa_mixer,
     hankel_block,
     hankel_profile,
+    numerical_rank,
     random_token_sequence,
 )
 
@@ -167,3 +168,28 @@ class TestHankelProfile:
             hankel_profile(np.eye(3), rank_tol=0.0)
         with pytest.raises(ValueError):
             hankel_profile(np.eye(3), rank_tol=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_entry_named(self, bad):
+        m = np.tril(np.ones((4, 4)))
+        m[2, 1] = bad
+        m[3, 0] = bad
+        with pytest.raises(ValueError, match=r"non-finite entry at \(row, col\) = \(2, 1\)"):
+            hankel_profile(m)
+
+    def test_entry_above_diagonal_named(self):
+        m = np.tril(np.ones((4, 4)))
+        m[1, 3] = 0.5
+        with pytest.raises(ValueError, match=r"lower-triangular.*\(1, 3\)"):
+            hankel_profile(m)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            hankel_profile(np.zeros((3, 4)))
+
+    def test_numerical_rank_counts_relative_to_the_largest_value(self):
+        s = np.array([2.0, 1.0, 3e-10, 1e-10])
+        assert numerical_rank(s, 1e-10) == 3
+        assert numerical_rank(s, 1e-9) == 2
+        assert numerical_rank(np.zeros(3)) == 0
+        assert numerical_rank(np.zeros(0)) == 0

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridssm.mixing import build_attention_mixer, build_swa_mixer, hankel_block, hankel_profile, random_token_sequence
 from hybridssm.realization import (
     TimeVaryingRealization,
+    _complement_pad,
     io_matrix,
     load_realization,
     realize,
@@ -73,6 +75,72 @@ class TestRealize:
     def test_single_token_horizon(self):
         r = realize(np.array([[0.7]]))
         assert r.n == 0 and r.d[0] == 0.7
+
+    def test_rank_tolerance_keeps_singular_values_the_gate_needs(self):
+        # T=64 softmax mixer whose cut 32 has a singular value of 3.9e-9:
+        # dropping it (rank_tol 1e-8) left n=31 and an error of 1.4e-9
+        mix = build_attention_mixer(random_token_sequence(64, 8, rng=np.random.default_rng([72, 90])))
+        rep = verify_minimality(realize(mix), mix)
+        assert rep.n == rep.n_min == 32
+        assert rep.reconstruction_error < 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mixer_named(self, bad):
+        m = np.tril(np.ones((5, 5)))
+        m[3, 2] = bad
+        with pytest.raises(ValueError, match=r"non-finite entry at \(row, col\) = \(3, 2\)"):
+            realize(m)
+
+    @pytest.mark.parametrize("rank_tol", [0.0, 1.0, -1e-8, np.nan])
+    def test_bad_rank_tol_rejected(self, rank_tol):
+        with pytest.raises(ValueError, match="rank_tol"):
+            realize(np.eye(3), rank_tol=rank_tol)
+
+
+class TestComplementPad:
+    @staticmethod
+    def basis(rng, dim, rho):
+        return np.linalg.qr(rng.standard_normal((dim, rho)))[0][:, :rho]
+
+    def test_orthonormal_and_orthogonal_to_cols(self):
+        rng = np.random.default_rng(0)
+        cols = self.basis(rng, 10, 3)
+        pad = _complement_pad(cols, rng.standard_normal((10, 8)), 4)
+        assert pad.shape == (10, 4)
+        assert np.max(np.abs(pad.T @ pad - np.eye(4))) < 1e-12
+        assert np.max(np.abs(cols.T @ pad)) < 1e-12
+
+    def test_is_gram_schmidt_of_the_reference_columns(self):
+        rng = np.random.default_rng(1)
+        cols, ref = self.basis(rng, 7, 2), rng.standard_normal((7, 5))
+        pad = _complement_pad(cols, ref, 3)
+        for i in range(3):
+            u = ref[:, i] - cols @ (cols.T @ ref[:, i]) - pad[:, :i] @ (pad[:, :i].T @ ref[:, i])
+            assert np.max(np.abs(pad[:, i] - u / np.linalg.norm(u))) < 1e-12
+
+    def test_zero_count(self):
+        rng = np.random.default_rng(2)
+        pad = _complement_pad(self.basis(rng, 5, 2), rng.standard_normal((5, 3)), 0)
+        assert pad.shape == (5, 0)
+
+    def test_exhausted_directions_are_zero_columns(self):
+        rng = np.random.default_rng(3)
+        cols = self.basis(rng, 4, 3)
+        pad = _complement_pad(cols, rng.standard_normal((6, 8)), 3)
+        assert pad.shape == (4, 3)
+        assert np.max(np.abs(pad[:, 0] @ pad[:, 0] - 1.0)) < 1e-12
+        assert np.max(np.abs(cols.T @ pad[:, 0])) < 1e-12
+        assert np.all(pad[:, 1:] == 0.0)
+        assert np.all(_complement_pad(self.basis(rng, 3, 3), rng.standard_normal((3, 2)), 2) == 0.0)
+
+    def test_reference_column_inside_span_of_cols(self):
+        rng = np.random.default_rng(4)
+        cols = self.basis(rng, 8, 3)
+        ref = rng.standard_normal((8, 4))
+        ref[:, 0] = cols @ np.array([1.0, -2.0, 0.5])
+        pad = _complement_pad(cols, ref, 4)
+        assert np.max(np.abs(pad.T @ pad - np.eye(4))) < 1e-12
+        assert np.max(np.abs(cols.T @ pad)) < 1e-12
 
 
 class TestIoMatrix:
@@ -145,6 +213,10 @@ class TestVerifyMinimality:
         assert rep1.n == rep0.n_min + 1
         assert rep1.reconstruction_error == pytest.approx(rep0.reconstruction_error, abs=1e-15)
 
+    def test_horizon_mismatch_names_both_horizons(self):
+        with pytest.raises(ValueError, match="horizon 4.*horizon 5"):
+            verify_minimality(realize(np.eye(4)), np.eye(5))
+
     def test_identity_feedthrough_is_minimal(self):
         m = np.eye(4)
         r = realize(m)
@@ -184,6 +256,35 @@ class TestStructuralProperties:
         assert r.n > 1
         rep = verify_minimality(r, mix)
         assert rep.reconstruction_error < 1e-9
+
+
+def generated_mixer(family, T, rank, scale, seed):
+    """A lower-triangular test matrix of the named family; entries from
+    `seed`, shape parameters from the caller."""
+    rng = np.random.default_rng(seed)
+    if family == "low_rank":
+        return np.tril(rng.standard_normal((T, rank)) @ rng.standard_normal((T, rank)).T)
+    if family == "delay":
+        return np.linalg.matrix_power(np.eye(T, k=-1), rank)
+    seq = random_token_sequence(T, 4, scale=scale, rng=rng)
+    if family == "swa":
+        return build_swa_mixer(seq, rank).m
+    return build_attention_mixer(seq).m
+
+
+@pytest.mark.parametrize("family", ["low_rank", "delay", "swa", "softmax"])
+@settings(max_examples=30, deadline=None, derandomize=True)  # same inputs every run
+@given(T=st.integers(1, 40), rank=st.integers(1, 6), scale=st.floats(0.5, 4.0),
+       seed=st.integers(0, 2**32 - 1), pad_seed=st.integers(0, 2**32 - 1))
+def test_realization_of_generated_mixers(family, T, rank, scale, seed, pad_seed):
+    m = generated_mixer(family, T, rank, scale, seed)
+    r = realize(m)
+    rep = verify_minimality(r, m)
+    assert rep.reconstruction_error <= 1e-9
+    assert rep.n == rep.n_min
+    io = io_matrix(r)
+    assert np.max(np.abs(io - unrolled_io_matrix(r))) <= 1e-12
+    assert np.max(np.abs(io_matrix(realize(m, pad_seed=pad_seed)) - io)) <= 1e-10
 
 
 class TestSerialization:
