@@ -166,7 +166,7 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r, bounds_pad):
     y = np.empty((T, d_v), dtype=np.result_type(k, v, q, gamma, beta))
     lam_used = np.empty(T)
     for t in range(T):
-        H = gamma[t] * H + np.outer(beta[t] * k[t], k[t])
+        H = gamma[t] * H + beta[t] * np.outer(k[t], k[t])  # exactly symmetric
         U = gamma[t] * U + np.outer(beta[t] * v[t], k[t])
         fro = np.linalg.norm(H)
         lam_t = alpha * fro if alpha > 0.0 else lam[t]

@@ -30,6 +30,8 @@ import numpy as np
 from . import kernels
 
 DEFAULT_ALPHA = 0.05  # lam_t = alpha * ||H_t||_F adaptive regularization
+SYMMETRY_TOL = 1e-12  # max |H - H^T| a GkaInfoState or a tiled H store accepts
+PSD_TOL = 1e-10  # a GkaInfoState's H may have eigenvalues down to -PSD_TOL
 
 
 class SsmKind(Enum):
@@ -57,26 +59,54 @@ class SsmState:
 
 @dataclass(frozen=True)
 class GkaInfoState:
-    """GKA information pair: H (d_k x d_k, symmetric PSD) and U (d_v x d_k)."""
+    """GKA information pair: H (d_k x d_k, symmetric PSD) and U (d_v x d_k).
+
+    The two ways to build one check different things:
+
+    - ``GkaInfoState(h=..., u=...)`` is for states from outside the library:
+      user code, the CLI, ``composition``'s decays and sums. It checks the
+      shapes, finiteness, symmetry within SYMMETRY_TOL and, by an O(d^3)
+      ``eigvalsh``, that no eigenvalue of H is below -PSD_TOL.
+    - ``GkaInfoState._derived(h, u)`` is for the states the library itself
+      derives from a validated state by H' = gamma H + beta k k^T (the
+      decode step and the GKA forward). It checks the shapes and
+      finiteness only: such an update keeps H symmetric and PSD, so only
+      an overflow can break it, and at d = 256 the spectrum check would
+      cost more than the decode step's maths.
+    """
 
     h: np.ndarray
     u: np.ndarray
 
     def __post_init__(self):
-        h = _real_or_complex(self.h)
-        u = _real_or_complex(self.u)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "u", u)
+        self._set_finite(self.h, self.u)
+        h = self.h
+        if np.max(np.abs(h - h.T), initial=0.0) > SYMMETRY_TOL:
+            raise ValueError(f"H must be symmetric within {SYMMETRY_TOL}")
+        if h.size and float(np.linalg.eigvalsh(h.real)[0]) < -PSD_TOL:
+            raise ValueError(f"H must be PSD (eigenvalues >= -{PSD_TOL})")
+
+    @classmethod
+    def _derived(cls, h: np.ndarray, u: np.ndarray) -> "GkaInfoState":
+        """A state whose H is gamma H_0 + beta k k^T and whose U is
+        gamma U_0 + beta v k^T, for a validated state (H_0, U_0) and gamma,
+        beta in [0, 1], or a chain of such updates. Those keep H symmetric
+        and PSD, so only the shapes and finiteness are checked; a non-finite
+        (overflowed) entry still raises."""
+        state = object.__new__(cls)
+        state._set_finite(h, u)
+        return state
+
+    def _set_finite(self, h, u) -> None:
+        h, u = _real_or_complex(h), _real_or_complex(u)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("H must be square")
         if u.ndim != 2 or u.shape[1] != h.shape[0]:
             raise ValueError(f"U trailing dim {u.shape} incompatible with H {h.shape}")
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(u))):
             raise ValueError("non-finite info state")
-        if np.max(np.abs(h - h.T), initial=0.0) > 1e-12:
-            raise ValueError("H must be symmetric within 1e-12")
-        if h.size and float(np.linalg.eigvalsh(h.real)[0]) < -1e-10:
-            raise ValueError("H must be PSD (eigenvalues >= -1e-10)")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "u", u)
 
     @property
     def d_k(self) -> int:
@@ -174,8 +204,11 @@ def gka_info_update(info: GkaInfoState, k_t: np.ndarray, v_t: np.ndarray,
         raise ValueError(f"beta out of [0, 1]: {beta_t}")
     k_t = np.asarray(k_t, dtype=np.float64)
     v_t = np.asarray(v_t, dtype=np.float64)
-    return GkaInfoState(h=gamma_t * info.h + beta_t * np.outer(k_t, k_t),
-                        u=gamma_t * info.u + beta_t * np.outer(v_t, k_t))
+    if k_t.shape != (info.d_k,) or v_t.shape != (info.d_v,):
+        raise ValueError(f"k/v shapes {k_t.shape}/{v_t.shape} incompatible with "
+                         f"info state ({info.d_v}, {info.d_k})")
+    return GkaInfoState._derived(h=gamma_t * info.h + beta_t * np.outer(k_t, k_t),
+                                 u=gamma_t * info.u + beta_t * np.outer(v_t, k_t))
 
 
 def gka_gain(info: GkaInfoState, k_t: np.ndarray, beta_t: float, lam_t: float) -> np.ndarray:
@@ -287,7 +320,8 @@ def _require_finite(**arrays: np.ndarray) -> None:
 
 
 class NonFiniteOutput(FloatingPointError):
-    """A Mamba-2/GDN forward overflowed; row is its first non-finite output row."""
+    """A Mamba-2, GDN or GKA forward overflowed; row is its first non-finite
+    output row."""
 
     def __init__(self, kind: SsmKind, row: int):
         super().__init__(f"{kind.value} output is non-finite from row {row}")
@@ -318,8 +352,8 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     non-finite k, v, q or s0, naming the argument and its first bad row, or
     on an unknown solver or fewer than one Chebyshev iteration, or on a
     complex GKA forward with the adaptive regularizer or Chebyshev; and
-    FloatingPointError (NonFiniteOutput) when a Mamba-2/GDN output or final
-    state overflows, naming the first non-finite output row. Complex inputs
+    FloatingPointError (NonFiniteOutput) when an output or final state
+    overflows, naming the first non-finite output row. Complex inputs
     (a complex-step derivative, see ``autodiff``) stay complex128 throughout.
     """
     kind = _as_kind(kind)
@@ -350,7 +384,8 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     solver_r = 0 if solver == "exact" else int(r)
     y, h, u, _ = kernels.gka_info_forward(k, v, q, gates.gamma, gates.beta,
                                           np.ascontiguousarray(lam), a, solver_r, 1.0)
-    return y, GkaInfoState(h=h, u=u)
+    y, h = _finite_output(kind, y, h)  # ||H_t||_F can overflow while H_t stays finite
+    return y, GkaInfoState._derived(h, u)
 
 
 def chunk_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,

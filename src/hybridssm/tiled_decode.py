@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ssm_core import DEFAULT_ALPHA, GkaInfoState, chebyshev_solve, gka_info_update
+from .ssm_core import (DEFAULT_ALPHA, SYMMETRY_TOL, GkaInfoState, chebyshev_solve,
+                       gka_info_update)
 
 VARIANTS = ("reference", "tiled_small_batch", "tiled_large_batch")
 DEFAULT_TILE = 64
@@ -72,11 +73,11 @@ class LowerTiles:
         self.b = b
 
     @classmethod
-    def from_dense(cls, h: np.ndarray, b: int, tol: float = 0.0) -> "LowerTiles":
+    def from_dense(cls, h: np.ndarray, b: int, tol: float = SYMMETRY_TOL) -> "LowerTiles":
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("H must be square")
         if np.max(np.abs(h - h.T), initial=0.0) > tol:
-            raise ValueError("H must be symmetric")
+            raise ValueError(f"H must be symmetric within {tol}")
         d = h.shape[0]
         if d % b != 0:
             raise ValueError(f"tile size {b} does not divide {d}")
@@ -154,6 +155,17 @@ def _tiled_u_update_and_read(u: np.ndarray, k: np.ndarray, v: np.ndarray,
     return out, y
 
 
+def _step_vector(name: str, x, n: int) -> np.ndarray:
+    """x as a float64 vector of length n, or ValueError naming it if it
+    has another shape or a non-finite entry."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must be a vector of length {n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} is non-finite at entry {int(np.argmin(np.isfinite(x)))}")
+    return x
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     y: np.ndarray
@@ -169,17 +181,18 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
                 b_k: int = DEFAULT_TILE, b_v: int = DEFAULT_TILE) -> DecodeResult:
     """One GKA decode step under the chosen kernel variant. All variants
     agree numerically (up to tile-sum reassociation); they differ in the
-    modeled persisted-tile traffic."""
+    modeled persisted-tile traffic. k, v and q must be finite vectors of
+    length d_k, d_v and d_k; a bad one raises ValueError naming it. The
+    returned state is derived from the validated input state by a
+    PSD-preserving update, so its spectrum is not checked again."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if r < 1:
         raise ValueError("need r >= 1 Chebyshev iterations")
     if not (0.0 <= gamma <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValueError(f"gates out of [0, 1]: gamma={gamma}, beta={beta}")
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
     d_k, d_v = state.d_k, state.d_v
+    k, v, q = _step_vector("k", k, d_k), _step_vector("v", v, d_v), _step_vector("q", q, d_k)
     counters = TileCounters()
 
     if variant == "reference":
@@ -191,9 +204,9 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
         lam = alpha * fro
         if lam > 0.0:
             x, _ = chebyshev_solve(new_state.h, lam, q, r, spectral_bounds=(lam, lam + fro))
+            counters.loads += r * g * g  # whole matrix per CH iteration
         else:
             x = np.zeros(d_k)  # empty information matrix: nothing to read
-        counters.loads += r * g * g  # whole matrix per CH iteration
         return DecodeResult(y=new_state.u @ x, state=new_state, lam=lam,
                             fro_norm=fro, counters=counters)
 
@@ -211,7 +224,7 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     else:
         x = np.zeros(d_k)  # empty information matrix: nothing to read
     u_new, y = _tiled_u_update_and_read(state.u, k, v, gamma, beta, x, b_v, b_k)
-    return DecodeResult(y=y, state=GkaInfoState(h=tiles.to_dense(), u=u_new),
+    return DecodeResult(y=y, state=GkaInfoState._derived(tiles.to_dense(), u_new),
                         lam=lam, fro_norm=fro, counters=counters)
 
 
@@ -239,7 +252,9 @@ class TrafficReport:
 def traffic_model(d_k: int, b_k: int, variant: str, r: int) -> TrafficReport:
     """Persisted H-tile loads/stores per decode step, and the fraction of
     tiles never touched thanks to symmetry: strict-upper / total =
-    g(g-1)/(2 g^2), approaching 1/2 as the grid grows."""
+    g(g-1)/(2 g^2), approaching 1/2 as the grid grows. A step whose updated
+    H is empty (lam = 0) runs no Chebyshev iteration and loads only for
+    the update: one load per stored tile."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if d_k % b_k != 0:

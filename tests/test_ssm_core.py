@@ -6,6 +6,7 @@ from hybridssm.mixing import hankel_profile
 from hybridssm.ssm_core import (
     GateTrack,
     GkaInfoState,
+    NonFiniteOutput,
     ShermanMorrisonGain,
     SsmKind,
     SsmState,
@@ -134,6 +135,27 @@ class TestGkaInfoUpdate:
         h = np.array([[1.0, 0.5], [0.1, 1.0]])
         with pytest.raises(ValueError):
             GkaInfoState(h=h, u=np.zeros((1, 2)))
+
+    def test_public_constructor_rejects_indefinite_and_non_finite_h(self):
+        with pytest.raises(ValueError, match="PSD"):
+            GkaInfoState(h=np.diag([1.0, -1e-6]), u=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
+            GkaInfoState(h=np.diag([1.0, np.inf]), u=np.zeros((1, 2)))
+
+    def test_overflowing_update_still_raises(self):
+        # the derived state skips the spectrum check, not the finiteness one
+        info = GkaInfoState(h=np.eye(2), u=np.ones((1, 2)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite info state"):
+                gka_info_update(info, np.array([1e200, 1.0]), np.ones(1), 1.0, 1.0)
+
+    def test_mismatched_key_or_value_rejected(self):
+        # a length-3 key would otherwise broadcast a 1x1 H to 3x3
+        info = GkaInfoState(h=np.eye(1), u=np.ones((2, 1)))
+        with pytest.raises(ValueError, match="incompatible"):
+            gka_info_update(info, np.ones(3), np.ones(2), 1.0, 1.0)
+        with pytest.raises(ValueError, match="incompatible"):
+            gka_info_update(info, np.ones(1), np.ones(3), 1.0, 1.0)
 
 
 class TestGkaGain:
@@ -479,6 +501,18 @@ class TestForwardAndGates:
             y, _ = ssm_forward(SsmKind.GDN, k[:300], v[:300], q[:300],
                                GateTrack(gamma=gates.gamma[:300], beta=gates.beta[:300]))
         assert np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
+    def test_gka_overflow_names_first_non_finite_row(self, solver):
+        # ||H_t||_F overflows (so does the adaptive lam_t) while H_t and U_t
+        # stay finite: the outputs are NaN from row 0 and must not pass
+        T, d = 200, 16
+        k, v, q = rand_kvq(T, d, d, seed=25)
+        gates = GateTrack(gamma=np.ones(T), beta=np.full(T, 0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteOutput, match="gka output is non-finite") as err:
+                ssm_forward(SsmKind.GKA, k * 1e80, v, q, gates, solver=solver)
+        assert err.value.row == 0
 
     def test_mamba2_overflow_names_first_non_finite_row(self):
         T, d = 30, 4

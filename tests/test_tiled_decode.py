@@ -3,6 +3,7 @@ import pytest
 
 from hybridssm.ssm_core import GkaInfoState, zero_info_state
 from hybridssm.tiled_decode import (
+    VARIANTS,
     LowerTiles,
     TileCounters,
     TileGrid,
@@ -178,6 +179,35 @@ class TestDecodeStep:
             with pytest.raises(ValueError, match="gates"):
                 decode_step(state, np.ones(8), np.ones(8), np.ones(8), gamma, beta, variant,
                             r=1, b_k=4, b_v=4)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rounding_asymmetry_accepted_by_every_variant(self, variant):
+        # Q diag(s) Q^T is symmetric only up to rounding (|H - H^T| ~ 1e-16),
+        # which the public GkaInfoState check allows
+        rng = np.random.default_rng(15)
+        q_mat, _ = np.linalg.qr(rng.standard_normal((128, 128)))
+        h = q_mat @ np.diag(rng.uniform(0.0, 2.0, 128)) @ q_mat.T
+        assert 0.0 < np.max(np.abs(h - h.T)) < 1e-12
+        state = GkaInfoState(h=h, u=rng.standard_normal((128, 128)))
+        k, v, q = rng.standard_normal((3, 128))
+        out = decode_step(state, k, v, q, 0.9, 0.5, variant, r=5)
+        ref = decode_step(state, k, v, q, 0.9, 0.5, "reference", r=5)
+        assert np.max(np.abs(out.y - ref.y)) < 1e-9
+
+    @pytest.mark.parametrize("arg, bad, match", [
+        ("q", np.full(8, np.nan), "q is non-finite"),
+        ("k", np.full(8, np.nan), "k is non-finite"),
+        ("v", np.full(8, np.inf), "v is non-finite"),
+        ("v", np.ones(7), "v must be a vector of length 8"),
+        ("k", np.ones((2, 8)), "k must be a vector of length 8"),
+    ])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bad_step_vector_named(self, variant, arg, bad, match):
+        state, _ = self.setup_state()
+        vectors = {"k": np.ones(8), "v": np.ones(8), "q": np.ones(8), arg: bad}
+        with pytest.raises(ValueError, match=match):
+            decode_step(state, vectors["k"], vectors["v"], vectors["q"], 0.9, 0.5, variant,
+                        r=1, b_k=4, b_v=4)
 
     def test_indivisible_tiles_rejected(self):
         state, rng = self.setup_state()
