@@ -13,6 +13,8 @@ derivative runs through them (see ``autodiff``).
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 USING_NUMBA = False  # recorded by run manifests; every kernel is plain numpy
@@ -148,7 +150,7 @@ def chebyshev_dense(matvec, lam, rhs, iters, a, b):
     return x, hist
 
 
-def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r, bounds_pad):
+def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     """GKA information-form forward pass.
 
     Per step: H_t = gamma_t H_{t-1} + beta_t k_t k_t^T and the same decay/write
@@ -156,15 +158,19 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r, bounds_pad):
 
     lam_t is lam[t] when alpha <= 0, else alpha * ||H_t||_F (adaptive
     regularization). solver_r = 0 uses a dense solve; solver_r > 0 runs that
-    many Chebyshev iterations on [lam_t, lam_t + ||H_t||_F * bounds_pad].
-    Returns (y, H, U, lam_used).
+    many Chebyshev iterations on [lam_t, lam_t + ||H_t||_F].
+    Returns (y, H, U, lam_used). The pass stops at the first non-finite
+    output row: the rows after it (and their lam_used) are NaN, and H, U
+    are the state at that row.
     """
     T, d_k = k.shape
     d_v = v.shape[1]
     H = np.zeros((d_k, d_k))
     U = np.zeros((d_v, d_k))
-    y = np.empty((T, d_v), dtype=np.result_type(k, v, q, gamma, beta))
-    lam_used = np.empty(T)
+    y = np.full((T, d_v), np.nan, dtype=np.result_type(k, v, q, gamma, beta))
+    lam_used = np.full(T, np.nan)
+    eye = np.eye(d_k)
+    probe = np.zeros(d_v)  # probe @ y_t is 0 if y_t is finite, else NaN
     for t in range(T):
         H = gamma[t] * H + beta[t] * np.outer(k[t], k[t])  # exactly symmetric
         U = gamma[t] * U + np.outer(beta[t] * v[t], k[t])
@@ -175,11 +181,12 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r, bounds_pad):
             # H (hence U) still empty: nothing to read, any solve is moot
             x = np.zeros(d_k)
         elif solver_r > 0:
-            x, _ = chebyshev_dense(H.__matmul__, lam_t, q[t], solver_r,
-                                   lam_t, lam_t + fro * bounds_pad)
+            x, _ = chebyshev_dense(H.__matmul__, lam_t, q[t], solver_r, lam_t, lam_t + fro)
         else:
-            x = np.linalg.solve(H + lam_t * np.eye(d_k), q[t])
+            x = np.linalg.solve(H + lam_t * eye, q[t])
         y[t] = U @ x
+        if not cmath.isfinite(probe @ y[t]):
+            break  # every later solve would only spread the overflow
     return y, H, U, lam_used
 
 

@@ -98,25 +98,27 @@ class MixingMatrix:
         return float(np.max(np.abs(self.m.sum(axis=1) - 1.0)))
 
 
-def _masked_softmax_rows(scores: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of `scores` restricted to columns lo[i]..i.
+def causal_softmax_rows(scores: np.ndarray, w: int | None = None) -> np.ndarray:
+    """Row-wise causal softmax: row i over columns lo_i..i, where lo_i = 0,
+    or max(i - w + 1, 0) under a window of w.
 
-    Max-subtraction per row keeps the exponentials in range.
+    Subtracting the row max of the real part keeps the exponentials in
+    range; softmax is shift-invariant, so complex-step derivatives (see
+    ``autodiff``) are unaffected.
     """
     T = scores.shape[0]
-    m = np.zeros((T, T))
+    lo = np.zeros(T, dtype=np.int64) if w is None else np.maximum(np.arange(T) - w + 1, 0)
+    m = np.zeros_like(scores)
     for i in range(T):
         row = scores[i, lo[i]:i + 1]
-        e = np.exp(row - row.max())
+        e = np.exp(row - row.real.max())
         m[i, lo[i]:i + 1] = e / e.sum()
     return m
 
 
 def build_attention_mixer(seq: TokenSequence) -> MixingMatrix:
     """Causal softmax mixer: M[i, j] = softmax_j<=i(q_i . k_j)."""
-    scores = seq.q @ seq.k.T
-    lo = np.zeros(seq.T, dtype=np.int64)
-    return MixingMatrix(_masked_softmax_rows(scores, lo), kind="attention")
+    return MixingMatrix(causal_softmax_rows(seq.q @ seq.k.T), kind="attention")
 
 
 def build_swa_mixer(seq: TokenSequence, w: int) -> MixingMatrix:
@@ -124,9 +126,7 @@ def build_swa_mixer(seq: TokenSequence, w: int) -> MixingMatrix:
     the last w positions only (M[i, j] = 0 for j < i - w + 1)."""
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    scores = seq.q @ seq.k.T
-    lo = np.maximum(np.arange(seq.T) - w + 1, 0)
-    return MixingMatrix(_masked_softmax_rows(scores, lo), kind="swa", window=w)
+    return MixingMatrix(causal_softmax_rows(seq.q @ seq.k.T, w), kind="swa", window=w)
 
 
 def hankel_block(m: np.ndarray, k: int) -> np.ndarray:

@@ -16,11 +16,9 @@ T_ii = D_i = M_ii. Under this convention the unit-delay matrix (Hankel rank
 
 Construction: at each time cut k the reachable future-tail space is
 im(H_k) with H_k = M[k:, :k]. Each cut costs one thin SVD, whose singular
-values also give its rank (``mixing.numerical_rank``), and one QR: Q_k
-holds the left singular vectors up to that rank, padded to width n with
-orthonormal complement vectors (Gram-Schmidt of fixed reference columns,
-computed as a Householder QR), then zero columns once the ambient
-dimension T-k is exhausted.
+values also give its rank (``mixing.numerical_rank``): Q_k holds the left
+singular vectors up to that rank, padded to width n with zero columns, so
+the state coordinates past a cut's rank are never reached and stay 0.
 Advancing the cut drops the tail's first coordinate (P_k) and adds the new
 input's column, which in coordinates gives
 
@@ -77,31 +75,12 @@ class TimeVaryingRealization:
         return self.b.shape[0]
 
 
-def _complement_pad(cols: np.ndarray, ref: np.ndarray, count: int) -> np.ndarray:
-    """`count` columns orthonormal to each other and to the orthonormal
-    `cols`: Gram-Schmidt of the first reference columns, computed as one
-    Householder QR of [cols | ref] with signs flipped so that diag(R) > 0.
-    Directions past the ambient dimension become zero columns (the ambient
-    space can be smaller than the target width)."""
-    dim, rho = cols.shape
-    out = np.zeros((dim, count))
-    width = min(count, dim - rho)
-    if width == 0:
-        return out
-    q, r = np.linalg.qr(np.hstack([cols, ref[:dim, :count]]))
-    signs = np.where(np.diag(r)[rho:rho + width] < 0.0, -1.0, 1.0)
-    out[:, :width] = q[:, rho:rho + width] * signs
-    return out
-
-
 def realize(m: MixingMatrix | np.ndarray,
-            rank_tol: float = DEFAULT_RANK_TOL,
-            pad_seed: int = 42) -> TimeVaryingRealization:
+            rank_tol: float = DEFAULT_RANK_TOL) -> TimeVaryingRealization:
     """Construct a state-dimension n_min realization of the causal mixer m.
 
-    pad_seed fixes the reference matrix used to pad rank-deficient cut
-    bases; any seed yields the same input-output matrix (basis invariance),
-    only the internal system matrices differ.
+    Each cut's basis is its rank-truncated left singular vectors padded
+    with zero columns, so A_t, B_t and C_t vanish outside the cut ranks.
     """
     mat = _checked_causal(m, rank_tol)
     T = mat.shape[0]
@@ -113,17 +92,11 @@ def realize(m: MixingMatrix | np.ndarray,
         cut_cols.append(u[:, :numerical_rank(s, rank_tol)].copy())
     n = max((cols.shape[1] for cols in cut_cols), default=0)
 
-    a = np.tile(np.eye(n), (T, 1, 1)) if n else np.zeros((T, 0, 0))
+    a = np.tile(np.eye(n), (T, 1, 1))
     b = np.zeros((T, n))
     c = np.zeros((T, n))
     d = np.diag(mat).copy()
-    if n == 0:
-        return TimeVaryingRealization(a=a, b=b, c=c, d=d)
-
-    pad_ref = np.random.default_rng(pad_seed).standard_normal((T, n + T))
-    q_bases = [None] + [np.hstack([cols, _complement_pad(cols, pad_ref, n - cols.shape[1])])
-                        for cols in cut_cols]
-
+    q_bases = [None] + [np.pad(cols, ((0, 0), (0, n - cols.shape[1]))) for cols in cut_cols]
     for t in range(1, T):
         c[t] = q_bases[t][0, :]
     for t in range(T - 1):

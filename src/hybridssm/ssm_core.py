@@ -383,7 +383,7 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     a = -1.0 if gates.lam is not None else float(alpha)
     solver_r = 0 if solver == "exact" else int(r)
     y, h, u, _ = kernels.gka_info_forward(k, v, q, gates.gamma, gates.beta,
-                                          np.ascontiguousarray(lam), a, solver_r, 1.0)
+                                          np.ascontiguousarray(lam), a, solver_r)
     y, h = _finite_output(kind, y, h)  # ||H_t||_F can overflow while H_t stays finite
     return y, GkaInfoState._derived(h, u)
 

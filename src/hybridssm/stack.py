@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .mixing import causal_softmax_rows
 from .ssm_core import GateTrack, _require_finite, chunk_forward, ssm_forward
 
 ATTENTION_KINDS = ("attn", "swa")
@@ -58,18 +59,6 @@ class StackTrace:
     hidden: list
     final: object
     caches: list = field(default_factory=list)
-
-
-def _causal_softmax_rows(scores, lo):
-    """Causal (optionally windowed) row softmax, row i over columns
-    lo[i]..i. The row max of the real part is a constant shift; softmax is
-    shift-invariant, so complex-step derivatives are unaffected."""
-    mix = np.zeros_like(scores)
-    for i in range(scores.shape[0]):
-        seg = scores[i, lo[i]: i + 1]
-        e = np.exp(seg - seg.real.max())
-        mix[i, lo[i]: i + 1] = e / e.sum()
-    return mix
 
 
 _GATE_BIAS = {"gamma": 1.0, "beta": 0.5}
@@ -143,9 +132,7 @@ class ToyHybridStack:
         T = x.shape[0]
         cache = None
         if kind in ATTENTION_KINDS:
-            lo = np.zeros(T, dtype=np.int64) if kind == "attn" \
-                else np.maximum(np.arange(T) - window + 1, 0)
-            mix = _causal_softmax_rows(q @ k.T, lo)
+            mix = causal_softmax_rows(q @ k.T, None if kind == "attn" else window)
             y = mix @ v
             if collect_cache:
                 cache = LayerCache(kind=kind, keys=k, values=v,

@@ -33,27 +33,6 @@ VARIANTS = ("reference", "tiled_small_batch", "tiled_large_batch")
 DEFAULT_TILE = 64
 
 
-@dataclass(frozen=True)
-class TileGrid:
-    """Tile sizes plus residency policy for H tiles across CH iterations."""
-
-    b_k: int
-    b_v: int = DEFAULT_TILE
-    residency: str = "resident"  # or "reload_per_iteration"
-
-    def __post_init__(self):
-        if self.b_k < 1 or self.b_v < 1:
-            raise ValueError("tile sizes must be >= 1")
-        if self.residency not in ("resident", "reload_per_iteration"):
-            raise ValueError(f"unknown residency: {self.residency!r}")
-
-    def check(self, d_k: int, d_v: int | None = None) -> None:
-        if d_k % self.b_k != 0:
-            raise ValueError(f"b_k={self.b_k} does not divide d_k={d_k}")
-        if d_v is not None and d_v % self.b_v != 0:
-            raise ValueError(f"b_v={self.b_v} does not divide d_v={d_v}")
-
-
 @dataclass
 class TileCounters:
     """Persisted H-tile traffic for one decode step."""
@@ -121,16 +100,16 @@ def tiled_update_and_norm(tiles: LowerTiles, k: np.ndarray, gamma: float, beta: 
 
 
 def tiled_matvec(tiles: LowerTiles, x: np.ndarray,
-                 counters: TileCounters | None = None,
-                 count_loads: bool = True) -> np.ndarray:
+                 counters: TileCounters | None = None) -> np.ndarray:
     """H @ x from lower tiles; upper contributions use the transposed
-    mirror tile already at hand (no extra persisted-tile traffic)."""
+    mirror tile already at hand (no extra persisted-tile traffic). Each
+    lower tile read counts as a load when counters are given."""
     b, g = tiles.b, tiles.g
     if x.shape[0] != g * b:
         raise ValueError(f"vector length {x.shape[0]} incompatible with grid {g}x{b}")
     out = np.zeros_like(x)
     for (i, j), tile in sorted(tiles.tiles.items()):
-        if counters is not None and count_loads:
+        if counters is not None:
             counters.loads += 1
         out[i * b:(i + 1) * b] += tile @ x[j * b:(j + 1) * b]
         if i != j:
@@ -153,6 +132,14 @@ def _tiled_u_update_and_read(u: np.ndarray, k: np.ndarray, v: np.ndarray,
             out[rows, cols] = tile
             y[rows] += tile @ x[cols]
     return out, y
+
+
+def _check_tile(axis: str, b: int, d: int) -> None:
+    """ValueError unless the tile size b_axis is >= 1 and divides d_axis."""
+    if b < 1:
+        raise ValueError("tile sizes must be >= 1")
+    if d % b != 0:
+        raise ValueError(f"b_{axis}={b} does not divide d_{axis}={d}")
 
 
 def _step_vector(name: str, x, n: int) -> np.ndarray:
@@ -182,7 +169,8 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     """One GKA decode step under the chosen kernel variant. All variants
     agree numerically (up to tile-sum reassociation); they differ in the
     modeled persisted-tile traffic. k, v and q must be finite vectors of
-    length d_k, d_v and d_k; a bad one raises ValueError naming it. The
+    length d_k, d_v and d_k; a bad one raises ValueError naming it, as does
+    a tile size b_k or b_v below 1 or not dividing d_k or d_v. The
     returned state is derived from the validated input state by a
     PSD-preserving update, so its spectrum is not checked again."""
     if variant not in VARIANTS:
@@ -192,13 +180,15 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     if not (0.0 <= gamma <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValueError(f"gates out of [0, 1]: gamma={gamma}, beta={beta}")
     d_k, d_v = state.d_k, state.d_v
+    _check_tile("k", b_k, d_k)
+    _check_tile("v", b_v, d_v)
     k, v, q = _step_vector("k", k, d_k), _step_vector("v", v, d_v), _step_vector("q", q, d_k)
     counters = TileCounters()
 
     if variant == "reference":
         new_state = gka_info_update(state, k, v, gamma, beta)
         fro = float(np.linalg.norm(new_state.h))
-        g = d_k // b_k if d_k % b_k == 0 else 1
+        g = d_k // b_k
         counters.loads += g * g      # whole-matrix update traversal
         counters.stores += g * g
         lam = alpha * fro
@@ -210,16 +200,14 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
         return DecodeResult(y=new_state.u @ x, state=new_state, lam=lam,
                             fro_norm=fro, counters=counters)
 
-    grid = TileGrid(b_k=b_k, b_v=b_v,
-                    residency="resident" if variant == "tiled_small_batch"
-                    else "reload_per_iteration")
-    grid.check(d_k, d_v)
     tiles = LowerTiles.from_dense(state.h, b_k)
     tiles, fro = tiled_update_and_norm(tiles, k, gamma, beta, counters)
     lam = alpha * fro
-    reload_tiles = grid.residency == "reload_per_iteration"
+    # the small-batch variant keeps its tiles resident across the Chebyshev
+    # loop; the large-batch one reloads them every iteration
+    reloads = counters if variant == "tiled_large_batch" else None
     if lam > 0.0:
-        apply_h = lambda p: tiled_matvec(tiles, p, counters, count_loads=reload_tiles)
+        apply_h = lambda p: tiled_matvec(tiles, p, reloads)
         x, _ = chebyshev_solve(apply_h, lam, q, r, spectral_bounds=(lam, lam + fro))
     else:
         x = np.zeros(d_k)  # empty information matrix: nothing to read
@@ -257,8 +245,7 @@ def traffic_model(d_k: int, b_k: int, variant: str, r: int) -> TrafficReport:
     the update: one load per stored tile."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if d_k % b_k != 0:
-        raise ValueError(f"b_k={b_k} does not divide d_k={d_k}")
+    _check_tile("k", b_k, d_k)
     if r < 1:
         raise ValueError("need r >= 1")
     g = d_k // b_k

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -513,6 +515,30 @@ class TestForwardAndGates:
             with pytest.raises(NonFiniteOutput, match="gka output is non-finite") as err:
                 ssm_forward(SsmKind.GKA, k * 1e80, v, q, gates, solver=solver)
         assert err.value.row == 0
+
+    @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
+    def test_gka_overflow_stops_at_the_first_non_finite_row(self, solver, monkeypatch):
+        # the outputs are NaN from row 0: the forward must not run the 199
+        # later solves, each of which only warns about the same overflow
+        calls = []
+        dense = kernels.chebyshev_dense
+        monkeypatch.setattr(kernels, "chebyshev_dense",
+                            lambda *args: calls.append(1) or dense(*args))
+
+        def overflow_warnings(T):
+            k, v, q = rand_kvq(T, 16, 16, seed=25)
+            gates = GateTrack(gamma=np.ones(T), beta=np.full(T, 0.5))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NonFiniteOutput) as err:
+                    ssm_forward(SsmKind.GKA, k * 1e80, v, q, gates, solver=solver)
+            assert err.value.row == 0
+            return len(caught)
+
+        single = overflow_warnings(1)
+        calls.clear()
+        assert overflow_warnings(200) <= single
+        assert len(calls) <= 1
 
     def test_mamba2_overflow_names_first_non_finite_row(self):
         T, d = 30, 4

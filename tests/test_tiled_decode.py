@@ -6,7 +6,6 @@ from hybridssm.tiled_decode import (
     VARIANTS,
     LowerTiles,
     TileCounters,
-    TileGrid,
     decode_step,
     select_variant,
     tiled_matvec,
@@ -43,10 +42,6 @@ class TestLowerTiles:
     def test_bad_tile_size_rejected(self):
         with pytest.raises(ValueError):
             LowerTiles.from_dense(random_spd(6, seed=0), 4)
-        with pytest.raises(ValueError):
-            TileGrid(b_k=0)
-        with pytest.raises(ValueError):
-            TileGrid(b_k=2, residency="cached")
 
 
 class TestTiledUpdateAndNorm:
@@ -215,6 +210,20 @@ class TestDecodeStep:
             decode_step(state, np.ones(8), np.ones(8), np.ones(8), 1.0, 1.0,
                         "tiled_small_batch", r=1, b_k=3)
 
+    @pytest.mark.parametrize("b_k, b_v, match", [
+        (3, 4, "b_k=3 does not divide d_k=8"),
+        (4, 3, "b_v=3 does not divide d_v=8"),
+        (0, 4, "tile sizes must be >= 1"),
+        (-2, 4, "tile sizes must be >= 1"),
+        (4, 0, "tile sizes must be >= 1"),
+    ])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bad_tile_sizes_rejected_by_every_variant(self, variant, b_k, b_v, match):
+        state, _ = self.setup_state()
+        with pytest.raises(ValueError, match=match):
+            decode_step(state, np.ones(8), np.ones(8), np.ones(8), 0.9, 0.5, variant,
+                        r=1, b_k=b_k, b_v=b_v)
+
 
 class TestTrafficModel:
     def test_half_grid_skips_quarter(self):
@@ -242,6 +251,16 @@ class TestTrafficModel:
         assert len(set(loads_resident)) == 1
         n_low = 4 * 5 // 2
         assert loads_reload == [n_low * (1 + r) for r in (1, 10, 100)]
+
+    @pytest.mark.parametrize("b_k, match", [
+        (3, "b_k=3 does not divide d_k=8"),
+        (0, "tile sizes must be >= 1"),
+        (-2, "tile sizes must be >= 1"),
+    ])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bad_tile_size_rejected_for_every_variant(self, variant, b_k, match):
+        with pytest.raises(ValueError, match=match):
+            traffic_model(8, b_k, variant, r=1)
 
     def test_reference_counts_full_grid(self):
         rep = traffic_model(64, 16, "reference", r=5)
