@@ -114,6 +114,11 @@ def validate(config: dict) -> list[str]:
             diags.append(f"b_v={p['b_v']} does not divide d_v={p['d_v']}")
         if p["r"] < 1:
             diags.append("r must be >= 1")
+        if not p["alpha"] > 0.0:
+            diags.append(f"alpha must be > 0, got {p['alpha']}")
+    elif command == "ssm-equiv":
+        if not p["chebyshev_alpha"] > 0.0:
+            diags.append(f"chebyshev_alpha must be > 0, got {p['chebyshev_alpha']}")
     elif command == "hankel":
         if p["window"] < 0:
             diags.append("window must be >= 1 (0 means full attention)")

@@ -1,6 +1,7 @@
 """Numpy kernels: the chunkwise Mamba-2 (SSD) and GDN (WY) scans, the GKA
-information-form forward, Chebyshev iteration, the Sherman-Morrison
-downdate, and the causal conv1d.
+information-form forward (exact solves token by token, Chebyshev solves in
+SSD-form blocks), Chebyshev iteration over a batch of systems, the
+Sherman-Morrison downdate, and the causal conv1d.
 
 Each computation has exactly one body here; ``ssm_core`` and ``seqpar``
 call these rather than restating them.
@@ -20,7 +21,7 @@ import numpy as np
 USING_NUMBA = False  # recorded by run manifests; every kernel is plain numpy
 
 
-CHUNK = 64  # tokens per block of the chunkwise Mamba-2 and GDN scans
+CHUNK = 64  # tokens per block of the chunkwise scans and GKA's Chebyshev forward
 
 
 def _blocks(x, L, fill=0.0):
@@ -32,7 +33,8 @@ def _blocks(x, L, fill=0.0):
 
 
 def _ssd_terms(k, q, gamma):
-    """The state-free terms shared by both scans, per chunk of
+    """The state-free terms shared by both scans and GKA's Chebyshev
+    forward, per chunk of
     L = min(CHUNK, T) tokens (a short last chunk is padded with tokens
     that neither decay nor write). G[t] = gamma_1 ... gamma_t and
     D[t, i] = gamma_{i+1} ... gamma_t on and below the diagonal, 0 above
@@ -128,17 +130,25 @@ def chebyshev_dense(matvec, lam, rhs, iters, a, b):
     """Chebyshev iteration for (H + lam I) x = rhs with spectrum in [a, b],
     where matvec(p) returns H p (a dense product or a tiled operator).
 
+    rhs is one vector (d,) or a batch (..., d) of independent systems, one
+    per row; lam, a and b are scalars or arrays of the batch shape, and
+    matvec maps a batch of vectors (..., d) to the products row by row.
     Standard SPD two-term recurrence; one matrix-vector product per
-    iteration. Returns (x, residual_history) with residual_history[i] the
-    2-norm of the maintained residual after iteration i+1.
+    iteration. Returns (x, residual_history), residual_history of shape
+    (iters,) + batch with residual_history[i] the 2-norms of the
+    maintained residuals after iteration i+1.
     """
+    lam, a, b = (np.asarray(z)[..., None] if np.ndim(z) else z for z in (lam, a, b))
     theta = 0.5 * (b + a)
     delta = 0.5 * (b - a)
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r
     alpha = 1.0 / theta
-    hist = np.empty(iters)
+    hist = np.empty((iters,) + rhs.shape[:-1])
+    # a single vector keeps the plain norm: on the decode path the axis
+    # form costs more than the iteration's arithmetic
+    norm = np.linalg.norm if rhs.ndim == 1 else lambda res: np.linalg.norm(res, axis=-1)
     for it in range(iters):
         if it > 0:
             beta = 0.5 * (delta * alpha) ** 2 if it == 1 else (0.5 * delta * alpha) ** 2
@@ -146,7 +156,7 @@ def chebyshev_dense(matvec, lam, rhs, iters, a, b):
             p = r + beta * p
         x = x + alpha * p
         r = r - alpha * (matvec(p) + lam * p)
-        hist[it] = np.linalg.norm(r)
+        hist[it] = norm(r)
     return x, hist
 
 
@@ -157,12 +167,16 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     for U_t; then solve (H_t + lam_t I) x = q_t and read y_t = U_t x.
 
     lam_t is lam[t] when alpha <= 0, else alpha * ||H_t||_F (adaptive
-    regularization). solver_r = 0 uses a dense solve; solver_r > 0 runs that
-    many Chebyshev iterations on [lam_t, lam_t + ||H_t||_F].
+    regularization); a step with lam_t <= 0 (H_t still empty) reads 0.
+    solver_r = 0 solves token by token with a dense solve. solver_r > 0
+    runs that many Chebyshev iterations on [lam_t, lam_t + ||H_t||_F] for
+    all tokens at once, in blocks of CHUNK tokens (see _gka_chebyshev_blocks).
     Returns (y, H, U, lam_used). The pass stops at the first non-finite
-    output row: the rows after it (and their lam_used) are NaN, and H, U
-    are the state at that row.
+    output row, which a non-finite ||H_t||_F also makes: the rows after it
+    (and their lam_used) are NaN, and H, U are the state at that row.
     """
+    if solver_r > 0 and k.shape[0] > 0:  # no tokens: the loop below returns the zero state
+        return _gka_chebyshev_blocks(k, v, q, gamma, beta, lam, alpha, solver_r)
     T, d_k = k.shape
     d_v = v.shape[1]
     H = np.zeros((d_k, d_k))
@@ -180,14 +194,90 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         if lam_t <= 0.0:
             # H (hence U) still empty: nothing to read, any solve is moot
             x = np.zeros(d_k)
-        elif solver_r > 0:
-            x, _ = chebyshev_dense(H.__matmul__, lam_t, q[t], solver_r, lam_t, lam_t + fro)
         else:
             x = np.linalg.solve(H + lam_t * eye, q[t])
         y[t] = U @ x
         if not cmath.isfinite(probe @ y[t]):
             break  # every later solve would only spread the overflow
     return y, H, U, lam_used
+
+
+def _gka_chebyshev_blocks(k, v, q, gamma, beta, lam, alpha, iters):
+    """The Chebyshev branch of gka_info_forward, with no per-token loop.
+
+    Within a block entered with (H_0, U_0), with G, D the SSD decays of
+    _ssd_terms and W = D diag(beta),
+
+        H_t = G_t H_0 + sum_i W_ti k_i k_i^T,  U_t = G_t U_0 + sum_i W_ti v_i k_i^T,
+
+    so H_t is never formed: H_t p_t = G_t H_0 p_t + sum_i W_ti (k_i . p_t) k_i
+    for a whole block of rows p in two GEMMs, ||H_t||_F^2 expands into
+    G_t^2 ||H_0||^2 + 2 G_t sum_i W_ti k_i^T H_0 k_i
+    + sum_ij W_ti W_tj (k_i . k_j)^2 (all terms >= 0, so no cancellation),
+    and one chebyshev_dense call solves every token. The block states are
+    carried one GEMM per block and kept exactly symmetric. The carry stops
+    at the first block holding a non-finite ||H_t||_F; that row and the
+    rows after it are left NaN, as are the rows after a non-finite output.
+    """
+    T, d_k = k.shape
+    d_v = v.shape[1]
+    dtype = np.result_type(k, v, q, gamma, beta)
+    K, Q, G, D, _, _ = _ssd_terms(k, q, gamma)
+    C, L = K.shape[:2]
+    V = _blocks(v, L)
+    W = D * _blocks(beta, L)[:, None, :]
+    Kt = K.transpose(0, 2, 1)
+    # the norm terms weight unit keys by W_ti ||k_i||^2, so a huge key makes
+    # only the rows it reaches non-finite, not (by 0 * inf) the rows before it
+    n = np.diagonal(K @ Kt, axis1=1, axis2=2)  # ||k_i||^2
+    unit = K * np.divide(1.0, np.sqrt(n), out=np.zeros_like(n), where=n > 0.0)[..., None]
+    Wn = np.multiply(W, n[:, None, :], out=np.zeros_like(W), where=W > 0.0)
+    own = np.sum((Wn @ (unit @ unit.transpose(0, 2, 1)) ** 2) * Wn, axis=2)
+    w_end = W[:, -1, :, None]  # each block's writes decayed to its end
+    dh, du = (K * w_end).transpose(0, 2, 1) @ K, (V * w_end).transpose(0, 2, 1) @ K
+
+    H0 = np.zeros((C, d_k, d_k))
+    U0 = np.zeros((C, d_v, d_k), dtype=dtype)
+    fro = np.full((C, L), np.nan)  # NaN in the blocks the carry never reaches
+    for c in range(C):
+        h = H0[c]
+        cross = Wn[c] @ np.sum((unit[c] @ h) * unit[c], axis=1)
+        fro[c] = np.sqrt(G[c] ** 2 * np.sum(h * h) + 2.0 * G[c] * cross + own[c])
+        if c + 1 == C or not np.all(np.isfinite(fro[c])):
+            break  # past a non-finite norm every later block only spreads it
+        h = G[c, -1] * h + dh[c]
+        H0[c + 1] = 0.5 * (h + h.T)
+        U0[c + 1] = G[c, -1] * U0[c] + du[c]
+
+    fro = fro.reshape(-1)[:T]
+    lam_used = alpha * fro if alpha > 0.0 else np.array(lam, dtype=np.float64)
+    bad = ~np.isfinite(fro)
+    stop = int(np.argmax(bad)) if bad.any() else T  # the first row not solved
+    lam_used[stop + 1:] = np.nan
+    y = np.full((T, d_v), np.nan, dtype=dtype)
+    if stop > 0:
+        nb = -(-stop // L)  # the blocks holding rows before the stop
+        lam_b = _blocks(np.where(np.arange(T) < stop, lam_used, 0.0), L)[:nb]
+        solve = lam_b > 0.0
+        # rows that read 0 (empty H, padding, from the stop on) solve
+        # x = 0 on the unit interval [1, 1]: their right-hand side is 0
+        lam_s = np.where(solve, lam_b, 1.0)
+        fro_s = np.where(solve, _blocks(fro, L)[:nb], 0.0)
+        Gb, Hb, Kb, Ktb, Wb = G[:nb, :, None], H0[:nb], K[:nb], Kt[:nb], W[:nb]
+        apply_h = lambda p: Gb * (p @ Hb) + ((p @ Ktb) * Wb) @ Kb  # H_0 is symmetric
+        x, _ = chebyshev_dense(apply_h, lam_s, np.where(solve[..., None], Q[:nb], 0.0),
+                               iters, lam_s, lam_s + fro_s)
+        y_b = Gb * (x @ U0[:nb].transpose(0, 2, 1)) + ((x @ Ktb) * Wb) @ V[:nb]
+        y[:stop] = y_b.reshape(-1, d_v)[:stop]
+        bad_y = ~np.isfinite(y[:stop]).all(axis=1)
+        if bad_y.any():
+            stop = int(np.argmax(bad_y))
+            y[stop + 1:] = np.nan
+            lam_used[stop + 1:] = np.nan
+    c, t = divmod(min(stop, T - 1), L)  # the state at the last row read
+    h = G[c, t] * H0[c] + (K[c] * W[c, t, :, None]).T @ K[c]
+    u = G[c, t] * U0[c] + (V[c] * W[c, t, :, None]).T @ K[c]
+    return y, 0.5 * (h + h.T), u, lam_used
 
 
 def sherman_morrison_downdate(phi, k, beta):

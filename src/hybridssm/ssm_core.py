@@ -117,6 +117,14 @@ class GkaInfoState:
         return self.u.shape[0]
 
 
+def check_alpha(alpha: float) -> None:
+    """ValueError naming alpha unless it is positive and finite: the
+    adaptive lam_t = alpha ||H_t||_F would otherwise be 0, negative or NaN,
+    and every output would silently read 0."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def zero_info_state(d_v: int, d_k: int) -> GkaInfoState:
     return GkaInfoState(h=np.zeros((d_k, d_k)), u=np.zeros((d_v, d_k)))
 
@@ -347,10 +355,13 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     (d_v, d_k) array for Mamba-2/GDN and a GkaInfoState for GKA.
 
     Mamba-2 and GDN run the chunkwise scans of ``kernels``; GKA runs in
-    information form, token by token; gates.lam supplies fixed per-step
-    regularizers, otherwise lam_t = alpha ||H_t||_F. Raises ValueError on a
-    non-finite k, v, q or s0, naming the argument and its first bad row, or
-    on an unknown solver or fewer than one Chebyshev iteration, or on a
+    information form, its exact solves token by token and its Chebyshev
+    solves for all tokens at once, in blocks of ``kernels.CHUNK`` tokens;
+    gates.lam supplies fixed per-step regularizers, otherwise
+    lam_t = alpha ||H_t||_F. Raises ValueError on a non-finite k, v, q or
+    s0, naming the argument and its first bad row, or on an unknown solver
+    or fewer than one Chebyshev iteration, or on an alpha that is not
+    positive and finite when the adaptive rule reads it, or on a
     complex GKA forward with the adaptive regularizer or Chebyshev; and
     FloatingPointError (NonFiniteOutput) when an output or final state
     overflows, naming the first non-finite output row. Complex inputs
@@ -379,12 +390,15 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
         # their share of the derivative
         raise ValueError("||H_t||_F is not analytic: a complex-step GKA forward "
                          "needs a fixed gates.lam and the exact solver")
+    if gates.lam is None:
+        check_alpha(alpha)
     lam = gates.lam if gates.lam is not None else np.zeros(gates.T)
     a = -1.0 if gates.lam is not None else float(alpha)
     solver_r = 0 if solver == "exact" else int(r)
     y, h, u, _ = kernels.gka_info_forward(k, v, q, gates.gamma, gates.beta,
                                           np.ascontiguousarray(lam), a, solver_r)
-    y, h = _finite_output(kind, y, h)  # ||H_t||_F can overflow while H_t stays finite
+    # ||H_t||_F can overflow while H_t stays finite, and U_t while y_t does
+    _finite_output(kind, y, np.vstack([h, u]))
     return y, GkaInfoState._derived(h, u)
 
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ssm_core import (DEFAULT_ALPHA, SYMMETRY_TOL, GkaInfoState, chebyshev_solve,
-                       gka_info_update)
+from .ssm_core import (DEFAULT_ALPHA, SYMMETRY_TOL, GkaInfoState, check_alpha,
+                       chebyshev_solve, gka_info_update)
 
 VARIANTS = ("reference", "tiled_small_batch", "tiled_large_batch")
 DEFAULT_TILE = 64
@@ -60,7 +60,14 @@ class LowerTiles:
         d = h.shape[0]
         if d % b != 0:
             raise ValueError(f"tile size {b} does not divide {d}")
-        g = d // b
+        return cls._split(h, b)
+
+    @classmethod
+    def _split(cls, h: np.ndarray, b: int) -> "LowerTiles":
+        """The lower tiles of h, unchecked: h must be square, symmetric
+        within SYMMETRY_TOL and of a size b divides, as a GkaInfoState's H
+        under decode_step's tile check is."""
+        g = h.shape[0] // b
         tiles = {(i, j): h[i * b:(i + 1) * b, j * b:(j + 1) * b].copy()
                  for i in range(g) for j in range(i + 1)}
         return cls(tiles, g, b)
@@ -169,16 +176,18 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     """One GKA decode step under the chosen kernel variant. All variants
     agree numerically (up to tile-sum reassociation); they differ in the
     modeled persisted-tile traffic. k, v and q must be finite vectors of
-    length d_k, d_v and d_k; a bad one raises ValueError naming it, as does
-    a tile size b_k or b_v below 1 or not dividing d_k or d_v. The
-    returned state is derived from the validated input state by a
-    PSD-preserving update, so its spectrum is not checked again."""
+    length d_k, d_v and d_k; a bad one raises ValueError naming it, as do
+    an alpha that is not positive and finite and a tile size b_k or b_v
+    below 1 or not dividing d_k or d_v. The input state's H is symmetric
+    and the returned state is derived from it by a PSD-preserving update,
+    so neither its symmetry nor its spectrum is checked again."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if r < 1:
         raise ValueError("need r >= 1 Chebyshev iterations")
     if not (0.0 <= gamma <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValueError(f"gates out of [0, 1]: gamma={gamma}, beta={beta}")
+    check_alpha(alpha)
     d_k, d_v = state.d_k, state.d_v
     _check_tile("k", b_k, d_k)
     _check_tile("v", b_v, d_v)
@@ -200,7 +209,7 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
         return DecodeResult(y=new_state.u @ x, state=new_state, lam=lam,
                             fro_norm=fro, counters=counters)
 
-    tiles = LowerTiles.from_dense(state.h, b_k)
+    tiles = LowerTiles._split(state.h, b_k)  # a GkaInfoState's H is symmetric
     tiles, fro = tiled_update_and_norm(tiles, k, gamma, beta, counters)
     lam = alpha * fro
     # the small-batch variant keeps its tiles resident across the Chebyshev

@@ -162,6 +162,17 @@ class TestMain:
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "rank_tol must lie in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, param, value", [
+        ("tile-bench", "alpha", 0.0), ("tile-bench", "alpha", -0.1),
+        ("ssm-equiv", "chebyshev_alpha", 0), ("ssm-equiv", "chebyshev_alpha", -1.0),
+    ])
+    def test_cli_rejects_non_positive_alpha(self, tmp_path, capsys, command, param, value):
+        # lam = alpha ||H||_F: a zero or negative alpha has no valid Chebyshev interval
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"command": command, "params": {param: value}}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{param} must be > 0, got {value}" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         cfg = fixture("compose_gdn.json")

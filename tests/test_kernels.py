@@ -82,3 +82,33 @@ class TestAgainstVectorizedReference:
         head = K.conv1d_direct(u[:10], w)
         tail = K.conv1d_with_left_context(u[10:], w, u[7:10])
         assert np.array_equal(np.vstack([head, tail]), full)
+
+
+class TestChebyshevBatch:
+    def test_batch_rows_equal_single_solves(self):
+        # a (2, 3) batch of systems, each with its own H, lam and interval,
+        # against one 1-D call per row: the same arithmetic, so x is equal
+        # bit for bit; the residual norms sum in another order
+        rng = np.random.default_rng(11)
+        d, iters = 5, 12
+        g = rng.standard_normal((2, 3, d, d))
+        h = g @ g.transpose(0, 1, 3, 2)
+        lam = rng.uniform(0.1, 1.0, (2, 3))
+        rhs = rng.standard_normal((2, 3, d))
+        b = lam + np.linalg.norm(h, axis=(2, 3))
+        rows = lambda p: np.array([[h[i, j] @ p[i, j] for j in range(3)] for i in range(2)])
+        x, hist = K.chebyshev_dense(rows, lam, rhs, iters, lam, b)
+        assert x.shape == (2, 3, d) and hist.shape == (iters, 2, 3)
+        for i, j in np.ndindex(2, 3):
+            x_1, hist_1 = K.chebyshev_dense(h[i, j].__matmul__, lam[i, j], rhs[i, j],
+                                            iters, lam[i, j], b[i, j])
+            assert np.array_equal(x[i, j], x_1)
+            assert np.allclose(hist[:, i, j], hist_1, rtol=1e-14, atol=0.0)
+
+    def test_scalar_coefficients_broadcast_over_the_batch(self):
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((4, 4))
+        h = g @ g.T
+        rhs = rng.standard_normal((3, 4))
+        x, _ = K.chebyshev_dense(lambda p: p @ h, 2.0, rhs, 60, 2.0, 2.0 + np.linalg.norm(h))
+        assert np.allclose(x, np.linalg.solve(h + 2.0 * np.eye(4), rhs.T).T, atol=1e-10)

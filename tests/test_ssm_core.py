@@ -597,6 +597,20 @@ class TestForwardAndGates:
         assert y.shape == (T, 3)
         assert isinstance(info, GkaInfoState)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
+    def test_gka_adaptive_rule_rejects_bad_alpha(self, solver, alpha):
+        # lam_t = alpha ||H_t||_F would be 0, negative or NaN: every output 0
+        T = 6
+        k, v, q = rand_kvq(T, 4, 3, seed=21)
+        gates = GateTrack(gamma=np.full(T, 0.95), beta=np.full(T, 0.8))
+        with pytest.raises(ValueError, match=f"alpha must be positive and finite, got {alpha}"):
+            ssm_forward(SsmKind.GKA, k, v, q, gates, solver=solver, r=5, alpha=alpha)
+        # a fixed lam track never reads alpha
+        fixed = GateTrack(gamma=gates.gamma, beta=gates.beta, lam=np.full(T, 0.5))
+        y, _ = ssm_forward(SsmKind.GKA, k, v, q, fixed, solver=solver, r=5, alpha=alpha)
+        assert np.all(np.isfinite(y)) and np.any(y != 0.0)
+
     def test_gka_forward_filtered_prefix_reads_zero(self):
         # beta = 0 over a prefix leaves the info pair empty there; the
         # adaptive regularizer is 0 and the outputs must be exactly zero

@@ -204,6 +204,27 @@ class TestDecodeStep:
             decode_step(state, vectors["k"], vectors["v"], vectors["q"], 0.9, 0.5, variant,
                         r=1, b_k=4, b_v=4)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bad_alpha_rejected_by_every_variant(self, variant, alpha):
+        # lam = alpha ||H'||_F would be 0, negative or NaN and y silently 0
+        state, rng = self.setup_state()
+        k, v, q = rng.standard_normal((3, 8))
+        with pytest.raises(ValueError, match=f"alpha must be positive and finite, got {alpha}"):
+            decode_step(state, k, v, q, 0.9, 0.5, variant, r=3, b_k=4, b_v=4, alpha=alpha)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_step_tiles_its_state_without_the_public_check(self, variant, monkeypatch):
+        # a GkaInfoState's H is already symmetric within SYMMETRY_TOL; the
+        # public from_dense keeps its check for outside callers
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode_step called LowerTiles.from_dense")
+
+        monkeypatch.setattr(LowerTiles, "from_dense", refuse)
+        state, rng = self.setup_state()
+        k, v, q = rng.standard_normal((3, 8))
+        decode_step(state, k, v, q, 0.9, 0.5, variant, r=3, b_k=4, b_v=4)
+
     def test_indivisible_tiles_rejected(self):
         state, rng = self.setup_state()
         with pytest.raises(ValueError):
