@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .ssm_core import (GateTrack, GkaInfoState, SsmKind, chunk_forward, ssm_forward, _as_kind,
-                       _require_finite)
+                       _real_or_complex, _require_finite)
 from .stack import ToyHybridStack
 
 MERGE_MODES = ("soup", "picaso_r", "gka_sum")
@@ -81,19 +81,33 @@ def _identity_like(trans):
     return np.eye(trans.shape[0]) if isinstance(trans, np.ndarray) else 1.0
 
 
-def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrack,
-              alpha: float = 0.05) -> ChunkRecord:
+def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrack) -> ChunkRecord:
     """Process one chunk from the zero state and record (state, A_acc): for
-    GDN both from one chunk_forward, for Mamba-2 and GKA A_acc = prod(gamma).
-    The record reads no outputs, so the queries are zero."""
+    GDN both from one chunk_forward; for Mamba-2 and GKA A_acc = prod(gamma)
+    and the state is the writes decayed to the chunk's end, U = (V w)^T K
+    and GKA's H = (K w)^T K, symmetrised, with w_i = gamma_{i+1} ... gamma_n
+    (times beta_i for GKA). Raises ValueError naming a non-finite k or v
+    and FloatingPointError on an overflowed state."""
     kind = _as_kind(kind)
-    q = np.zeros_like(k, dtype=np.float64)
     if kind is SsmKind.GDN:
-        _, state, _, a_acc = chunk_forward(kind, k, v, q, gates)
-    else:
-        _, state = ssm_forward(kind, k, v, q, gates, alpha=alpha)
-        a_acc = float(np.prod(gates.gamma))
-    return ChunkRecord(state=state, a_acc=a_acc)
+        _, state, _, a_acc = chunk_forward(kind, k, v, np.zeros_like(k, dtype=np.float64), gates)
+        return ChunkRecord(state=state, a_acc=a_acc)
+    k, v = _real_or_complex(k), _real_or_complex(v)
+    if gates.T != k.shape[0]:
+        raise ValueError(f"gate track length {gates.T} != T {k.shape[0]}")
+    _require_finite(k=k, v=v)
+    d_v, a_acc = v.shape[1], float(np.prod(gates.gamma))
+    w = np.ones_like(gates.gamma)
+    w[:-1] = np.cumprod(gates.gamma[:0:-1])[::-1]  # w_i = gamma_{i+1} ... gamma_n
+    if kind is SsmKind.GKA:  # H rides along as d_k more value columns
+        w, v = w * gates.beta, np.hstack([v, k])
+    s = (v * w[:, None]).T @ k
+    if not np.all(np.isfinite(s)):
+        raise FloatingPointError(f"{kind.value} chunk state is non-finite")
+    if kind is SsmKind.MAMBA2:
+        return ChunkRecord(state=s, a_acc=a_acc)
+    h = s[d_v:]
+    return ChunkRecord(state=GkaInfoState._derived(0.5 * (h + h.T), s[:d_v]), a_acc=a_acc)
 
 
 def _carry(merged, chunk: ChunkRecord):

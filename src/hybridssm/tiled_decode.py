@@ -5,29 +5,31 @@ regularizer from a Frobenius norm fused into the update pass, runs r
 Chebyshev iterations, and reads the output:
 
   (i)  H' = gamma H + beta k k^T      (tiled; only lower-triangular tiles
-                                       are persisted, the norm accumulator
-                                       doubles off-diagonal contributions)
+                                       are persisted, the norm counts the
+                                       off-diagonal tiles twice)
   (ii) lam = alpha ||H'||_F
-  (iii) (H' + lam I) x = q by Chebyshev, each product formed from lower
-        tiles with upper tiles transposed on the fly
-  (iv) U' = gamma U + beta v k^T and y = U' x (tiled, not symmetric)
+  (iii) (H' + lam I) x = q by Chebyshev, each product formed from the
+        lower tiles with the upper tiles transposed on the fly
+  (iv) U' = gamma U + beta v k^T and y = U' x
 
-"Registers" become an explicit working set and "HBM" the persisted tile
-store, so the two kernel variants differ only in traffic: the resident
-variant keeps lower tiles in registers across the Chebyshev loop, the
-reload variant re-reads them every iteration in exchange for a smaller
-working set. Numerical outputs are variant-independent; only the traffic
-counts differ.
+The lower tiles are one (d, d) array, 0 on the strict-upper tiles, so
+each stage is a whole-array pass. "Registers" become an explicit working
+set and "HBM" the persisted tile store, so the two kernel variants differ
+only in traffic: the resident variant keeps lower tiles in registers
+across the Chebyshev loop, the reload variant re-reads them every
+iteration in exchange for a smaller working set. Numerical outputs are
+variant-independent; only the traffic counts differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .ssm_core import (DEFAULT_ALPHA, SYMMETRY_TOL, GkaInfoState, check_alpha,
-                       chebyshev_solve, gka_info_update)
+                       chebyshev_solve)
 
 VARIANTS = ("reference", "tiled_small_batch", "tiled_large_batch")
 DEFAULT_TILE = 64
@@ -41,25 +43,39 @@ class TileCounters:
     stores: int = 0
 
 
-class LowerTiles:
-    """Lower-triangular tile store for a symmetric matrix: tile (i, j) with
-    i >= j holds H[i*b : (i+1)*b, j*b : (j+1)*b]; upper tiles are never
-    materialized and are reconstructed by transposing their mirror."""
+@lru_cache(maxsize=8)
+def _tile_masks(d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (upper, strict) masks of a (d, d) matrix cut into b x b tiles:
+    entry (r, c) lies on a strict-upper tile if r // b < c // b and on a
+    strictly lower one if r // b > c // b."""
+    t = np.arange(d) // b
+    upper, strict = t[:, None] < t[None, :], t[:, None] > t[None, :]
+    upper.flags.writeable = strict.flags.writeable = False  # shared by every caller
+    return upper, strict
 
-    def __init__(self, tiles: dict, g: int, b: int):
-        self.tiles = tiles
-        self.g = g
+
+class LowerTiles:
+    """Lower-triangular tile store for a symmetric matrix H cut into b x b
+    tiles: ``lower`` equals H on the tiles (i, j) with i >= j and is exactly
+    0 on the strict-upper tiles, which are never materialized. Its strictly
+    lower tiles, ``strict``, stand in transposed for the upper tiles."""
+
+    def __init__(self, lower: np.ndarray, b: int):
+        self.lower = lower
         self.b = b
+        self.g = lower.shape[0] // b
+
+    @cached_property
+    def strict(self) -> np.ndarray:
+        return self.lower * _tile_masks(self.lower.shape[0], self.b)[1]
 
     @classmethod
     def from_dense(cls, h: np.ndarray, b: int, tol: float = SYMMETRY_TOL) -> "LowerTiles":
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("H must be square")
+        _check_tile("k", b, h.shape[0])
         if np.max(np.abs(h - h.T), initial=0.0) > tol:
             raise ValueError(f"H must be symmetric within {tol}")
-        d = h.shape[0]
-        if d % b != 0:
-            raise ValueError(f"tile size {b} does not divide {d}")
         return cls._split(h, b)
 
     @classmethod
@@ -67,19 +83,10 @@ class LowerTiles:
         """The lower tiles of h, unchecked: h must be square, symmetric
         within SYMMETRY_TOL and of a size b divides, as a GkaInfoState's H
         under decode_step's tile check is."""
-        g = h.shape[0] // b
-        tiles = {(i, j): h[i * b:(i + 1) * b, j * b:(j + 1) * b].copy()
-                 for i in range(g) for j in range(i + 1)}
-        return cls(tiles, g, b)
+        return cls(np.where(_tile_masks(h.shape[0], b)[0], 0.0, h), b)
 
     def to_dense(self) -> np.ndarray:
-        d = self.g * self.b
-        out = np.zeros((d, d))
-        for (i, j), tile in self.tiles.items():
-            out[i * self.b:(i + 1) * self.b, j * self.b:(j + 1) * self.b] = tile
-            if i != j:
-                out[j * self.b:(j + 1) * self.b, i * self.b:(i + 1) * self.b] = tile.T
-        return out
+        return self.lower + self.strict.T
 
     def n_lower(self) -> int:
         return self.g * (self.g + 1) // 2
@@ -88,57 +95,34 @@ class LowerTiles:
 def tiled_update_and_norm(tiles: LowerTiles, k: np.ndarray, gamma: float, beta: float,
                           counters: TileCounters | None = None
                           ) -> tuple[LowerTiles, float]:
-    """H'[i,j] = gamma H[i,j] + beta k[i] k[j]^T over lower tiles, with the
-    squared Frobenius norm accumulated in the same pass (off-diagonal tiles
-    counted twice for their unmaterialized mirrors)."""
-    b = tiles.b
-    out = {}
-    acc = 0.0
-    for (i, j), tile in sorted(tiles.tiles.items()):
-        if counters is not None:
-            counters.loads += 1
-        new = gamma * tile + beta * np.outer(k[i * b:(i + 1) * b], k[j * b:(j + 1) * b])
-        out[(i, j)] = new
-        weight = 1.0 if i == j else 2.0
-        acc += weight * float(np.sum(new * new))
-        if counters is not None:
-            counters.stores += 1
-    return LowerTiles(out, tiles.g, b), float(np.sqrt(acc))
+    """H' = gamma H + beta k k^T over the lower tiles, with the Frobenius
+    norm taken in the same pass: ||H'||^2 = ||lower||^2 + ||strict||^2
+    counts the off-diagonal tiles twice, once for their unmaterialized
+    mirrors. Each lower tile counts as one load and one store."""
+    upper, strict = _tile_masks(tiles.lower.shape[0], tiles.b)
+    kk = beta * np.outer(k, k)
+    new = gamma * tiles.lower + kk
+    np.copyto(new, 0.0, where=upper)
+    out = LowerTiles(new, tiles.b)
+    # a fresh (d, d) array costs about a pass over it: kk's buffer becomes strict
+    out.strict = np.multiply(new, strict, out=kk)
+    if counters is not None:
+        counters.loads += out.n_lower()
+        counters.stores += out.n_lower()
+    return out, float(np.sqrt(np.vdot(new, new) + np.vdot(out.strict, out.strict)))
 
 
 def tiled_matvec(tiles: LowerTiles, x: np.ndarray,
                  counters: TileCounters | None = None) -> np.ndarray:
-    """H @ x from lower tiles; upper contributions use the transposed
-    mirror tile already at hand (no extra persisted-tile traffic). Each
-    lower tile read counts as a load when counters are given."""
-    b, g = tiles.b, tiles.g
-    if x.shape[0] != g * b:
-        raise ValueError(f"vector length {x.shape[0]} incompatible with grid {g}x{b}")
-    out = np.zeros_like(x)
-    for (i, j), tile in sorted(tiles.tiles.items()):
-        if counters is not None:
-            counters.loads += 1
-        out[i * b:(i + 1) * b] += tile @ x[j * b:(j + 1) * b]
-        if i != j:
-            out[j * b:(j + 1) * b] += tile.T @ x[i * b:(i + 1) * b]
-    return out
-
-
-def _tiled_u_update_and_read(u: np.ndarray, k: np.ndarray, v: np.ndarray,
-                             gamma: float, beta: float, x: np.ndarray,
-                             b_v: int, b_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """U' = gamma U + beta v k^T and y = U' x, streamed tile by tile."""
-    d_v, d_k = u.shape
-    out = np.zeros_like(u)
-    y = np.zeros(d_v)
-    for i in range(d_v // b_v):
-        rows = slice(i * b_v, (i + 1) * b_v)
-        for j in range(d_k // b_k):
-            cols = slice(j * b_k, (j + 1) * b_k)
-            tile = gamma * u[rows, cols] + beta * np.outer(v[rows], k[cols])
-            out[rows, cols] = tile
-            y[rows] += tile @ x[cols]
-    return out, y
+    """H @ x from the lower tiles; the upper contributions use the
+    transposed strictly lower tiles already at hand (no extra
+    persisted-tile traffic). Each lower tile read counts as a load when
+    counters are given."""
+    if x.shape[0] != tiles.lower.shape[0]:
+        raise ValueError(f"vector length {x.shape[0]} incompatible with grid {tiles.g}x{tiles.b}")
+    if counters is not None:
+        counters.loads += tiles.n_lower()
+    return tiles.lower @ x + tiles.strict.T @ x
 
 
 def _check_tile(axis: str, b: int, d: int) -> None:
@@ -174,13 +158,14 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
                 r: int = 30, alpha: float = DEFAULT_ALPHA,
                 b_k: int = DEFAULT_TILE, b_v: int = DEFAULT_TILE) -> DecodeResult:
     """One GKA decode step under the chosen kernel variant. All variants
-    agree numerically (up to tile-sum reassociation); they differ in the
-    modeled persisted-tile traffic. k, v and q must be finite vectors of
-    length d_k, d_v and d_k; a bad one raises ValueError naming it, as do
-    an alpha that is not positive and finite and a tile size b_k or b_v
-    below 1 or not dividing d_k or d_v. The input state's H is symmetric
-    and the returned state is derived from it by a PSD-preserving update,
-    so neither its symmetry nor its spectrum is checked again."""
+    agree numerically (up to summation order); they differ in the modeled
+    persisted-tile traffic. k, v and q must be finite vectors of length
+    d_k, d_v and d_k; a bad one raises ValueError naming it, as do an alpha
+    that is not positive and finite and a tile size b_k or b_v below 1 or
+    not dividing d_k or d_v (U's traffic is not modeled; b_v is only
+    checked). The input state's H is symmetric and the returned state is
+    derived from it by a PSD-preserving update, so neither its symmetry nor
+    its spectrum is checked again."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if r < 1:
@@ -195,34 +180,31 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     counters = TileCounters()
 
     if variant == "reference":
-        new_state = gka_info_update(state, k, v, gamma, beta)
-        fro = float(np.linalg.norm(new_state.h))
-        g = d_k // b_k
-        counters.loads += g * g      # whole-matrix update traversal
-        counters.stores += g * g
-        lam = alpha * fro
-        if lam > 0.0:
-            x, _ = chebyshev_solve(new_state.h, lam, q, r, spectral_bounds=(lam, lam + fro))
-            counters.loads += r * g * g  # whole matrix per CH iteration
-        else:
-            x = np.zeros(d_k)  # empty information matrix: nothing to read
-        return DecodeResult(y=new_state.u @ x, state=new_state, lam=lam,
-                            fro_norm=fro, counters=counters)
+        h = gamma * state.h + beta * np.outer(k, k)
+        fro = float(np.linalg.norm(h))
+        n_tiles = (d_k // b_k) ** 2
+        counters.loads += n_tiles  # whole-matrix update traversal
+        counters.stores += n_tiles
 
-    tiles = LowerTiles._split(state.h, b_k)  # a GkaInfoState's H is symmetric
-    tiles, fro = tiled_update_and_norm(tiles, k, gamma, beta, counters)
-    lam = alpha * fro
-    # the small-batch variant keeps its tiles resident across the Chebyshev
-    # loop; the large-batch one reloads them every iteration
-    reloads = counters if variant == "tiled_large_batch" else None
-    if lam > 0.0:
+        def apply_h(p):
+            counters.loads += n_tiles  # whole matrix per Chebyshev iteration
+            return h @ p
+    else:
+        tiles, fro = tiled_update_and_norm(LowerTiles._split(state.h, b_k), k, gamma, beta,
+                                           counters)  # a GkaInfoState's H is symmetric
+        h = tiles.to_dense()
+        # the small-batch variant keeps its tiles resident across the Chebyshev
+        # loop; the large-batch one reloads them every iteration
+        reloads = counters if variant == "tiled_large_batch" else None
         apply_h = lambda p: tiled_matvec(tiles, p, reloads)
+    lam = alpha * fro
+    if lam > 0.0:
         x, _ = chebyshev_solve(apply_h, lam, q, r, spectral_bounds=(lam, lam + fro))
     else:
         x = np.zeros(d_k)  # empty information matrix: nothing to read
-    u_new, y = _tiled_u_update_and_read(state.u, k, v, gamma, beta, x, b_v, b_k)
-    return DecodeResult(y=y, state=GkaInfoState._derived(tiles.to_dense(), u_new),
-                        lam=lam, fro_norm=fro, counters=counters)
+    u = gamma * state.u + beta * np.outer(v, k)
+    return DecodeResult(y=u @ x, state=GkaInfoState._derived(h, u), lam=lam, fro_norm=fro,
+                        counters=counters)
 
 
 def select_variant(n_program_instances: int, crossover: int = 128) -> str:

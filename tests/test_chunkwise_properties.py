@@ -1,11 +1,12 @@
 """Properties of the chunkwise Mamba-2 and GDN scans over generated inputs:
 they replay the per-step oracle ``ssm_step``, and the P2P and CASO paths
-built on them reproduce the single-device forward."""
+built on them reproduce the single-device forward; PICASO-R over Mamba-2,
+GDN and GKA chunk records does not depend on where the cycle starts."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hybridssm.composition import caso_compose, run_chunk
+from hybridssm.composition import caso_compose, picaso_r, run_chunk, state_deviation
 from hybridssm.kernels import CHUNK
 from hybridssm.seqpar import MessageBus, p2p_forward, shard
 from hybridssm.ssm_core import GateTrack, SsmKind, SsmState, ssm_forward, ssm_step
@@ -86,3 +87,27 @@ def test_caso_equals_single_pass(kind, lengths, d_k, d_v, gamma_floor, seed):
                for a, b in zip(bounds[:-1], bounds[1:])]
     _, s_ref = ssm_forward(kind, k, v, q, gates)
     assert relative_error(caso_compose(records), s_ref) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from([SsmKind.MAMBA2, SsmKind.GDN, SsmKind.GKA]),
+       lengths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       shift=st.integers(0, 5), d_k=st.integers(1, 5), d_v=st.integers(1, 5),
+       gamma_floor=st.sampled_from([1e-3, 0.5, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_picaso_r_is_invariant_under_rotating_the_chunks(kind, lengths, shift, d_k, d_v,
+                                                         gamma_floor, seed):
+    # PICASO-R averages CASO over all K cyclic orders, so rotating the
+    # records permutes the terms of the mean; the prefix and suffix products
+    # then run in other orders, hence 1e-12 times the largest entry, or 1
+    # (3.6e-16 at worst over 600 generated record lists)
+    rng = np.random.default_rng(seed)
+    k, v, _, gates = layer_inputs(rng, sum(lengths), d_k, d_v, 1.0, False, gamma_floor, 0.1)
+    bounds = np.cumsum([0] + lengths)
+    records = [run_chunk(kind, k[a:b], v[a:b],
+                         GateTrack(gamma=gates.gamma[a:b], beta=gates.beta[a:b]))
+               for a, b in zip(bounds[:-1], bounds[1:])]
+    s = shift % len(records)
+    ref = picaso_r(records)
+    got = picaso_r(records[s:] + records[:s])
+    parts = (ref.h, ref.u) if kind is SsmKind.GKA else (ref,)
+    assert state_deviation(got, ref) <= 1e-12 * max(1.0, *(np.max(np.abs(p)) for p in parts))

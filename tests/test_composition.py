@@ -89,6 +89,22 @@ class TestCaso:
         assert len(calls) == 1
         assert rec.a_acc.shape == (3, 3)
 
+    @pytest.mark.parametrize("kind", list(SsmKind))
+    @pytest.mark.parametrize("arg", ["k", "v"])
+    def test_run_chunk_names_a_non_finite_input(self, kind, arg):
+        k, v, gates = random_run(kind, 6, 3, 2, seed=4)
+        bad = {"k": k, "v": v}
+        bad[arg][2, 1] = np.nan
+        with pytest.raises(ValueError, match=f"{arg} is non-finite at row 2"):
+            run_chunk(kind, bad["k"], bad["v"], gates)
+
+    @pytest.mark.parametrize("kind", [SsmKind.MAMBA2, SsmKind.GKA])
+    def test_run_chunk_rejects_an_overflowed_state(self, kind):
+        k, v, gates = random_run(kind, 6, 3, 2, seed=4)
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match=f"{kind.value} chunk state is non-finite"):
+                run_chunk(kind, 1e200 * k, 1e200 * v, gates)
+
     def test_gka_info_caso_matches_full_sequence(self):
         k, v, gates = random_run(SsmKind.GKA, 12, 3, 2, seed=5)
         records = chunk_records(SsmKind.GKA, k, v, gates, 4)

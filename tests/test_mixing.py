@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridssm.mixing import (
     MixingMatrix,
@@ -115,6 +116,17 @@ class TestSwaMixer:
         assert m.row_sum_error() <= 1e-12
         for i in range(10):
             assert np.all(m.m[i, : max(i - w + 1, 0)] == 0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)  # same inputs every run
+@given(T=st.integers(2, 40), d_k=st.integers(1, 6), w=st.integers(1, 45),
+       scale=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_swa_hankel_rank_is_at_most_the_window(T, d_k, w, scale, seed):
+    # below cut k the window leaves only columns k-w+1 .. k-1 nonzero, so no
+    # cut block has rank above w - 1; a window of T or more is full
+    # attention, whose cut k has rank at most min(k, T - k) <= T / 2 <= w - 1
+    seq = random_token_sequence(T, d_k, scale=scale, rng=np.random.default_rng(seed))
+    assert hankel_profile(build_swa_mixer(seq, w)).ranks.max() <= w - 1
 
 
 class TestHankelProfile:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridssm import tiled_decode
 from hybridssm.ssm_core import GkaInfoState, zero_info_state
 from hybridssm.tiled_decode import (
     VARIANTS,
@@ -30,8 +31,15 @@ class TestLowerTiles:
         assert np.allclose(back, h, atol=0.0)
 
     def test_only_lower_tiles_persisted(self):
-        tiles = LowerTiles.from_dense(random_spd(8, seed=2), 2)
-        assert set(tiles.tiles) == {(i, j) for i in range(4) for j in range(i + 1)}
+        h = random_spd(8, seed=2)
+        tiles = LowerTiles.from_dense(h, 2)
+        for i in range(4):
+            for j in range(4):
+                tile = tiles.lower[2 * i:2 * i + 2, 2 * j:2 * j + 2]
+                if i >= j:
+                    assert np.array_equal(tile, h[2 * i:2 * i + 2, 2 * j:2 * j + 2])
+                else:
+                    assert np.all(tile == 0.0)
         assert tiles.n_lower() == 10
 
     def test_asymmetric_rejected(self):
@@ -42,6 +50,17 @@ class TestLowerTiles:
     def test_bad_tile_size_rejected(self):
         with pytest.raises(ValueError):
             LowerTiles.from_dense(random_spd(6, seed=0), 4)
+
+    @pytest.mark.parametrize("b, match", [
+        (0, "tile sizes must be >= 1"),
+        (-2, "tile sizes must be >= 1"),
+        (-8, "tile sizes must be >= 1"),
+        (3, "b_k=3 does not divide d_k=8"),
+    ])
+    def test_nonpositive_or_indivisible_tile_size_rejected(self, b, match):
+        # b = 0 must not divide by zero, nor b < 0 give an empty store that drops H
+        with pytest.raises(ValueError, match=match):
+            LowerTiles.from_dense(np.eye(8), b)
 
 
 class TestTiledUpdateAndNorm:
@@ -224,6 +243,31 @@ class TestDecodeStep:
         state, rng = self.setup_state()
         k, v, q = rng.standard_normal((3, 8))
         decode_step(state, k, v, q, 0.9, 0.5, variant, r=3, b_k=4, b_v=4)
+
+    @pytest.mark.parametrize("variant", ["tiled_small_batch", "tiled_large_batch"])
+    def test_traced_names_see_the_work(self, variant, monkeypatch):
+        # --trace 1 reports the tiled decode by these names, so a tiled step
+        # must do its update, products and write-back through them
+        calls = dict.fromkeys(["tiled_update_and_norm", "tiled_matvec", "to_dense"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode_step called LowerTiles.from_dense")
+
+        for name in ("tiled_update_and_norm", "tiled_matvec"):
+            monkeypatch.setattr(tiled_decode, name, counted(name, getattr(tiled_decode, name)))
+        monkeypatch.setattr(LowerTiles, "to_dense", counted("to_dense", LowerTiles.to_dense))
+        monkeypatch.setattr(LowerTiles, "from_dense", refuse)
+        state, rng = self.setup_state()
+        k, v, q = rng.standard_normal((3, 8))
+        out = decode_step(state, k, v, q, 0.9, 0.5, variant, r=7, b_k=4, b_v=4)
+        assert out.lam > 0.0
+        assert calls == {"tiled_update_and_norm": 1, "tiled_matvec": 7, "to_dense": 1}
 
     def test_indivisible_tiles_rejected(self):
         state, rng = self.setup_state()
