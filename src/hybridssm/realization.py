@@ -107,20 +107,16 @@ def realize(m: MixingMatrix | np.ndarray,
     return TimeVaryingRealization(a=a, b=b, c=c, d=d)
 
 
-def io_matrix(r: TimeVaryingRealization, T: int | None = None) -> np.ndarray:
+def io_matrix(r: TimeVaryingRealization) -> np.ndarray:
     """Dense finite-horizon input-output matrix of the realization:
     T_ij = B_j A_{j+1} ... A_{i-1} C_i below the diagonal, D_i on it.
 
     Row j of the carried state matrix is the state that input j has
     reached, so each step is one product with C_i and one with A_i.
     """
-    if T is None:
-        T = r.T
-    if T != r.T:
-        raise ValueError(f"realization has horizon {r.T}, requested {T}")
     out = np.diag(r.d).astype(np.float64)
-    states = np.zeros((T, r.n))
-    for i in range(1, T):
+    states = np.zeros((r.T, r.n))
+    for i in range(1, r.T):
         states[i - 1] = r.b[i - 1]
         out[i, :i] = states[:i] @ r.c[i]
         states[:i] = states[:i] @ r.a[i]
@@ -140,9 +136,9 @@ def verify_minimality(r: TimeVaryingRealization, m: MixingMatrix | np.ndarray,
     """Max-abs reconstruction error of r against m, and whether r's state
     dimension matches m's Hankel-rank lower bound."""
     mat = m.m if isinstance(m, MixingMatrix) else np.asarray(m, dtype=np.float64)
-    n_min = hankel_profile(mat, rank_tol).n_min
     if mat.shape[0] != r.T:
         raise ValueError(f"realization has horizon {r.T}, mixer has horizon {mat.shape[0]}")
+    n_min = hankel_profile(mat, rank_tol).n_min
     err = float(np.max(np.abs(io_matrix(r) - mat)))
     return MinimalityReport(reconstruction_error=err, n=r.n, n_min=n_min,
                             is_minimal=(r.n == n_min))

@@ -355,14 +355,16 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     (d_v, d_k) array for Mamba-2/GDN and a GkaInfoState for GKA.
 
     Mamba-2 and GDN run the chunkwise scans of ``kernels``; GKA runs in
-    information form, its exact solves token by token and its Chebyshev
-    solves for all tokens at once, in blocks of ``kernels.CHUNK`` tokens;
+    information form in blocks of ``kernels.CHUNK`` tokens, with a dense
+    solve per token or Chebyshev solves for all tokens at once;
     gates.lam supplies fixed per-step regularizers, otherwise
-    lam_t = alpha ||H_t||_F. Raises ValueError on a non-finite k, v, q or
-    s0, naming the argument and its first bad row, or on an unknown solver
-    or fewer than one Chebyshev iteration, or on an alpha that is not
-    positive and finite when the adaptive rule reads it, or on a
-    complex GKA forward with the adaptive regularizer or Chebyshev; and
+    lam_t = alpha ||H_t||_F. Raises ValueError on a k, v or q that is not
+    2-D with one row per gate step, a q shaped unlike k or an s0 that is
+    not d_v x d_k, naming the argument; on a non-finite k, v, q or s0,
+    naming the argument and its first bad row; on an unknown solver or
+    fewer than one Chebyshev iteration; on an alpha that is not positive
+    and finite when the adaptive rule reads it; or on a complex GKA
+    forward with the adaptive regularizer or Chebyshev; and
     FloatingPointError (NonFiniteOutput) when an output or final state
     overflows, naming the first non-finite output row. Complex inputs
     (a complex-step derivative, see ``autodiff``) stay complex128 throughout.
@@ -373,9 +375,16 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     if solver == "chebyshev" and r < 1:
         raise ValueError(f"need r >= 1 iterations, got {r}")
     k, v, q = _real_or_complex(k), _real_or_complex(v), _real_or_complex(q)
-    if gates.T != k.shape[0]:
-        raise ValueError(f"gate track length {gates.T} != T {k.shape[0]}")
+    for name, x in (("k", k), ("v", v), ("q", q)):
+        if x.ndim != 2 or x.shape[0] != gates.T:
+            raise ValueError(f"{name} must be 2-D with one row per gate step "
+                             f"(T = {gates.T}), got shape {x.shape}")
+    if q.shape != k.shape:
+        raise ValueError(f"q shape {q.shape} != k shape {k.shape}")
     s0 = np.zeros((v.shape[1], k.shape[1])) if s0 is None else _real_or_complex(s0)
+    if s0.shape != (v.shape[1], k.shape[1]):
+        raise ValueError(f"s0 must be (d_v, d_k) = {(v.shape[1], k.shape[1])}, "
+                         f"got shape {s0.shape}")
     _require_finite(k=k, v=v, q=q, s0=s0)
     if kind is SsmKind.MAMBA2:
         return _finite_output(kind, *kernels.mamba2_scan(k, v, q, gates.gamma, s0))
@@ -392,11 +401,9 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
                          "needs a fixed gates.lam and the exact solver")
     if gates.lam is None:
         check_alpha(alpha)
-    lam = gates.lam if gates.lam is not None else np.zeros(gates.T)
-    a = -1.0 if gates.lam is not None else float(alpha)
     solver_r = 0 if solver == "exact" else int(r)
-    y, h, u, _ = kernels.gka_info_forward(k, v, q, gates.gamma, gates.beta,
-                                          np.ascontiguousarray(lam), a, solver_r)
+    y, h, u, _ = kernels.gka_info_forward(k, v, q, gates.gamma, gates.beta, gates.lam,
+                                          float(alpha), solver_r)
     # ||H_t||_F can overflow while H_t stays finite, and U_t while y_t does
     _finite_output(kind, y, np.vstack([h, u]))
     return y, GkaInfoState._derived(h, u)

@@ -2,8 +2,8 @@
 forward build their states by the update H' = gamma H + beta k k^T from a
 validated state and skip the spectrum check, so every such state must
 re-pass the full public GkaInfoState check; the tiled decode variants equal
-the reference with the modelled tile traffic; the blocked Chebyshev forward
-replays the per-token solves; the GKA laws hold: additive fusion of
+the reference with the modelled tile traffic; the blocked forward replays
+the per-token solves of either solver; the GKA laws hold: additive fusion of
 chunk states equals a single pass without decay, and USP equals a single
 device; and a chunk record's Mamba-2 or GKA state, a decayed key sum,
 equals the end state of a forward over the chunk."""
@@ -112,31 +112,36 @@ def test_gka_forward_state_passes_the_public_check(T, d_k, d_v, solver, fixed_la
 
 
 @PROPERTY_SETTINGS
-@given(T=LENGTHS, d_k=st.integers(1, 8), d_v=st.integers(1, 8), r=st.integers(1, 40),
+@given(T=LENGTHS, d_k=st.integers(1, 8), d_v=st.integers(1, 8),
+       solver=st.sampled_from(["exact", "chebyshev"]), r=st.integers(1, 40),
        fixed_lam=st.booleans(), alpha=st.floats(0.01, 1.0), max_key_norm=st.floats(0.1, 3.0),
        filtered_frac=SHARES, plain_frac=SHARES, seed=st.integers(0, 2**32 - 1))
-def test_blocked_chebyshev_forward_replays_the_per_token_solves(T, d_k, d_v, r, fixed_lam,
-                                                                 alpha, max_key_norm,
-                                                                 filtered_frac, plain_frac,
-                                                                 seed):
-    # the oracle forms H_t and U_t token by token and solves each token on
-    # [lam_t, lam_t + ||H_t||_F]; the forward never forms H_t, so the two
-    # agree to rounding: 1e-12 normwise
+def test_blocked_gka_forward_replays_the_per_token_solves(T, d_k, d_v, solver, r, fixed_lam,
+                                                          alpha, max_key_norm, filtered_frac,
+                                                          plain_frac, seed):
+    # the oracle forms H_t and U_t token by token and solves each token
+    # densely or on [lam_t, lam_t + ||H_t||_F]; the forward forms H_t from
+    # its block's entry state (dense) or not at all (Chebyshev) and never
+    # forms U_t, so the two agree to rounding: 1e-12 normwise
     rng = np.random.default_rng(seed)
     k = scaled_keys(rng, T, d_k, max_key_norm)
     v, q = rng.standard_normal((T, d_v)), rng.standard_normal((T, d_k))
     gamma, beta = gates(rng, T, filtered_frac, plain_frac)
     lam = rng.uniform(0.05, 2.0, T) if fixed_lam else None
-    y, _ = ssm_forward("gka", k, v, q, GateTrack(gamma, beta, lam), solver="chebyshev", r=r,
+    y, _ = ssm_forward("gka", k, v, q, GateTrack(gamma, beta, lam), solver=solver, r=r,
                        alpha=alpha)
     state, ref = zero_info_state(d_v, d_k), np.zeros((T, d_v))
     for t in range(T):
         state = gka_info_update(state, k[t], v[t], gamma[t], beta[t])
         fro = float(np.linalg.norm(state.h))
         lam_t = lam[t] if fixed_lam else alpha * fro
-        if lam_t > 0.0:  # else H_t is empty and y_t reads 0
+        if lam_t <= 0.0:
+            continue  # H_t is empty and y_t reads 0
+        if solver == "exact":
+            x = np.linalg.solve(state.h + lam_t * np.eye(d_k), q[t])
+        else:
             x, _ = chebyshev_solve(state.h, lam_t, q[t], r, (lam_t, lam_t + fro))
-            ref[t] = state.u @ x
+        ref[t] = state.u @ x
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -488,6 +489,24 @@ class TestForwardAndGates:
         with pytest.raises(ValueError, match="s0 is non-finite at row 4"):
             ssm_forward(kind, k, v, q, gates, s0=s0)
 
+    @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
+    @pytest.mark.parametrize("kind", list(SsmKind))
+    def test_mis_shaped_input_named(self, kind, solver):
+        # a q one row short was read as a zero query, a GKA v one row long
+        # was cut to T, and a one-row s0 was broadcast, all without complaint
+        T, d_k, d_v = 10, 4, 3
+        k, v, q = rand_kvq(T, d_k, d_v, seed=26)
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.5), lam=np.full(T, 0.5))
+        bad = {"k": [k[:9], k[None], k[:, 0]],
+               "v": [v[:9], np.vstack([v, v[:1]]), v[:, 0]],
+               "q": [q[:9], np.vstack([q, q[:1]]), q[None], q[:, 0], q[:, :3]],
+               "s0": [np.zeros((1, d_k)), np.zeros((d_k, d_v)), np.zeros(d_v * d_k)]}
+        for name, shapes in bad.items():
+            for x in shapes:
+                args = {"k": k, "v": v, "q": q, "s0": None, name: x}
+                with pytest.raises(ValueError, match=f"^{name} .*{re.escape(str(x.shape))}"):
+                    ssm_forward(kind, gates=gates, solver=solver, r=5, **args)
+
     def test_gdn_overflow_names_first_non_finite_row(self):
         # keys of norm 8 make the erase factor expand the state ~60x along
         # k; the output overflows at row 332 of 400
@@ -515,6 +534,31 @@ class TestForwardAndGates:
             with pytest.raises(NonFiniteOutput, match="gka output is non-finite") as err:
                 ssm_forward(SsmKind.GKA, k * 1e80, v, q, gates, solver=solver)
         assert err.value.row == 0
+
+    def test_gka_fixed_lam_exact_forward_reads_no_norm(self):
+        # a fixed lam with the dense solve never reads ||H_t||_F, so keys
+        # whose H_t is finite but whose norm overflows (1e80 here) must not
+        # stop the pass; only an overflowing H_t does (1e160)
+        T, d = 200, 16
+        k, v, q = rand_kvq(T, d, d, seed=25)
+        gates = GateTrack(gamma=np.ones(T), beta=np.full(T, 0.5), lam=np.full(T, 0.5))
+        for scale in (1e80, 1e150):
+            y, state = ssm_forward(SsmKind.GKA, k * scale, v, q, gates)
+            assert np.all(np.isfinite(y)) and np.all(np.isfinite(state.h))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteOutput, match="gka output is non-finite") as err:
+                ssm_forward(SsmKind.GKA, k * 1e160, v, q, gates)
+        assert err.value.row == 0
+
+    @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
+    @pytest.mark.parametrize("lam", [None, 0.5])
+    def test_gka_forward_of_no_tokens_returns_the_zero_state(self, solver, lam):
+        gates = GateTrack(np.ones(0), np.ones(0), None if lam is None else np.full(0, lam))
+        y, state = ssm_forward(SsmKind.GKA, np.zeros((0, 4)), np.zeros((0, 3)),
+                               np.zeros((0, 4)), gates, solver=solver)
+        assert y.shape == (0, 3)
+        assert np.array_equal(state.h, np.zeros((4, 4)))
+        assert np.array_equal(state.u, np.zeros((3, 4)))
 
     @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
     def test_gka_overflow_stops_at_the_first_non_finite_row(self, solver, monkeypatch):
