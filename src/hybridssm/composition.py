@@ -86,15 +86,18 @@ def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrac
     GDN both from one chunk_forward; for Mamba-2 and GKA A_acc = prod(gamma)
     and the state is the writes decayed to the chunk's end, U = (V w)^T K
     and GKA's H = (K w)^T K, symmetrised, with w_i = gamma_{i+1} ... gamma_n
-    (times beta_i for GKA). Raises ValueError naming a non-finite k or v
-    and FloatingPointError on an overflowed state."""
+    (times beta_i for GKA). Raises ValueError naming a k or v that is not
+    2-D with one row per gate step or is non-finite, and FloatingPointError
+    on an overflowed state."""
     kind = _as_kind(kind)
+    k, v = _real_or_complex(k), _real_or_complex(v)
+    for name, x in (("k", k), ("v", v)):
+        if x.ndim != 2 or x.shape[0] != gates.T:
+            raise ValueError(f"{name} must be 2-D with one row per gate step "
+                             f"(T = {gates.T}), got shape {x.shape}")
     if kind is SsmKind.GDN:
         _, state, _, a_acc = chunk_forward(kind, k, v, np.zeros_like(k, dtype=np.float64), gates)
         return ChunkRecord(state=state, a_acc=a_acc)
-    k, v = _real_or_complex(k), _real_or_complex(v)
-    if gates.T != k.shape[0]:
-        raise ValueError(f"gate track length {gates.T} != T {k.shape[0]}")
     _require_finite(k=k, v=v)
     d_v, a_acc = v.shape[1], float(np.prod(gates.gamma))
     w = np.ones_like(gates.gamma)

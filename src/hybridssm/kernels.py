@@ -1,6 +1,7 @@
 """Numpy kernels: the chunkwise Mamba-2 (SSD) and GDN (WY) scans, the GKA
-information-form forward in SSD-form blocks (dense or Chebyshev solves),
-Chebyshev iteration over a batch of systems, the Sherman-Morrison
+information-form forward in SSD-form blocks (exact solves, by block
+Woodbury where a block allows it and per token otherwise, or Chebyshev
+solves), Chebyshev iteration over a batch of systems, the Sherman-Morrison
 downdate, and the causal conv1d.
 
 Each computation has exactly one body here; ``ssm_core`` and ``seqpar``
@@ -157,6 +158,47 @@ def chebyshev_dense(matvec, lam, rhs, iters, a, b):
     return x, hist
 
 
+WOODBURY_TAU = 1e4  # the largest cond(A) and lambda_max(C) a Woodbury block may reach
+
+
+def _woodbury_block(h0, k, beta, q, lam):
+    """Solve (H_0 + lam I + sum_{i<=t} beta_i k_i k_i^T) x_t = q_t for every
+    row t of a block at once, or return None when the guard says the block
+    would lose digits.
+
+    With A = H_0 + lam I and Kb = diag(beta)^1/2 K, Woodbury gives
+    x_t = A^-1 q_t - (Kb_t A^-1)^T C_t^-1 Kb_t A^-1 q_t, with C_t the leading
+    (t+1)-square block of C = I + Kb A^-1 Kb^T. The Cholesky factor R of a
+    leading block is the leading block of R, so with P = Kb A^-1 all rows
+    take X = Q A^-1 - (tril(Q P^T R^-T) R^-1) P. A row with q_t = 0
+    gets x_t = 0.
+
+    The guard: cond(A) <= 1 + ||H_0||_F / lam and lambda_max(C) <= 1 +
+    sum_i beta_i k_i^T A^-1 k_i (lambda_min(C) >= 1) must both stay within
+    WOODBURY_TAU. Together they imply that no entry of H_0 exceeds TAU lam
+    and no entry of Kb exceeds TAU lam^1/2; these are checked first, so no
+    step can overflow."""
+    kb = k * np.sqrt(beta)[:, None]
+    if not (np.max(np.abs(h0), initial=0.0) <= WOODBURY_TAU * lam
+            and np.max(np.abs(kb), initial=0.0) <= WOODBURY_TAU * np.sqrt(lam)
+            and 1.0 + np.linalg.norm(h0 / lam) <= WOODBURY_TAU):
+        return None
+    a_inv = np.linalg.inv(h0 + lam * np.eye(h0.shape[0]))
+    p = kb @ a_inv
+    if not 1.0 + np.sum(p * kb) <= WOODBURY_TAU:
+        return None
+    r_inv = np.tril(np.linalg.inv(np.linalg.cholesky(p @ kb.T + np.eye(k.shape[0]))))
+
+    def solve(b):
+        return b @ a_inv - np.tril(b @ p.T @ r_inv.T) @ r_inv @ p
+
+    x = solve(q)
+    # the two terms of X can be up to lambda_max(C) times larger than x,
+    # and cancel; one step of refinement on the residual
+    # q_t - (H_t + lam I) x_t, formed in two GEMMs, wins those digits back
+    return x + solve(q - (x @ h0 + lam * x + np.tril(x @ kb.T) @ kb))
+
+
 def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     """GKA information-form forward pass, in blocks of CHUNK tokens.
 
@@ -165,8 +207,8 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
 
     lam_t is lam[t], or alpha * ||H_t||_F (adaptive regularization) when lam
     is None; a step with lam_t <= 0 (H_t still empty) reads 0. solver_r = 0
-    solves each token densely; solver_r > 0 runs that many Chebyshev
-    iterations on [lam_t, lam_t + ||H_t||_F] for all tokens at once.
+    solves exactly; solver_r > 0 runs that many Chebyshev iterations on
+    [lam_t, lam_t + ||H_t||_F] for all tokens at once.
 
     Within a block entered with (H_0, U_0), with G, D the SSD decays of
     _ssd_terms and W = D diag(beta),
@@ -174,11 +216,17 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         H_t = G_t H_0 + sum_i W_ti k_i k_i^T,  U_t = G_t U_0 + sum_i W_ti v_i k_i^T,
 
     so U_t is never formed: y_t = G_t U_0 x_t + sum_i W_ti (k_i . x_t) v_i
-    for a whole block of rows in two GEMMs. The dense solve forms each
-    token's H_t from the block's H_0 in one GEMM. The Chebyshev solve never
-    forms H_t: H_t p_t = G_t H_0 p_t + sum_i W_ti (k_i . p_t) k_i in two GEMMs
-    per block of rows, and ||H_t||_F^2 expands into
-    G_t^2 ||H_0||^2 + 2 G_t sum_i W_ti k_i^T H_0 k_i
+    for a whole block of rows in two GEMMs. The exact solver takes a whole
+    block by Woodbury (_woodbury_block: one inverse of H_0 + lam I, one
+    Cholesky and masked GEMMs) when the block does not decay (gamma = 1),
+    every row it solves has the same fixed lam, the system is real and the
+    guard on cond(H_0 + lam I) and on the capacitance matrix holds (see
+    WOODBURY_TAU). Any other block (decaying gamma, a lam that varies
+    within it, the adaptive lam, a complex system, a failed guard) forms
+    each token's H_t from the block's H_0 in one GEMM and solves it
+    densely. The Chebyshev solve never forms H_t: H_t p_t = G_t H_0 p_t +
+    sum_i W_ti (k_i . p_t) k_i in two GEMMs per block of rows, and
+    ||H_t||_F^2 expands into G_t^2 ||H_0||^2 + 2 G_t sum_i W_ti k_i^T H_0 k_i
     + sum_ij W_ti W_tj (k_i . k_j)^2 (all terms >= 0, so no cancellation).
     The norm is computed only when lam_t or the Chebyshev interval reads
     it. The block states are carried one GEMM per block and kept exactly
@@ -246,9 +294,19 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         else:
             x = np.zeros_like(rhs, dtype=np.result_type(rhs, H0))
             eye = np.eye(d_k)
-            for c, t in zip(*np.nonzero(solve)):
-                h = G[c, t] * H0[c] + (Kt[c] * W[c, t]) @ K[c]
-                x[c, t] = np.linalg.solve(h + lam_s[c, t] * eye, rhs[c, t])
+            for c in range(nb):
+                rows = np.flatnonzero(solve[c])
+                lam_c = lam_s[c, rows]
+                if (lam is not None and rows.size and lam_c.min() == lam_c.max()
+                        and np.all(G[c] == 1.0) and np.isrealobj(x)):
+                    # W[c, -1] is the block's beta when it does not decay
+                    x_c = _woodbury_block(H0[c], K[c], W[c, -1], rhs[c], lam_c[0])
+                    if x_c is not None:
+                        x[c] = x_c
+                        continue
+                for t in rows:
+                    h = G[c, t] * H0[c] + (Kt[c] * W[c, t]) @ K[c]
+                    x[c, t] = np.linalg.solve(h + lam_s[c, t] * eye, rhs[c, t])
         y_b = Gb * (x @ U0[:nb].transpose(0, 2, 1)) + ((x @ Ktb) * Wb) @ V[:nb]
         y[:stop] = y_b.reshape(-1, d_v)[:stop]
         bad_y = ~np.isfinite(y[:stop]).all(axis=1)
@@ -289,7 +347,7 @@ def gka_recurrent_scan(k, v, q, beta, lam):
     y = np.empty((T, v.shape[1]))
     for t in range(T):
         phi, g = sherman_morrison_downdate(phi, k[t], beta[t])
-        S = S - np.outer(S @ k[t], g) + np.outer(v[t], g)
+        S += np.outer(v[t] - S @ k[t], g)
         y[t] = S @ q[t]
     return y, S, phi
 

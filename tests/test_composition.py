@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,17 @@ class TestCaso:
         bad[arg][2, 1] = np.nan
         with pytest.raises(ValueError, match=f"{arg} is non-finite at row 2"):
             run_chunk(kind, bad["k"], bad["v"], gates)
+
+    @pytest.mark.parametrize("kind", list(SsmKind))
+    @pytest.mark.parametrize("rows", [1, 9, 11])
+    def test_run_chunk_names_a_mis_shaped_v(self, kind, rows):
+        # a one-row v must not be broadcast over the chunk's ten tokens, and
+        # GDN names the caller's v, not one with chunk_forward's columns
+        k, v, gates = random_run(kind, 10, 4, 3, seed=6)
+        bad = np.resize(v, (rows, 3))
+        with pytest.raises(ValueError, match=re.escape(f"v must be 2-D with one row per gate "
+                                                       f"step (T = 10), got shape {bad.shape}")):
+            run_chunk(kind, k, bad, gates)
 
     @pytest.mark.parametrize("kind", [SsmKind.MAMBA2, SsmKind.GKA])
     def test_run_chunk_rejects_an_overflowed_state(self, kind):

@@ -3,13 +3,14 @@ forward build their states by the update H' = gamma H + beta k k^T from a
 validated state and skip the spectrum check, so every such state must
 re-pass the full public GkaInfoState check; the tiled decode variants equal
 the reference with the modelled tile traffic; the blocked forward replays
-the per-token solves of either solver; the GKA laws hold: additive fusion of
+the per-token solves of either solver, with Woodbury's blocks and the
+dense ones at gamma = 1 and one lam; the GKA laws hold: additive fusion of
 chunk states equals a single pass without decay, and USP equals a single
 device; and a chunk record's Mamba-2 or GKA state, a decayed key sum,
 equals the end state of a forward over the chunk."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridssm import seqpar
 from hybridssm.composition import gka_compose, run_chunk
@@ -142,6 +143,37 @@ def test_blocked_gka_forward_replays_the_per_token_solves(T, d_k, d_v, solver, r
         else:
             x, _ = chebyshev_solve(state.h, lam_t, q[t], r, (lam_t, lam_t + fro))
         ref[t] = state.u @ x
+    assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(T=st.one_of(st.sampled_from([16, 63, 64, 65, 128, 130]), st.integers(16, 200)),
+       d_k=st.integers(1, 64), d_v=st.integers(1, 8),
+       log_key_norm=st.floats(-1.0, 2.0), log_ratio=st.floats(0.0, 4.0),
+       filtered_frac=SHARES, seed=st.integers(0, 2**32 - 1))
+# Woodbury without its refinement step misses this one by 2.2e-12
+@example(T=64, d_k=1, d_v=2, log_key_norm=0.0, log_ratio=3.0, filtered_frac=0.0, seed=36)
+def test_fixed_lam_exact_gka_forward_replays_the_per_token_solves(T, d_k, d_v, log_key_norm,
+                                                                  log_ratio, filtered_frac,
+                                                                  seed):
+    # gamma = 1 and one lam: the blocks Woodbury solves and those its guard
+    # sends to the dense solve, against the same replay at the same 1e-12.
+    # The replay is itself a float64 solve, so the draws stay where its
+    # rounding is below that: max ||k||^2 / lam <= 1e4 (at 1e5 the dense
+    # path and the replay differ by up to 6.5e-12) and T >= 16 (at T = 1,
+    # d_k = 46, a key nearly orthogonal to its query leaves an output that
+    # both the replay and the forward miss by 1e-12 of the exact one)
+    rng = np.random.default_rng(seed)
+    max_key_norm = 10.0 ** log_key_norm  # 0.1 to 100
+    lam = max_key_norm ** 2 / 10.0 ** log_ratio  # 1e-6 to 1e4
+    k = scaled_keys(rng, T, d_k, max_key_norm)
+    v, q = rng.standard_normal((T, d_v)), rng.standard_normal((T, d_k))
+    _, beta = gates(rng, T, filtered_frac, plain_frac=1.0)
+    y, _ = ssm_forward("gka", k, v, q, GateTrack(np.ones(T), beta, np.full(T, lam)))
+    state, ref = zero_info_state(d_v, d_k), np.zeros((T, d_v))
+    for t in range(T):
+        state = gka_info_update(state, k[t], v[t], 1.0, beta[t])
+        ref[t] = state.u @ np.linalg.solve(state.h + lam * np.eye(d_k), q[t])
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 

@@ -550,6 +550,54 @@ class TestForwardAndGates:
                 ssm_forward(SsmKind.GKA, k * 1e160, v, q, gates)
         assert err.value.row == 0
 
+    def test_gka_exact_forward_takes_woodbury_only_where_the_block_allows(self, monkeypatch):
+        # a block with gamma = 1, one lam and a real system that passes the
+        # guard is solved by Woodbury; every other block keeps one dense
+        # solve per token
+        calls = []
+        dense = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or dense(*args))
+
+        def dense_solves(k, gamma, lam, q=None):
+            T = k.shape[0]
+            rng = np.random.default_rng(41)
+            v = rng.standard_normal((T, k.shape[1]))
+            q = rng.standard_normal(k.shape) if q is None else q
+            calls.clear()
+            ssm_forward(SsmKind.GKA, k, v, q, GateTrack(gamma, rng.uniform(0.1, 0.9, T), lam))
+            return len(calls)
+
+        T, d = 128, 64
+        k = np.random.default_rng(40).standard_normal((T, d))
+        ones, lam = np.ones(T), np.full(T, 0.5)
+        assert dense_solves(k, ones, lam) == 0  # the prefill_gka benchmark's inputs
+        assert dense_solves(30.0 * k, ones, lam) == T  # ||k||^2 / lam ~ 1e5
+        assert dense_solves(k, np.full(T, 0.999), lam) == T
+        steps = lam.copy()
+        steps[[10, 100]] = 0.6  # one block's lam varies, then the other's
+        assert dense_solves(k, ones, steps) == T
+        steps[100] = 0.5
+        assert dense_solves(k, ones, steps) == T // 2
+        assert dense_solves(k + 1e-30j, ones, lam) == T
+        assert dense_solves(k, ones, lam, q=np.ones((T, d)) * (1 + 1e-30j)) == T
+
+    def test_gka_exact_complex_step_matches_woodbury_differences(self):
+        # the complex step runs the dense solve, the real forward Woodbury
+        # (asserted above): the derivative of one is the difference quotient
+        # of the other
+        T, d_k, d_v = 130, 16, 3
+        k, v, q = rand_kvq(T, d_k, d_v, seed=42)
+        rng = np.random.default_rng(43)
+        gates = GateTrack(np.ones(T), rng.uniform(0.1, 0.9, T), np.full(T, 0.5))
+        w, direction = rng.standard_normal((T, d_v)), rng.standard_normal((T, d_k))
+
+        def loss(x):
+            return (w * ssm_forward(SsmKind.GKA, x, v, q, gates)[0]).sum()
+
+        h = 1e-5
+        fd = (loss(k + h * direction) - loss(k - h * direction)) / (2 * h)
+        assert loss(k + 1e-30j * direction).imag / 1e-30 == pytest.approx(fd, rel=1e-7)
+
     @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
     @pytest.mark.parametrize("lam", [None, 0.5])
     def test_gka_forward_of_no_tokens_returns_the_zero_state(self, solver, lam):
