@@ -1,0 +1,76 @@
+"""Write one BENCH_<n>.json from the benchmark manifests of a parent and a
+change.
+
+    python3 scripts/bench_json.py PARENT_ROOT CHANGE_ROOT --seeds 131 140 \
+        --trace-seed 3 --out BENCH_13.json
+
+Each ROOT is a checkout whose perfbench/results/ holds the manifests that
+`python3 perfbench/run.py --workload all --seed S --trace 0` wrote for every
+seed S in the range, and the one that `--trace 1` wrote at the trace seed.
+Per workload the file holds, for each end-to-end metric, both sides'
+median and quartiles (statistics.quantiles, as perfbench/stats.py reads
+the spread) over the seeds, every run, and the number of seed pairs in
+which the change reads better; the failed and attempted requests; the
+traced per-layer figures that are non-zero on either side; and both
+sides' environment blocks.
+"""
+
+import argparse
+import json
+import statistics
+from pathlib import Path
+
+WORKLOADS = ("realize", "prefill_linear", "prefill_gka", "decode_gka")
+HIGHER_IS_BETTER = {"tok_per_s"}
+
+
+def manifest(root, workload, seed, trace):
+    path = Path(root) / "perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(path.read_text())
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def workload_entry(parent, change, workload, seeds, trace_seed):
+    runs = {side: [manifest(root, workload, s, 0) for s in seeds]
+            for side, root in (("parent", parent), ("change", change))}
+    end_to_end = {}
+    for metric in runs["parent"][0]["end_to_end"]:
+        values = {side: [m["end_to_end"][metric] for m in ms] for side, ms in runs.items()}
+        sign = 1.0 if metric in HIGHER_IS_BETTER else -1.0
+        better = sum(sign * (c - p) > 0.0 for p, c in zip(values["parent"], values["change"]))
+        end_to_end[metric] = {"parent": summary(values["parent"]),
+                              "change": summary(values["change"]),
+                              "change_better_pairs": f"{better}/{len(seeds)}"}
+    requests = {side: {key: sum(m["requests"][key] for m in ms)
+                       for key in ("attempted", "failed")} for side, ms in runs.items()}
+    traced = {side: manifest(root, workload, trace_seed, 1)["per_layer"]
+              for side, root in (("parent", parent), ("change", change))}
+    per_layer = {name: {side: traced[side].get(name, 0.0) for side in traced}
+                 for name in sorted(set(traced["parent"]) | set(traced["change"]))
+                 if traced["parent"].get(name) or traced["change"].get(name)}
+    return {"seconds": runs["parent"][0]["seconds"], "end_to_end": end_to_end,
+            "requests": requests, "per_layer": per_layer,
+            "environment": {side: ms[0]["environment"] for side, ms in runs.items()}}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout root of the parent commit")
+    parser.add_argument("change", help="checkout root of the change")
+    parser.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("FIRST", "LAST"))
+    parser.add_argument("--trace-seed", type=int, required=True)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+    seeds = list(range(args.seeds[0], args.seeds[1] + 1))
+    entry = {"seeds": seeds, "trace_seed": args.trace_seed,
+             "workloads": {w: workload_entry(args.parent, args.change, w, seeds, args.trace_seed)
+                           for w in WORKLOADS}}
+    Path(args.out).write_text(json.dumps(entry, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
