@@ -161,8 +161,8 @@ def test_fixed_lam_exact_gka_forward_replays_the_per_token_solves(T, d_k, d_v, l
     # The replay is itself a float64 solve, so the draws stay where its
     # rounding is below that: max ||k||^2 / lam <= 1e4 (at 1e5 the dense
     # path and the replay differ by up to 6.5e-12) and T >= 16 (at T = 1,
-    # d_k = 46, a key nearly orthogonal to its query leaves an output that
-    # both the replay and the forward miss by 1e-12 of the exact one)
+    # d_k = 46, a key nearly orthogonal to its query leaves a tiny output
+    # that the replay and the forward both miss by over 1e-12 relative)
     rng = np.random.default_rng(seed)
     max_key_norm = 10.0 ** log_key_norm  # 0.1 to 100
     lam = max_key_norm ** 2 / 10.0 ** log_ratio  # 1e-6 to 1e4

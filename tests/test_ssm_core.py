@@ -582,9 +582,9 @@ class TestForwardAndGates:
         assert dense_solves(k, ones, lam, q=np.ones((T, d)) * (1 + 1e-30j)) == T
 
     def test_gka_exact_complex_step_matches_woodbury_differences(self):
-        # the complex step runs the dense solve, the real forward Woodbury
-        # (asserted above): the derivative of one is the difference quotient
-        # of the other
+        # the complex step runs the dense solve, the real forward Woodbury in
+        # all three blocks (keys of norm ~4, lam 0.5): the derivative of one
+        # is the difference quotient of the other
         T, d_k, d_v = 130, 16, 3
         k, v, q = rand_kvq(T, d_k, d_v, seed=42)
         rng = np.random.default_rng(43)
