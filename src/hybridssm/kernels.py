@@ -1,4 +1,5 @@
-"""Numpy kernels: the chunkwise Mamba-2 (SSD) and GDN (WY) scans, the GKA
+"""Numpy kernels: the chunkwise Mamba-2 (SSD) and GDN (WY) scans, GDN's
+chunk systems solved by one blocked UT inverse for all chunks, the GKA
 information-form forward in SSD-form blocks (exact solves, by block
 Woodbury where a block allows it and per token otherwise, or Chebyshev
 solves), Chebyshev iteration over a batch of systems, the Sherman-Morrison
@@ -8,9 +9,11 @@ Each computation has exactly one body here; ``ssm_core`` and ``seqpar``
 call these rather than restating them.
 
 Conventions: states are ``d_v x d_k`` matrices updated on the right
-(``S_t = S_{t-1} A_t + v_t B_t``), outputs are ``y_t = S_t q_t``. All
-arrays are C-contiguous float64, or complex128 when a complex-step
-derivative runs through them (see ``autodiff``).
+(``S_t = S_{t-1} A_t + v_t B_t``), outputs are ``y_t = S_t q_t``. The
+linear scans also chain a taller start state, whose rows past d_v take no
+values and so carry the transitions only (``_carry``). All arrays are
+C-contiguous float64, or complex128 when a complex-step derivative runs
+through them (see ``autodiff``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ def _blocks(x, L, fill=0.0):
     pad = -x.shape[0] % L
     if pad:
         x = np.concatenate([x, np.full((pad,) + x.shape[1:], fill)])
-    return x.reshape((-1, L) + x.shape[1:])
+    return x.reshape((x.shape[0] // L, L) + x.shape[1:])
 
 
 def _ssd_terms(k, q, gamma):
@@ -53,13 +56,20 @@ def _ssd_terms(k, q, gamma):
 def _carry(y0, e, aq, a_end, s0, T):
     """Chain the chunks from s0: with S_c the state entering chunk c,
     y_c = y0_c + aq_c S_c^T and S_{c+1} = e_c + S_c a_end_c, where y0 and e
-    are the chunks' zero-start outputs and end states."""
-    S = s0.copy()
-    y = np.empty_like(y0)
-    for c in range(y0.shape[0]):
-        y[c] = y0[c] + aq[c] @ S.T
-        S = e[c] + S @ a_end[c]
-    return y.reshape(-1, y.shape[2])[:T], S
+    are the chunks' zero-start outputs and end states.
+
+    s0 may have more rows than the values have columns (d_v): the rows past
+    d_v carry transitions only, nothing is written to them, so the outputs'
+    columns past d_v are aq_c S_c^T and the state's rows past d_v S_c a_end_c."""
+    d_v = e.shape[1]
+    S = s0.astype(np.result_type(s0, e, a_end))
+    y = np.empty(aq.shape[:2] + (S.shape[0],), dtype=np.result_type(y0, aq, S))
+    for c in range(y.shape[0]):
+        y[c] = aq[c] @ S.T
+        y[c, :, :d_v] += y0[c]
+        S = S @ a_end[c]
+        S[:d_v] += e[c]
+    return y.reshape(y.shape[0] * y.shape[1], y.shape[2])[:T], S
 
 
 def mamba2_scan(k, v, q, gamma, s0):
@@ -74,13 +84,39 @@ def mamba2_scan(k, v, q, gamma, s0):
                   s0, k.shape[0])
 
 
-def _forward_substitution(n, rhs):
-    """Solve (I + tril(n, -1)) x = rhs row by row, for every chunk at once;
-    only the strictly lower triangle of n is read."""
-    x = rhs.copy()
-    for t in range(1, n.shape[1]):
-        x[:, t] -= (n[:, t, None, :t] @ x[:, :t])[:, 0]
-    return x
+def _diagonal_quarters(x, s):
+    """Views of the quarters of the diagonal (2s x 2s) blocks of each matrix
+    in x (C, P, P), a C-contiguous array: (upper-left, lower-left,
+    lower-right), each (C, P / 2s, s, s). Writing to a view writes to x."""
+    c, p = x.shape[:2]
+    s0, s1, s2 = x.strides
+    shape, strides = (c, p // (2 * s), s, s), (s0, 2 * s * (s1 + s2), s1, s2)
+    return [np.ndarray(shape, x.dtype, x, offset, strides) for offset in (0, s * s1, s * (s1 + s2))]
+
+
+def _ut_solve(n, rhs):
+    """Solve (I + tril(n, -1)) x = rhs for every chunk at once; only the
+    strictly lower triangle of n is read.
+
+    The inverse of the unit lower-triangular matrix is built by doubling its
+    diagonal blocks, [A 0; B C]^-1 = [A^-1 0; -(C^-1 B) A^-1 C^-1], from 1 x 1
+    blocks to one block of L padded to a power of two P with identity rows:
+    log2 P levels of two batched GEMMs, then x is one more GEMM. C^-1 B is
+    formed before the product with A^-1, so a row of a new block reads its
+    own row of C^-1, rows of n and the earlier rows of A^-1: the exact zeros
+    above the diagonal meet later rows of n and rhs only, which the inputs
+    keep finite, and a row that overflows makes no row before it NaN."""
+    C, L = n.shape[:2]
+    P = 1 << (L - 1).bit_length()
+    n = np.pad(n, ((0, 0), (0, P - L), (0, P - L))) if P > L else np.ascontiguousarray(n)
+    t = np.zeros((C, P, P), dtype=n.dtype)
+    t.reshape(C, P * P)[:, ::P + 1] = 1.0  # the identity: the inverse of every 1 x 1 block
+    s = 1
+    while s < P:
+        a_inv, t_lower, c_inv = _diagonal_quarters(t, s)
+        t_lower[...] = -(c_inv @ _diagonal_quarters(n, s)[1]) @ a_inv
+        s *= 2
+    return t[:, :L, :L] @ rhs
 
 
 def _wy_chunks(k, v, q, gamma, beta):
@@ -90,23 +126,28 @@ def _wy_chunks(k, v, q, gamma, beta):
     u_t = beta_t (v_t - gamma_t S_{t-1} k_t). Stacked as rows they are
     U = U_0 - W S_0^T, where
 
-        (I + diag(beta) (tril(K K^T, -1) o D)) [U_0 | W] = diag(beta) [V | G o K].
+        (I + diag(beta) (tril(K K^T, -1) o D)) [U_0 | W] = diag(beta) [V | G o K],
 
-    The chunk is then an SSD chunk with values U: its outputs are
-    qk U_0 + aq S_0^T with aq = diag(G) Q - qk W, and its end state is
-    U_0^T kd + S_0 a_end with a_end = G_L I - W^T kd. Returns (aq, a_end)
-    and the zero-start outputs qk U_0 and end states U_0^T kd.
+    solved by one blocked UT inverse per chunk (_ut_solve). The chunk is
+    then an SSD chunk with values U: its outputs are qk U_0 + aq S_0^T with
+    aq = diag(G) Q - qk W, and its end state is U_0^T kd + S_0 a_end with
+    a_end = G_L I - W^T kd. Returns (aq, a_end) and the zero-start outputs
+    qk U_0 and end states U_0^T kd. A chunk's rows of aq and qk U_0 read
+    NaN from its first row of [U_0 | W] that overflowed on; the rows before
+    it are formed without those rows, which the exact zeros above qk's
+    diagonal would meet as 0 * inf = NaN.
     """
-    d_k = k.shape[1]
+    d_v, d_k = v.shape[1], k.shape[1]
     K, Q, G, D, qk, kd = _ssd_terms(k, q, gamma)
     B = _blocks(beta, K.shape[1])[:, :, None]
     n = B * (K @ K.transpose(0, 2, 1)) * D  # its strict lower triangle is read
-    rhs = np.concatenate([_blocks(v, K.shape[1]), G[:, :, None] * K], axis=2)
-    x = _forward_substitution(n, B * rhs)
-    u0, w = x[:, :, :-d_k], x[:, :, -d_k:]
-    aq = G[:, :, None] * Q - qk @ w
-    a_end = G[:, -1, None, None] * np.eye(d_k) - w.transpose(0, 2, 1) @ kd
-    return aq, a_end, qk @ u0, u0.transpose(0, 2, 1) @ kd
+    x = _ut_solve(n, B * np.concatenate([_blocks(v, K.shape[1]), G[:, :, None] * K], axis=2))
+    xk = x.transpose(0, 2, 1) @ kd  # [U_0^T kd; W^T kd]
+    late = np.logical_or.accumulate(~np.isfinite(x).all(axis=2), axis=1)[:, :, None]
+    qx = np.where(late, np.nan, qk @ np.where(late, 0.0, x)) if late.any() else qk @ x
+    aq = G[:, :, None] * Q - qx[:, :, d_v:]
+    a_end = G[:, -1, None, None] * np.eye(d_k) - xk[:, d_v:]
+    return aq, a_end, qx[:, :, :d_v], xk[:, :d_v]
 
 
 def gdn_scan(k, v, q, gamma, beta, s0):
@@ -120,8 +161,8 @@ def gdn_transition_prefixes(k, gamma, beta, q):
     """The GDN transitions A_t = gamma_t (I - beta_t k_t k_t^T) as seen by
     a linear readout: returns (aq, a_end) with aq[t] = A_{1:t} q_t and
     a_end = A_{1:T}, where A_{1:t} = A_1 ... A_t. That is the scan run
-    from S_0 = I with nothing written: its state is A_{1:t}."""
-    return gdn_scan(k, np.zeros_like(k), q, gamma, beta, np.eye(k.shape[1]))
+    from S_0 = I with no values: its state is A_{1:t}."""
+    return gdn_scan(k, np.zeros((k.shape[0], 0)), q, gamma, beta, np.eye(k.shape[1]))
 
 
 def chebyshev_dense(matvec, lam, rhs, iters, a, b):
@@ -308,7 +349,7 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
                     h = G[c, t] * H0[c] + (Kt[c] * W[c, t]) @ K[c]
                     x[c, t] = np.linalg.solve(h + lam_s[c, t] * eye, rhs[c, t])
         y_b = Gb * (x @ U0[:nb].transpose(0, 2, 1)) + ((x @ Ktb) * Wb) @ V[:nb]
-        y[:stop] = y_b.reshape(-1, d_v)[:stop]
+        y[:stop] = y_b.reshape(nb * L, d_v)[:stop]
         bad_y = ~np.isfinite(y[:stop]).all(axis=1)
         if bad_y.any():
             stop = int(np.argmax(bad_y))

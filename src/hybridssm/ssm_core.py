@@ -358,10 +358,15 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     information form in blocks of ``kernels.CHUNK`` tokens, with a dense
     solve per token or Chebyshev solves for all tokens at once;
     gates.lam supplies fixed per-step regularizers, otherwise
-    lam_t = alpha ||H_t||_F. Raises ValueError on a k, v or q that is not
-    2-D with one row per gate step, a q shaped unlike k or an s0 that is
-    not d_v x d_k, naming the argument; on a non-finite k, v, q or s0,
-    naming the argument and its first bad row; on an unknown solver or
+    lam_t = alpha ||H_t||_F. Mamba-2 and GDN also take an s0 with more rows
+    than d_v: nothing is written to the rows past d_v, so they carry the
+    transitions only, and y has one column and the state one row per row
+    of s0 (chunk_forward reads a chunk's transitions so).
+
+    Raises ValueError on a k, v or q that is not 2-D with one row per gate
+    step, a q shaped unlike k or an s0 of any other shape than these,
+    naming the argument; on a non-finite k, v, q or s0, naming the argument
+    and its first bad row; on an unknown solver or
     fewer than one Chebyshev iteration; on an alpha that is not positive
     and finite when the adaptive rule reads it; or on a complex GKA
     forward with the adaptive regularizer or Chebyshev; and
@@ -381,10 +386,13 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
                              f"(T = {gates.T}), got shape {x.shape}")
     if q.shape != k.shape:
         raise ValueError(f"q shape {q.shape} != k shape {k.shape}")
-    s0 = np.zeros((v.shape[1], k.shape[1])) if s0 is None else _real_or_complex(s0)
-    if s0.shape != (v.shape[1], k.shape[1]):
-        raise ValueError(f"s0 must be (d_v, d_k) = {(v.shape[1], k.shape[1])}, "
-                         f"got shape {s0.shape}")
+    d_v, d_k = v.shape[1], k.shape[1]
+    s0 = np.zeros((d_v, d_k)) if s0 is None else _real_or_complex(s0)
+    # Mamba-2 and GDN carry the rows of a taller s0 as transitions (kernels._carry)
+    rows = s0.shape[0] if kind is not SsmKind.GKA and s0.ndim == 2 and s0.shape[0] > d_v else d_v
+    if s0.shape != (rows, d_k):
+        raise ValueError(f"s0 must be (d_v, d_k) = {(d_v, d_k)}, or taller for Mamba-2 "
+                         f"and GDN, got shape {s0.shape}")
     _require_finite(k=k, v=v, q=q, s0=s0)
     if kind is SsmKind.MAMBA2:
         return _finite_output(kind, *kernels.mamba2_scan(k, v, q, gates.gamma, s0))
@@ -414,13 +422,13 @@ def chunk_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarr
     """A Mamba-2/GDN chunk from the zero state: returns (y, s_end, aq, a_end),
     its zero-start outputs and end state, aq[t] = A_{1:t} q_t and
     a_end = A_{1:n}. The state is linear in the values and in S_0, so one
-    forward from S_0 = [0; I], with d_k zero value columns appended, gives
-    (y, s_end) in its first d_v columns and rows and (aq, a_end) in the rest."""
+    forward from S_0 = [0; I] gives (y, s_end) in its first d_v output
+    columns and state rows and (aq, a_end) in the rest: the rows of I take
+    no values and carry the transitions only. ssm_forward checks the inputs."""
     if _as_kind(kind) is SsmKind.GKA:
         raise ValueError("chunk_forward needs a linear transition (Mamba-2 or GDN), not GKA")
-    (T, d_v), d_k = np.shape(v), np.shape(k)[1]
-    y, s = ssm_forward(kind, k, np.hstack([v, np.zeros((T, d_k))]), q, gates,
-                       np.vstack([np.zeros((d_v, d_k)), np.eye(d_k)]))
+    d_v, d_k = (np.shape(x)[1] if np.ndim(x) == 2 else 0 for x in (v, k))  # else ssm_forward raises
+    y, s = ssm_forward(kind, k, v, q, gates, np.vstack([np.zeros((d_v, d_k)), np.eye(d_k)]))
     return y[:, :d_v], s[:d_v], y[:, d_v:], s[d_v:]
 
 

@@ -83,9 +83,9 @@ class TestCaso:
 
     def test_gdn_run_chunk_solves_once(self, monkeypatch):
         calls = []
-        substitute = kernels._forward_substitution
-        monkeypatch.setattr(kernels, "_forward_substitution",
-                            lambda n, rhs: calls.append(1) or substitute(n, rhs))
+        solve = kernels._ut_solve
+        monkeypatch.setattr(kernels, "_ut_solve",
+                            lambda n, rhs: calls.append(1) or solve(n, rhs))
         k, v, gates = random_run(SsmKind.GDN, 8, 3, 2, seed=3)
         rec = run_chunk(SsmKind.GDN, k, v, gates)
         assert len(calls) == 1

@@ -227,9 +227,9 @@ class TestP2pForward:
     @pytest.mark.parametrize("pattern", ["simple", "zigzag"])
     def test_gdn_solves_each_chunk_once(self, monkeypatch, pattern):
         calls = []
-        substitute = kernels._forward_substitution
-        monkeypatch.setattr(kernels, "_forward_substitution",
-                            lambda n, rhs: calls.append(1) or substitute(n, rhs))
+        solve = kernels._ut_solve
+        monkeypatch.setattr(kernels, "_ut_solve",
+                            lambda n, rhs: calls.append(1) or solve(n, rhs))
         T = 32
         k, v, q, gates = rand_layer_inputs(T, seed=10)
         plan = shard(T, 4, pattern)

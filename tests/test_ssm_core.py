@@ -523,6 +523,77 @@ class TestForwardAndGates:
                                GateTrack(gamma=gates.gamma[:300], beta=gates.beta[:300]))
         assert np.all(np.isfinite(y))
 
+    def test_gdn_overflow_inside_a_chunk_keeps_the_rows_before_it(self):
+        # one chunk of 64 rows. Keys along e_0 with ||k||^2 = 1 + 1e10 scale
+        # the state by -1e10 a row along e_0, unit keys orthogonal to e_0
+        # leave that part be: rows 1-31 grow it to the edge of the float
+        # range, rows 32-40 hold it and rows from 41 grow it again. Small
+        # queries keep y_40 at 1e303 and make y_41 1e312. The zeros above the
+        # diagonal must carry row 41's overflow to no earlier row as
+        # 0 * inf = NaN: not in the solve, where the inverse of rows 0-31
+        # times the keys of rows 41-63 overflows, nor in qk's products
+        T, d, d_v, r = 64, 4, 3, 41
+        rng = np.random.default_rng(0)
+        k = rng.standard_normal((T, d))
+        k[32:41, 0] = 0.0
+        k /= np.linalg.norm(k, axis=1, keepdims=True)
+        k[1:32] = k[41:] = np.sqrt(1.0 + 1e10) * np.eye(d)[0]
+        v, q = rng.standard_normal((T, d_v)), 1e-6 * rng.standard_normal((T, d))
+        gates = GateTrack(gamma=np.ones(T), beta=np.ones(T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteOutput, match=f"gdn output is non-finite from row {r}$"):
+                ssm_forward(SsmKind.GDN, k, v, q, gates)
+            y, _ = kernels.gdn_scan(k, v, q, gates.gamma, gates.beta, np.zeros((d_v, d)))
+        # the step oracle's state overflows from row 31, so it runs on v
+        # scaled by 1e-200: from the zero state y is linear in v
+        state, y_ref = SsmState(np.zeros((d_v, d))), np.empty((r, d_v))
+        for t in range(r):
+            state = ssm_step(SsmKind.GDN, state, k[t], 1e-200 * v[t])
+            y_ref[t] = state.s @ q[t]
+        row_err = np.max(np.abs(1e-200 * y[:r] - y_ref), axis=1) / np.max(np.abs(y_ref), axis=1)
+        assert np.max(row_err) <= 1e-12
+        assert not np.isfinite(y[r:]).any()
+
+    @pytest.mark.parametrize("kind", list(SsmKind))
+    def test_zero_width_values(self, kind):
+        T, d_k = 10, 4
+        k, _, q = rand_kvq(T, d_k, 1, seed=27)
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.5), lam=np.full(T, 0.5))
+        y, state = ssm_forward(kind, k, np.zeros((T, 0)), q, gates)
+        assert y.shape == (T, 0)
+        assert (state.u if kind is SsmKind.GKA else state).shape == (0, d_k)
+
+    def test_only_linear_kinds_take_a_taller_s0(self):
+        # the rows of s0 past d_v carry transitions only (see chunk_forward):
+        # the forward splits into one from the first d_v rows with the values
+        # and one from the rest with none; GKA takes no such rows
+        T, d_k, d_v = 10, 4, 3
+        k, v, q = rand_kvq(T, d_k, d_v, seed=28)
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.5), lam=np.full(T, 0.5))
+        s0 = np.random.default_rng(29).standard_normal((d_v + 2, d_k))
+        with pytest.raises(ValueError, match=re.escape(f"got shape {s0.shape}")):
+            ssm_forward(SsmKind.GKA, k, v, q, gates, s0=np.zeros_like(s0))
+        for kind in (SsmKind.MAMBA2, SsmKind.GDN):
+            y, s = ssm_forward(kind, k, v, q, gates, s0=s0)
+            y_v, s_v = ssm_forward(kind, k, v, q, gates, s0=s0[:d_v])
+            y_t, s_t = ssm_forward(kind, k, np.zeros((T, 0)), q, gates, s0=s0[d_v:])
+            assert np.allclose(y, np.hstack([y_v, y_t]), rtol=0.0, atol=1e-12)
+            assert np.allclose(s, np.vstack([s_v, s_t]), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", [SsmKind.MAMBA2, SsmKind.GDN])
+    def test_complex_s0_keeps_its_imaginary_part(self, kind):
+        # a complex-step derivative in s0 alone: with real k, v and q the
+        # imaginary part of y and of the state is the forward from Im s0
+        # with no values (the chain used to cast it away)
+        T, d_k, d_v = 10, 4, 3
+        k, v, q = rand_kvq(T, d_k, d_v, seed=30)
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.5))
+        re_s0, im_s0 = np.random.default_rng(31).standard_normal((2, d_v, d_k))
+        y, s = ssm_forward(kind, k, v, q, gates, s0=re_s0 + 1j * im_s0)
+        y_im, s_im = ssm_forward(kind, k, np.zeros_like(v), q, gates, s0=im_s0)
+        assert np.allclose(y.imag, y_im, rtol=0.0, atol=1e-12)
+        assert np.allclose(s.imag, s_im, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
     def test_gka_overflow_names_first_non_finite_row(self, solver):
         # ||H_t||_F overflows (so does the adaptive lam_t) while H_t and U_t
