@@ -57,15 +57,18 @@ def workload_entry(parent, change, workload, seeds, trace_seed):
             "environment": {side: ms[0]["environment"] for side, ms in runs.items()}}
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout root of the parent commit")
     parser.add_argument("change", help="checkout root of the change")
     parser.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("FIRST", "LAST"))
     parser.add_argument("--trace-seed", type=int, required=True)
     parser.add_argument("--out", required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     seeds = list(range(args.seeds[0], args.seeds[1] + 1))
+    if len(seeds) < 2:  # quartiles need two runs a side
+        parser.error(f"--seeds {args.seeds[0]} {args.seeds[1]} gives {len(seeds)} seeds; "
+                     "give a range of at least two")
     entry = {"seeds": seeds, "trace_seed": args.trace_seed,
              "workloads": {w: workload_entry(args.parent, args.change, w, seeds, args.trace_seed)
                            for w in WORKLOADS}}

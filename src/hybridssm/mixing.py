@@ -161,28 +161,53 @@ def _checked_causal(m: MixingMatrix | np.ndarray, rank_tol: float) -> np.ndarray
     mat = m.m if isinstance(m, MixingMatrix) else np.asarray(m, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"need a square matrix, got shape {mat.shape}")
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        raise ValueError(f"non-finite entry at (row, col) = {tuple(int(i) for i in bad[0])}")
-    bad = np.argwhere(np.triu(mat, k=1) != 0.0)
-    if bad.size:
+    if not np.isfinite(mat).all():
+        bad = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"non-finite entry at (row, col) = {tuple(int(i) for i in bad)}")
+    upper = np.triu(mat, k=1)
+    if upper.any():
+        bad = np.argwhere(upper)[0]
         raise ValueError("matrix must be lower-triangular, nonzero entry above the "
-                         f"diagonal at (row, col) = {tuple(int(i) for i in bad[0])}")
+                         f"diagonal at (row, col) = {tuple(int(i) for i in bad)}")
     if not 0.0 < rank_tol < 1.0:
         raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
     return mat
 
 
+def _cut_svds(mat: np.ndarray, compute_uv: bool):
+    """Yield (k, s, u) for every cut k of the square mat, in the order
+    k = 1, T-1, 2, T-2, ...: the singular values s of M[k:, :k] and, with
+    compute_uv, its left singular vectors u (None without).
+
+    Cut k's block is (T-k) x k and cut T-k's block transposed has the same
+    shape, so the two go through one stacked SVD call: ceil((T-1)/2) calls,
+    with the middle cut of an even T alone. A transpose has the same
+    singular values, and its right singular vectors are the block's left
+    ones.
+    """
+    T = mat.shape[0]
+    for k in range(1, T // 2 + 1):
+        j = T - k
+        blocks = [hankel_block(mat, k)] + ([hankel_block(mat, j).T] if j != k else [])
+        if compute_uv:
+            u, s, vh = np.linalg.svd(np.stack(blocks), full_matrices=False)
+        else:
+            u, s, vh = None, np.linalg.svd(np.stack(blocks), compute_uv=False), None
+        yield k, s[0], None if u is None else u[0]
+        if j != k:
+            yield j, s[1], None if vh is None else vh[1].T
+
+
 def hankel_profile(m: MixingMatrix | np.ndarray,
                    rank_tol: float = DEFAULT_RANK_TOL) -> HankelProfile:
-    """Rank of M[k:, :k] for every cut, by ``numerical_rank``."""
+    """Rank of M[k:, :k] for every cut, by ``numerical_rank``. Cuts k and
+    T-k share one SVD call (``_cut_svds``)."""
     mat = _checked_causal(m, rank_tol)
     T = mat.shape[0]
     ranks = np.zeros(max(T - 1, 0), dtype=np.int64)
-    svs: list[np.ndarray] = []
-    for k in range(1, T):
-        s = np.linalg.svd(hankel_block(mat, k), compute_uv=False)
-        svs.append(s)
+    svs: list[np.ndarray] = [None] * ranks.size
+    for k, s, _ in _cut_svds(mat, compute_uv=False):
+        svs[k - 1] = s
         ranks[k - 1] = numerical_rank(s, rank_tol)
     n_min = int(ranks.max()) if ranks.size else 0
     return HankelProfile(ranks=ranks, n_min=n_min, singular_values=svs)

@@ -15,17 +15,18 @@ T_ii = D_i = M_ii. Under this convention the unit-delay matrix (Hankel rank
 1) is realizable at n = 1, which the read-after-write indexing cannot do.
 
 Construction: at each time cut k the reachable future-tail space is
-im(H_k) with H_k = M[k:, :k]. Each cut costs one thin SVD, whose singular
-values also give its rank (``mixing.numerical_rank``): Q_k holds the left
-singular vectors up to that rank, padded to width n with zero columns, so
-the state coordinates past a cut's rank are never reached and stay 0.
-Advancing the cut drops the tail's first coordinate (P_k) and adds the new
-input's column, which in coordinates gives
+im(H_k) with H_k = M[k:, :k]. Cuts k and T - k share one stacked thin SVD
+(``mixing._cut_svds``), whose singular values also give each cut's rank
+r_k (``mixing.numerical_rank``): Q_k holds the r_k leading left singular
+vectors. Advancing the cut drops the tail's first coordinate (P_k) and
+adds the new input's column, which in coordinates gives
 
     A_{k+1}^T = Q_{k+1}^+ P_k Q_k,      B_{k+1}^T = Q_{k+1}^+ M[k+1:, k],
 
-with Q^+ = Q^T since the columns are orthonormal or zero. The output reads
-the tail's first coordinate: C_k = Q_k^T e_1.
+with Q^+ = Q^T since the columns are orthonormal. The output reads the
+tail's first coordinate: C_k = Q_k^T e_1. The stored A_t, B_t and C_t are
+n wide and zero outside their cuts' rank blocks, so the state coordinates
+past a cut's rank are never reached and stay 0.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import (DEFAULT_RANK_TOL, MixingMatrix, _checked_causal, hankel_block,
+from .mixing import (DEFAULT_RANK_TOL, MixingMatrix, _checked_causal, _cut_svds,
                      hankel_profile, numerical_rank)
 from .tensorio import obj_to_tensor, tensor_to_obj
 
@@ -79,31 +80,32 @@ def realize(m: MixingMatrix | np.ndarray,
             rank_tol: float = DEFAULT_RANK_TOL) -> TimeVaryingRealization:
     """Construct a state-dimension n_min realization of the causal mixer m.
 
-    Each cut's basis is its rank-truncated left singular vectors padded
-    with zero columns, so A_t, B_t and C_t vanish outside the cut ranks.
+    Each cut's basis Q_t is its rank-truncated left singular vectors. A_t,
+    B_t and C_t start at zero and each cut writes only its own rank block:
+    A_t[:r_t, :r_{t+1}] = Q_t[1:]^T Q_{t+1}, B_{t-1}[:r_t] = Q_t^T M[t:, t-1]
+    and C_t[:r_t] = Q_t[0]. A_0 and A_{T-1} are the identity.
     """
     mat = _checked_causal(m, rank_tol)
     T = mat.shape[0]
-    # left singular vectors of cuts 1..T-1, truncated at each cut's rank
-    # (copied, so the full factor is not kept alive)
-    cut_cols = []
-    for k in range(1, T):
-        u, s, _ = np.linalg.svd(hankel_block(mat, k), full_matrices=False)
-        cut_cols.append(u[:, :numerical_rank(s, rank_tol)].copy())
-    n = max((cols.shape[1] for cols in cut_cols), default=0)
+    # Q_t of cuts t = 1..T-1, copied so the stacked SVD factors are not kept alive
+    bases = [None] * T
+    for k, s, u in _cut_svds(mat, compute_uv=True):
+        bases[k] = u[:, :numerical_rank(s, rank_tol)].copy()
+    n = max((q.shape[1] for q in bases[1:]), default=0)
 
-    a = np.tile(np.eye(n), (T, 1, 1))
+    a = np.zeros((T, n, n))
+    if T:
+        a[[0, -1]] = np.eye(n)
     b = np.zeros((T, n))
     c = np.zeros((T, n))
     d = np.diag(mat).copy()
-    q_bases = [None] + [np.pad(cols, ((0, 0), (0, n - cols.shape[1]))) for cols in cut_cols]
     for t in range(1, T):
-        c[t] = q_bases[t][0, :]
-    for t in range(T - 1):
-        q_next = q_bases[t + 1]
-        b[t] = q_next.T @ mat[t + 1:, t]
-        if t >= 1:
-            a[t] = q_bases[t][1:, :].T @ q_next
+        q = bases[t]
+        c[t, :q.shape[1]] = q[0]
+        b[t - 1, :q.shape[1]] = q.T @ mat[t:, t - 1]
+    for t in range(1, T - 1):
+        q, q_next = bases[t], bases[t + 1]
+        a[t, :q.shape[1], :q_next.shape[1]] = q[1:].T @ q_next
     return TimeVaryingRealization(a=a, b=b, c=c, d=d)
 
 

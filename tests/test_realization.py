@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridssm import realization
-from hybridssm.mixing import build_attention_mixer, build_swa_mixer, hankel_block, hankel_profile, random_token_sequence
+from hybridssm.mixing import (_cut_svds, build_attention_mixer, build_swa_mixer, hankel_block, hankel_profile,
+                              numerical_rank, random_token_sequence)
 from hybridssm.realization import (
     TimeVaryingRealization,
     io_matrix,
@@ -75,6 +76,20 @@ class TestRealize:
     def test_single_token_horizon(self):
         r = realize(np.array([[0.7]]))
         assert r.n == 0 and r.d[0] == 0.7
+
+    @pytest.mark.parametrize("T", [0, 1, 2, 3])
+    def test_edge_horizons(self, T):
+        # every cut of a generic lower-triangular matrix below T = 4 has rank 1
+        m = np.tril(np.random.default_rng(T).standard_normal((T, T)))
+        n = 1 if T >= 2 else 0
+        p = hankel_profile(m)
+        assert p.ranks.shape == (max(T - 1, 0),) and np.all(p.ranks == 1) and p.n_min == n
+        r = realize(m)
+        assert r.n == n
+        assert (r.a.shape, r.b.shape, r.c.shape, r.d.shape) == ((T, n, n), (T, n), (T, n), (T,))
+        if T:  # A_0 and A_{T-1} stay the identity
+            assert np.array_equal(r.a[0], np.eye(n)) and np.array_equal(r.a[-1], np.eye(n))
+        assert np.max(np.abs(io_matrix(r) - m), initial=0.0) < 1e-12
 
     def test_rank_tolerance_keeps_singular_values_the_gate_needs(self):
         # T=64 softmax mixer whose cut 32 has a singular value of 3.9e-9:
@@ -202,6 +217,8 @@ def generated_mixer(family, T, rank, scale, seed):
     """A lower-triangular test matrix of the named family; entries from
     `seed`, shape parameters from the caller."""
     rng = np.random.default_rng(seed)
+    if T == 0:
+        return np.zeros((0, 0))
     if family == "low_rank":
         return np.tril(rng.standard_normal((T, rank)) @ rng.standard_normal((T, rank)).T)
     if family == "delay":
@@ -233,6 +250,33 @@ def test_realization_of_generated_mixers(family, T, rank, scale, seed):
         outside = np.ones((r.n, r.n), dtype=bool)
         outside[:ranks[t], :ranks[t + 1]] = False
         assert np.all(r.a[t][outside] == 0.0)
+
+
+@pytest.mark.parametrize("family", ["low_rank", "delay", "swa", "softmax"])
+@settings(max_examples=30, deadline=None, derandomize=True)  # same inputs every run
+@given(T=st.integers(0, 40), rank=st.integers(1, 8), scale=st.floats(0.5, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_paired_cut_sweep_matches_the_direct_svds(family, T, rank, scale, seed):
+    m = generated_mixer(family, T, rank, scale, seed)
+    profile = hankel_profile(m)
+    sweep = {k: (s, u) for k, s, u in _cut_svds(m, compute_uv=True)}
+    assert sorted(sweep) == list(range(1, T))
+    for k in range(1, T):
+        # oracle: one direct SVD per cut
+        h = hankel_block(m, k)
+        s = np.linalg.svd(h, compute_uv=False)
+        tol = 1e-12 * s[0]
+        rank_k = numerical_rank(s)
+        assert profile.ranks[k - 1] == rank_k
+        for got in (profile.singular_values[k - 1], sweep[k][0]):
+            assert numerical_rank(got) == rank_k
+            assert np.max(np.abs(got - s)) <= tol
+        # the basis realize keeps: orthonormal columns that span the block
+        q = sweep[k][1][:, :rank_k]
+        assert q.shape == (T - k, rank_k)
+        assert np.max(np.abs(q.T @ q - np.eye(rank_k)), initial=0.0) <= 1e-12
+        dropped = s[rank_k] if rank_k < s.size else 0.0
+        assert np.linalg.norm(h - q @ (q.T @ h), 2) <= dropped + tol
 
 
 class TestSerialization:
