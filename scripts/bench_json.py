@@ -13,6 +13,14 @@ the spread) over the seeds, every run, and the number of seed pairs in
 which the change reads better; the failed and attempted requests; the
 traced per-layer figures that are non-zero on either side; and both
 sides' environment blocks.
+
+The traced per-layer times are wall milliseconds, and the host's clock
+drifts between runs. So each side's traced run also records its wall /
+reference ratio (`traced_wall_over_ref`): the median of its clock probes
+over the probe's time on the reference core, from the manifest's
+wall_clock block. Every *.self_ms entry holds, next to the raw "parent"
+and "change" times, "parent_ref" and "change_ref": the same times scaled
+to the reference clock.
 """
 
 import argparse
@@ -47,13 +55,20 @@ def workload_entry(parent, change, workload, seeds, trace_seed):
                               "change_better_pairs": f"{better}/{len(seeds)}"}
     requests = {side: {key: sum(m["requests"][key] for m in ms)
                        for key in ("attempted", "failed")} for side, ms in runs.items()}
-    traced = {side: manifest(root, workload, trace_seed, 1)["per_layer"]
-              for side, root in (("parent", parent), ("change", change))}
-    per_layer = {name: {side: traced[side].get(name, 0.0) for side in traced}
-                 for name in sorted(set(traced["parent"]) | set(traced["change"]))
-                 if traced["parent"].get(name) or traced["change"].get(name)}
+    traced_runs = {side: manifest(root, workload, trace_seed, 1)
+                   for side, root in (("parent", parent), ("change", change))}
+    traced = {side: m["per_layer"] for side, m in traced_runs.items()}
+    clock = {side: m["wall_clock"]["probe_median_s"] / m["wall_clock"]["ref_probe_s"]
+             for side, m in traced_runs.items()}
+    per_layer = {}
+    for name in sorted(set(traced["parent"]) | set(traced["change"])):
+        if traced["parent"].get(name) or traced["change"].get(name):
+            per_layer[name] = {side: traced[side].get(name, 0.0) for side in traced}
+            if name.endswith(".self_ms"):
+                per_layer[name].update({f"{side}_ref": per_layer[name][side] / clock[side]
+                                        for side in traced})
     return {"seconds": runs["parent"][0]["seconds"], "end_to_end": end_to_end,
-            "requests": requests, "per_layer": per_layer,
+            "requests": requests, "traced_wall_over_ref": clock, "per_layer": per_layer,
             "environment": {side: ms[0]["environment"] for side, ms in runs.items()}}
 
 

@@ -1,12 +1,14 @@
 """Numpy kernels: the chunkwise Mamba-2 (SSD) and GDN (WY) scans, GDN's
-chunk systems solved by one blocked UT inverse for all chunks, the GKA
+chunk systems solved by one blocked UT inverse for all chunks, GDN's
+per-chunk zero-start end states and transitions from the key/value half of
+that solve alone (no queries, no carried state), the GKA
 information-form forward in SSD-form blocks (exact solves, by block
 Woodbury where a block allows it and per token otherwise, or Chebyshev
 solves), Chebyshev iteration over a batch of systems, the Sherman-Morrison
 downdate, and the causal conv1d.
 
-Each computation has exactly one body here; ``ssm_core`` and ``seqpar``
-call these rather than restating them.
+Each computation has exactly one body here; ``ssm_core``, ``seqpar`` and
+``composition`` call these rather than restating them.
 
 Conventions: states are ``d_v x d_k`` matrices updated on the right
 (``S_t = S_{t-1} A_t + v_t B_t``), outputs are ``y_t = S_t q_t``. The
@@ -42,15 +44,19 @@ def _ssd_terms(k, q, gamma):
     it. Both come from the cumulative log-decays cs, D as exp(cs_t - cs_i),
     so a small gamma never makes D a ratio of two underflowed products.
 
-    Returns (K, Q, G, D, qk, kd): the blocked keys and queries, G, D,
-    qk = (Q K^T) o D, and kd = the keys decayed to their chunk's end."""
+    Returns (K, G, D, kd, qk, gq): the blocked keys, G, D, kd = the keys
+    decayed to their chunk's end, and the query half qk = (Q K^T) o D and
+    gq = diag(G) Q of the blocked queries Q, both None when q is None."""
     L = max(1, min(CHUNK, k.shape[0]))
-    K, Q = _blocks(k, L), _blocks(q, L)
+    K = _blocks(k, L)
     cs = np.cumsum(np.log(_blocks(gamma, L, fill=1.0)), axis=1)
     lower = np.tri(L, dtype=bool)
     D = np.exp(np.where(lower, cs[:, :, None] - cs[:, None, :], -np.inf))
-    qk = (Q @ K.transpose(0, 2, 1)) * D
-    return K, Q, np.exp(cs), D, qk, D[:, -1, :, None] * K
+    G, kd = np.exp(cs), D[:, -1, :, None] * K
+    if q is None:
+        return K, G, D, kd, None, None
+    Q = _blocks(q, L)
+    return K, G, D, kd, (Q @ K.transpose(0, 2, 1)) * D, G[:, :, None] * Q
 
 
 def _carry(y0, e, aq, a_end, s0, T):
@@ -77,11 +83,10 @@ def mamba2_scan(k, v, q, gamma, s0):
 
     Chunkwise SSD form: per chunk Y = ((Q K^T) o D) V + diag(G) Q S_0^T,
     with the state carried between chunks."""
-    K, Q, G, _, qk, kd = _ssd_terms(k, q, gamma)
+    K, G, _, kd, qk, gq = _ssd_terms(k, q, gamma)
     V = _blocks(v, K.shape[1])
     a_end = G[:, -1, None, None] * np.eye(k.shape[1])
-    return _carry(qk @ V, V.transpose(0, 2, 1) @ kd, G[:, :, None] * Q, a_end,
-                  s0, k.shape[0])
+    return _carry(qk @ V, V.transpose(0, 2, 1) @ kd, gq, a_end, s0, k.shape[0])
 
 
 def _diagonal_quarters(x, s):
@@ -119,8 +124,8 @@ def _ut_solve(n, rhs):
     return t[:, :L, :L] @ rhs
 
 
-def _wy_chunks(k, v, q, gamma, beta):
-    """Per-chunk terms of the GDN scan in the gated WY/UT form.
+def _wy_solve(k, v, q, gamma, beta):
+    """The key/value half of the GDN chunk terms in the gated WY/UT form.
 
     Within a chunk S_t = gamma_t S_{t-1} + u_t k_t^T with the pseudo-values
     u_t = beta_t (v_t - gamma_t S_{t-1} k_t). Stacked as rows they are
@@ -129,25 +134,45 @@ def _wy_chunks(k, v, q, gamma, beta):
         (I + diag(beta) (tril(K K^T, -1) o D)) [U_0 | W] = diag(beta) [V | G o K],
 
     solved by one blocked UT inverse per chunk (_ut_solve). The chunk is
-    then an SSD chunk with values U: its outputs are qk U_0 + aq S_0^T with
-    aq = diag(G) Q - qk W, and its end state is U_0^T kd + S_0 a_end with
-    a_end = G_L I - W^T kd. Returns (aq, a_end) and the zero-start outputs
-    qk U_0 and end states U_0^T kd. A chunk's rows of aq and qk U_0 read
-    NaN from its first row of [U_0 | W] that overflowed on; the rows before
-    it are formed without those rows, which the exact zeros above qk's
-    diagonal would meet as 0 * inf = NaN.
-    """
-    d_v, d_k = v.shape[1], k.shape[1]
-    K, Q, G, D, qk, kd = _ssd_terms(k, q, gamma)
+    then an SSD chunk with values U: its end state is e + S_0 a_end with
+    the zero-start end state e = U_0^T kd and the transition
+    a_end = G_L I - W^T kd, which need no queries.
+
+    Returns (x, e, a_end, qk, gq): x = [U_0 | W], e, a_end and the query
+    half of _ssd_terms (None when q is None)."""
+    d_v = v.shape[1]
+    K, G, D, kd, qk, gq = _ssd_terms(k, q, gamma)
     B = _blocks(beta, K.shape[1])[:, :, None]
     n = B * (K @ K.transpose(0, 2, 1)) * D  # its strict lower triangle is read
     x = _ut_solve(n, B * np.concatenate([_blocks(v, K.shape[1]), G[:, :, None] * K], axis=2))
     xk = x.transpose(0, 2, 1) @ kd  # [U_0^T kd; W^T kd]
+    return x, xk[:, :d_v], G[:, -1, None, None] * np.eye(k.shape[1]) - xk[:, d_v:], qk, gq
+
+
+def gdn_chunk_states(k, v, gamma, beta):
+    """Every chunk's zero-start end state e = U_0^T kd and transition
+    a_end = G_L I - W^T kd (see _wy_solve), from its keys, values and gates
+    alone: (C, d_v, d_k) and (C, d_k, d_k) for the C chunks of CHUNK tokens.
+    Folded in order from S = S_0, S <- S a_end_c + e_c gives the state after
+    the last chunk, as _carry does for the scan."""
+    _, e, a_end, _, _ = _wy_solve(k, v, None, gamma, beta)
+    return e, a_end
+
+
+def _wy_chunks(k, v, q, gamma, beta):
+    """Per-chunk terms of the GDN scan: _wy_solve's key/value half, and
+    the outputs of an SSD chunk with values U = U_0 - W S_0^T, which are
+    qk U_0 + aq S_0^T with aq = diag(G) Q - qk W. Returns (aq, a_end) and
+    the zero-start outputs qk U_0 and end states e. A chunk's rows of aq
+    and qk U_0 read NaN from its first row of [U_0 | W] that overflowed on;
+    the rows before it are formed without those rows, which the exact zeros
+    above qk's diagonal would meet as 0 * inf = NaN.
+    """
+    d_v = v.shape[1]
+    x, e, a_end, qk, gq = _wy_solve(k, v, q, gamma, beta)
     late = np.logical_or.accumulate(~np.isfinite(x).all(axis=2), axis=1)[:, :, None]
     qx = np.where(late, np.nan, qk @ np.where(late, 0.0, x)) if late.any() else qk @ x
-    aq = G[:, :, None] * Q - qx[:, :, d_v:]
-    a_end = G[:, -1, None, None] * np.eye(d_k) - xk[:, d_v:]
-    return aq, a_end, qx[:, :, :d_v], xk[:, :d_v]
+    return gq - qx[:, :, d_v:], a_end, qx[:, :, :d_v], e
 
 
 def gdn_scan(k, v, q, gamma, beta, s0):
@@ -281,9 +306,9 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     T, d_k = k.shape
     d_v = v.shape[1]
     dtype = np.result_type(k, v, q, gamma, beta)
-    K, Q, G, D, _, _ = _ssd_terms(k, q, gamma)
+    K, G, D, _, _, _ = _ssd_terms(k, None, gamma)
     C, L = K.shape[:2]
-    V = _blocks(v, L)
+    Q, V = _blocks(q, L), _blocks(v, L)
     W = D * _blocks(beta, L)[:, None, :]
     Kt = K.transpose(0, 2, 1)
     w_end = W[:, -1, :, None]  # each block's writes decayed to its end

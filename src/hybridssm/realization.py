@@ -141,7 +141,7 @@ def verify_minimality(r: TimeVaryingRealization, m: MixingMatrix | np.ndarray,
     if mat.shape[0] != r.T:
         raise ValueError(f"realization has horizon {r.T}, mixer has horizon {mat.shape[0]}")
     n_min = hankel_profile(mat, rank_tol).n_min
-    err = float(np.max(np.abs(io_matrix(r) - mat)))
+    err = float(np.max(np.abs(io_matrix(r) - mat), initial=0.0))
     return MinimalityReport(reconstruction_error=err, n=r.n, n_min=n_min,
                             is_minimal=(r.n == n_min))
 

@@ -15,6 +15,9 @@ SEEDS = [11, 12, 13, 14]
 # change has the lower p50 in pairs 0, 1, 3 and the higher throughput in 0, 3
 PARENT = [(10.0, 100.0), (12.0, 90.0), (11.0, 95.0), (13.0, 80.0)]
 CHANGE = [(9.0, 110.0), (11.0, 90.0), (11.5, 94.0), (8.0, 120.0)]
+# the traced runs' median clock probe: the parent's host ran at half the
+# reference speed, the change's at 1.25 times it
+PROBE_S = {"parent": 1.0e-3, "change": 0.4e-3}
 
 
 def write_manifests(root, side, runs):
@@ -29,7 +32,8 @@ def write_manifests(root, side, runs):
             (results / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(manifest))
         per_layer = {"both.self_ms": 2.0 if side == "parent" else 1.0, "zero.calls": 0.0,
                      f"only_{side}.calls": 3.0}
-        traced = {"seconds": 8.0, "environment": env, "per_layer": per_layer}
+        traced = {"seconds": 8.0, "environment": env, "per_layer": per_layer,
+                  "wall_clock": {"probe_median_s": PROBE_S[side], "ref_probe_s": 0.5e-3}}
         (results / f"{workload}-seed{SEEDS[0]}-trace1.json").write_text(json.dumps(traced))
 
 
@@ -66,10 +70,22 @@ def test_better_pairs_follow_each_metrics_direction(bench):
 
 def test_per_layer_drops_metrics_zero_on_both_sides(bench):
     assert bench["workloads"]["decode_gka"]["per_layer"] == {
-        "both.self_ms": {"parent": 2.0, "change": 1.0},
+        "both.self_ms": {"parent": 2.0, "change": 1.0, "parent_ref": 1.0, "change_ref": 1.25},
         "only_change.calls": {"parent": 0.0, "change": 3.0},
         "only_parent.calls": {"parent": 3.0, "change": 0.0},
     }
+
+
+def test_self_times_are_scaled_to_the_reference_clock(bench):
+    # 2 wall ms at half speed and 1 wall ms at 1.25 times it are 1 and 1.25
+    # reference ms: the change is slower, although its wall time is lower
+    for workload in bench_json.WORKLOADS:
+        entry = bench["workloads"][workload]
+        assert entry["traced_wall_over_ref"] == {"parent": 2.0, "change": 0.8}
+        both = entry["per_layer"]["both.self_ms"]
+        assert both["parent_ref"] == pytest.approx(1.0) and both["change_ref"] == pytest.approx(1.25)
+        # counts are not times and keep their raw figures only
+        assert set(entry["per_layer"]["only_parent.calls"]) == {"parent", "change"}
 
 
 def test_environment_blocks(bench):

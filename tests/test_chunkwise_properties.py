@@ -1,7 +1,8 @@
 """Properties of the chunkwise Mamba-2 and GDN scans over generated inputs:
 they replay the per-step oracle ``ssm_step``, GDN's blocked UT solve
 replays row-by-row forward substitution, ``chunk_forward`` equals a
-forward with zero value columns for the transitions, and the P2P and CASO
+forward with zero value columns for the transitions, a GDN chunk record
+equals ``chunk_forward``'s end state and transition, and the P2P and CASO
 paths built on them reproduce the single-device forward; PICASO-R over
 Mamba-2, GDN and GKA chunk records does not depend on where the cycle
 starts."""
@@ -143,6 +144,22 @@ def test_caso_equals_single_pass(kind, lengths, d_k, d_v, gamma_floor, seed):
                for a, b in zip(bounds[:-1], bounds[1:])]
     _, s_ref = ssm_forward(kind, k, v, q, gates)
     assert relative_error(caso_compose(records), s_ref) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(T=st.integers(1, 2 * CHUNK + 3), d_k=st.integers(1, 6), d_v=st.integers(1, 6),
+       gamma_floor=st.sampled_from([1e-3, 0.5, 0.9, 1.0]),
+       filtered_frac=st.sampled_from([0.0, 0.2, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_gdn_record_equals_chunk_forward(T, d_k, d_v, gamma_floor, filtered_frac, seed):
+    # run_chunk folds gdn_chunk_states' blocks as _carry folds chunk_forward's
+    # state rows, so the two agree to rounding (bit for bit under OpenBLAS
+    # with one thread)
+    rng = np.random.default_rng(seed)
+    k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, gamma_floor, filtered_frac)
+    record = run_chunk(SsmKind.GDN, k, v, gates)
+    _, s_end, _, a_end = chunk_forward(SsmKind.GDN, k, v, q, gates)
+    assert relative_error(record.state, s_end) <= 1e-13
+    assert relative_error(record.a_acc, a_end) <= 1e-13
 
 
 @PROPERTY_SETTINGS

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hybridssm import kernels
+from hybridssm import kernels, ssm_core
 from hybridssm.composition import (
     ChunkRecord,
     caso_compose,
@@ -91,6 +91,17 @@ class TestCaso:
         assert len(calls) == 1
         assert rec.a_acc.shape == (3, 3)
 
+    def test_gdn_run_chunk_reads_no_queries_and_carries_no_transition(self, monkeypatch):
+        # the record comes from gdn_chunk_states' keys, values and gates alone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_chunk(GDN) must not run a forward")
+        monkeypatch.setattr(ssm_core, "chunk_forward", forbidden)
+        monkeypatch.setattr(kernels, "gdn_scan", forbidden)
+        monkeypatch.setattr(kernels, "_carry", forbidden)
+        k, v, gates = random_run(SsmKind.GDN, 2 * kernels.CHUNK + 3, 3, 2, seed=3)
+        rec = run_chunk(SsmKind.GDN, k, v, gates)
+        assert rec.state.shape == (2, 3) and rec.a_acc.shape == (3, 3)
+
     @pytest.mark.parametrize("kind", list(SsmKind))
     @pytest.mark.parametrize("arg", ["k", "v"])
     def test_run_chunk_names_a_non_finite_input(self, kind, arg):
@@ -111,10 +122,10 @@ class TestCaso:
                                                        f"step (T = 10), got shape {bad.shape}")):
             run_chunk(kind, k, bad, gates)
 
-    @pytest.mark.parametrize("kind", [SsmKind.MAMBA2, SsmKind.GKA])
+    @pytest.mark.parametrize("kind", list(SsmKind))
     def test_run_chunk_rejects_an_overflowed_state(self, kind):
         k, v, gates = random_run(kind, 6, 3, 2, seed=4)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # GDN's solve meets inf - inf
             with pytest.raises(FloatingPointError, match=f"{kind.value} chunk state is non-finite"):
                 run_chunk(kind, 1e200 * k, 1e200 * v, gates)
 

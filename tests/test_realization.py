@@ -91,6 +91,11 @@ class TestRealize:
             assert np.array_equal(r.a[0], np.eye(n)) and np.array_equal(r.a[-1], np.eye(n))
         assert np.max(np.abs(io_matrix(r) - m), initial=0.0) < 1e-12
 
+    def test_empty_mixer_verifies_as_minimal(self):
+        rep = verify_minimality(realize(np.zeros((0, 0))), np.zeros((0, 0)))
+        assert rep.reconstruction_error == 0.0
+        assert rep.n == rep.n_min == 0 and rep.is_minimal
+
     def test_rank_tolerance_keeps_singular_values_the_gate_needs(self):
         # T=64 softmax mixer whose cut 32 has a singular value of 3.9e-9:
         # dropping it (rank_tol 1e-8) left n=31 and an error of 1.4e-9
