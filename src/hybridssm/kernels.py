@@ -298,10 +298,10 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     it. The block states are carried one GEMM per block and kept exactly
     symmetric.
 
-    Returns (y, H, U, lam_used). The pass stops at the first row whose
-    ||H_t||_F (when read) or output is non-finite: the rows after it (and
-    their lam_used) are NaN, and H, U are the state at that row, or after
-    the last row if every row was read.
+    Returns (y, H, U). The pass stops at the first row whose ||H_t||_F
+    (when read) or output is non-finite: the rows after it are NaN, and
+    H, U are the state at that row, or after the last row if every row was
+    read.
     """
     T, d_k = k.shape
     d_v = v.shape[1]
@@ -339,14 +339,13 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         U0[c + 1] = G[c, -1] * U0[c] + du[c]
 
     fro = fro.reshape(-1)[:T]
-    lam_used = alpha * fro if lam is None else np.array(lam, dtype=np.float64)
+    lam_t = alpha * fro if lam is None else np.asarray(lam, dtype=np.float64)
     bad = ~np.isfinite(fro)
     stop = int(np.argmax(bad)) if bad.any() else T  # the first row not solved
-    lam_used[stop + 1:] = np.nan
     y = np.full((T, d_v), np.nan, dtype=dtype)
     if stop > 0:
         nb = -(-stop // L)  # the blocks holding rows before the stop
-        lam_b = _blocks(np.where(np.arange(T) < stop, lam_used, 0.0), L)[:nb]
+        lam_b = _blocks(np.where(np.arange(T) < stop, lam_t, 0.0), L)[:nb]
         solve = lam_b > 0.0
         # rows that read 0 (empty H, padding, from the stop on) solve x = 0
         # (Chebyshev on the unit interval [1, 1]): their right-hand side is 0
@@ -379,7 +378,6 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         if bad_y.any():
             stop = int(np.argmax(bad_y))
             y[stop + 1:] = np.nan
-            lam_used[stop + 1:] = np.nan
     # the carry's end state if every row was read (copied: a view would keep
     # every block's state alive with the returned one)
     h, u = H0[C].copy(), U0[C].copy()
@@ -387,7 +385,7 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         c, t = divmod(stop, L)
         h = G[c, t] * H0[c] + (K[c] * W[c, t, :, None]).T @ K[c]
         h, u = 0.5 * (h + h.T), G[c, t] * U0[c] + (V[c] * W[c, t, :, None]).T @ K[c]
-    return y, h, u, lam_used
+    return y, h, u
 
 
 def sherman_morrison_downdate(phi, k, beta):

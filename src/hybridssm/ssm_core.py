@@ -21,6 +21,7 @@ layers these recurrences model do.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -123,6 +124,17 @@ def check_alpha(alpha: float) -> None:
     and every output would silently read 0."""
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
+def check_iterations(r) -> int:
+    """r as a Python int, or ValueError naming it unless it is an integer
+    (Python or numpy) of at least 1: a float such as 2.5 would otherwise be
+    truncated to fewer iterations than asked for."""
+    if not isinstance(r, numbers.Integral):
+        raise ValueError(f"r must be an integer number of iterations, got {r!r}")
+    if r < 1:
+        raise ValueError(f"need r >= 1 iterations, got {r}")
+    return int(r)
 
 
 def zero_info_state(d_v: int, d_k: int) -> GkaInfoState:
@@ -263,8 +275,7 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     as its product H @ p, so they agree bit for bit on the same products.
     Returns (x_r, residual_history); raises on a non-finite iterate, naming
     the iteration."""
-    if r < 1:
-        raise ValueError(f"need r >= 1 iterations, got {r}")
+    r = check_iterations(r)
     q = np.asarray(q, dtype=np.float64)
     dense = isinstance(apply_h, np.ndarray)
     if spectral_bounds is None:
@@ -278,7 +289,7 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
         raise ValueError(f"invalid spectral interval [{a}, {b}]")
 
     matvec = apply_h.__matmul__ if dense else apply_h
-    x, hist = kernels.chebyshev_dense(matvec, float(lam), q, int(r), a, b)
+    x, hist = kernels.chebyshev_dense(matvec, float(lam), q, r, a, b)
     bad = np.flatnonzero(~np.isfinite(hist))
     if bad.size or not np.all(np.isfinite(x)):
         idx = int(bad[0]) + 1 if bad.size else r
@@ -367,7 +378,7 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     step, a q shaped unlike k or an s0 of any other shape than these,
     naming the argument; on a non-finite k, v, q or s0, naming the argument
     and its first bad row; on an unknown solver or
-    fewer than one Chebyshev iteration; on an alpha that is not positive
+    a Chebyshev r that is not an integer >= 1; on an alpha that is not positive
     and finite when the adaptive rule reads it; or on a complex GKA
     forward with the adaptive regularizer or Chebyshev; and
     FloatingPointError (NonFiniteOutput) when an output or final state
@@ -377,8 +388,7 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     kind = _as_kind(kind)
     if solver not in ("exact", "chebyshev"):
         raise ValueError(f"unknown solver: {solver!r}")
-    if solver == "chebyshev" and r < 1:
-        raise ValueError(f"need r >= 1 iterations, got {r}")
+    solver_r = 0 if solver == "exact" else check_iterations(r)
     k, v, q = _real_or_complex(k), _real_or_complex(v), _real_or_complex(q)
     for name, x in (("k", k), ("v", v), ("q", q)):
         if x.ndim != 2 or x.shape[0] != gates.T:
@@ -409,9 +419,8 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
                          "needs a fixed gates.lam and the exact solver")
     if gates.lam is None:
         check_alpha(alpha)
-    solver_r = 0 if solver == "exact" else int(r)
-    y, h, u, _ = kernels.gka_info_forward(k, v, q, gates.gamma, gates.beta, gates.lam,
-                                          float(alpha), solver_r)
+    y, h, u = kernels.gka_info_forward(k, v, q, gates.gamma, gates.beta, gates.lam,
+                                       float(alpha), solver_r)
     # ||H_t||_F can overflow while H_t stays finite, and U_t while y_t does
     _finite_output(kind, y, np.vstack([h, u]))
     return y, GkaInfoState._derived(h, u)

@@ -8,8 +8,10 @@ Chebyshev iterations, and reads the output:
                                        are persisted, the norm counts the
                                        off-diagonal tiles twice)
   (ii) lam = alpha ||H'||_F
-  (iii) (H' + lam I) x = q by Chebyshev, each product formed from the
-        lower tiles with the upper tiles transposed on the fly
+  (iii) (H' + lam I) x = q by Chebyshev, each product one GEMV on the
+        symmetric operand that the step builds once from the lower tiles
+        by mirroring each tile row's strictly lower strip into the
+        matching tile column (the mirror is never persisted)
   (iv) U' = gamma U + beta v k^T and y = U' x
 
 The lower tiles are one (d, d) array, 0 on the strict-upper tiles, so
@@ -24,12 +26,12 @@ variant-independent; only the traffic counts differ.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .ssm_core import (DEFAULT_ALPHA, SYMMETRY_TOL, GkaInfoState, check_alpha,
-                       chebyshev_solve)
+                       check_iterations, chebyshev_solve)
 
 VARIANTS = ("reference", "tiled_small_batch", "tiled_large_batch")
 DEFAULT_TILE = 64
@@ -43,22 +45,18 @@ class TileCounters:
     stores: int = 0
 
 
-@lru_cache(maxsize=8)
-def _tile_masks(d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (upper, strict) masks of a (d, d) matrix cut into b x b tiles:
-    entry (r, c) lies on a strict-upper tile if r // b < c // b and on a
-    strictly lower one if r // b > c // b."""
-    t = np.arange(d) // b
-    upper, strict = t[:, None] < t[None, :], t[:, None] > t[None, :]
-    upper.flags.writeable = strict.flags.writeable = False  # shared by every caller
-    return upper, strict
+def _zero_upper(a: np.ndarray, b: int) -> np.ndarray:
+    """a with its strict-upper b x b tiles set to 0 in place: one strip
+    a[:i, i:i+b] per tile column i > 0, so g - 1 writes on a g x g grid."""
+    for i in range(b, a.shape[0], b):
+        a[:i, i:i + b] = 0.0
+    return a
 
 
 class LowerTiles:
     """Lower-triangular tile store for a symmetric matrix H cut into b x b
     tiles: ``lower`` equals H on the tiles (i, j) with i >= j and is exactly
-    0 on the strict-upper tiles, which are never materialized. Its strictly
-    lower tiles, ``strict``, stand in transposed for the upper tiles."""
+    0 on the strict-upper tiles, which are never persisted."""
 
     def __init__(self, lower: np.ndarray, b: int):
         self.lower = lower
@@ -66,27 +64,38 @@ class LowerTiles:
         self.g = lower.shape[0] // b
 
     @cached_property
-    def strict(self) -> np.ndarray:
-        return self.lower * _tile_masks(self.lower.shape[0], self.b)[1]
+    def _operand(self) -> np.ndarray:
+        h, b = self.lower.copy(), self.b
+        for i in range(b, h.shape[0], b):  # tile row i's strictly lower strip, transposed
+            h[:i, i:i + b] = self.lower[i:i + b, :i].T
+        return h
 
     @classmethod
     def from_dense(cls, h: np.ndarray, b: int, tol: float = SYMMETRY_TOL) -> "LowerTiles":
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("H must be square")
         _check_tile("k", b, h.shape[0])
+        if not np.isfinite(h).all():
+            bad = np.argwhere(~np.isfinite(h))[0]
+            raise ValueError(f"non-finite entry at (row, col) = {tuple(int(i) for i in bad)}")
         if np.max(np.abs(h - h.T), initial=0.0) > tol:
             raise ValueError(f"H must be symmetric within {tol}")
         return cls._split(h, b)
 
     @classmethod
     def _split(cls, h: np.ndarray, b: int) -> "LowerTiles":
-        """The lower tiles of h, unchecked: h must be square, symmetric
-        within SYMMETRY_TOL and of a size b divides, as a GkaInfoState's H
-        under decode_step's tile check is."""
-        return cls(np.where(_tile_masks(h.shape[0], b)[0], 0.0, h), b)
+        """The lower tiles of h, unchecked: h must be square, finite,
+        symmetric within SYMMETRY_TOL and of a size b divides, as a
+        GkaInfoState's H under decode_step's tile check is."""
+        return cls(_zero_upper(h.astype(np.result_type(h, 0.0)), b), b)
 
     def to_dense(self) -> np.ndarray:
-        return self.lower + self.strict.T
+        """H as one exactly symmetric (d, d) array: ``lower`` with each
+        tile row's strictly lower strip mirrored into the matching tile
+        column. It is built on the first call and cached, so every call and
+        every tiled_matvec on this store share one array: this is not a
+        copy, and writing to it changes the store's products."""
+        return self._operand
 
     def n_lower(self) -> int:
         return self.g * (self.g + 1) // 2
@@ -96,33 +105,28 @@ def tiled_update_and_norm(tiles: LowerTiles, k: np.ndarray, gamma: float, beta: 
                           counters: TileCounters | None = None
                           ) -> tuple[LowerTiles, float]:
     """H' = gamma H + beta k k^T over the lower tiles, with the Frobenius
-    norm taken in the same pass: ||H'||^2 = ||lower||^2 + ||strict||^2
-    counts the off-diagonal tiles twice, once for their unmaterialized
-    mirrors. Each lower tile counts as one load and one store."""
-    upper, strict = _tile_masks(tiles.lower.shape[0], tiles.b)
-    kk = beta * np.outer(k, k)
-    new = gamma * tiles.lower + kk
-    np.copyto(new, 0.0, where=upper)
-    out = LowerTiles(new, tiles.b)
-    # a fresh (d, d) array costs about a pass over it: kk's buffer becomes strict
-    out.strict = np.multiply(new, strict, out=kk)
+    norm of the symmetric operand they build (to_dense), which counts each
+    off-diagonal tile twice, once for its unpersisted mirror. On an exactly
+    symmetric H this is the reference step's sum, so lam matches it bit for
+    bit. Each lower tile counts as one load and one store."""
+    out = LowerTiles(_zero_upper(gamma * tiles.lower + beta * np.outer(k, k), tiles.b), tiles.b)
     if counters is not None:
         counters.loads += out.n_lower()
         counters.stores += out.n_lower()
-    return out, float(np.sqrt(np.vdot(new, new) + np.vdot(out.strict, out.strict)))
+    return out, float(np.linalg.norm(out._operand))
 
 
 def tiled_matvec(tiles: LowerTiles, x: np.ndarray,
                  counters: TileCounters | None = None) -> np.ndarray:
-    """H @ x from the lower tiles; the upper contributions use the
-    transposed strictly lower tiles already at hand (no extra
-    persisted-tile traffic). Each lower tile read counts as a load when
-    counters are given."""
+    """H @ x as one GEMV on the store's symmetric operand (to_dense), which
+    mirrors the strictly lower tiles once per store rather than once per
+    product; the mirror is never persisted, so it adds no tile traffic.
+    Each lower tile read counts as a load when counters are given."""
     if x.shape[0] != tiles.lower.shape[0]:
         raise ValueError(f"vector length {x.shape[0]} incompatible with grid {tiles.g}x{tiles.b}")
     if counters is not None:
         counters.loads += tiles.n_lower()
-    return tiles.lower @ x + tiles.strict.T @ x
+    return tiles._operand @ x
 
 
 def _check_tile(axis: str, b: int, d: int) -> None:
@@ -157,19 +161,20 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
                 gamma: float, beta: float, variant: str = "reference",
                 r: int = 30, alpha: float = DEFAULT_ALPHA,
                 b_k: int = DEFAULT_TILE, b_v: int = DEFAULT_TILE) -> DecodeResult:
-    """One GKA decode step under the chosen kernel variant. All variants
-    agree numerically (up to summation order); they differ in the modeled
-    persisted-tile traffic. k, v and q must be finite vectors of length
-    d_k, d_v and d_k; a bad one raises ValueError naming it, as do an alpha
-    that is not positive and finite and a tile size b_k or b_v below 1 or
-    not dividing d_k or d_v (U's traffic is not modeled; b_v is only
-    checked). The input state's H is symmetric and the returned state is
+    """One GKA decode step under the chosen kernel variant. The variants
+    differ only in the modeled persisted-tile traffic: on an exactly
+    symmetric H the tiled ones form the reference's H', lam and products,
+    so y agrees bit for bit (to rounding on an H symmetric only within
+    SYMMETRY_TOL). k, v and q must be finite vectors of length d_k, d_v
+    and d_k; a bad one raises ValueError naming it, as do an r that is not
+    an integer >= 1, an alpha that is not positive and finite and a tile
+    size b_k or b_v below 1 or not dividing d_k or d_v (U's traffic is not
+    modeled; b_v is only checked). The input state's H is symmetric and the returned state is
     derived from it by a PSD-preserving update, so neither its symmetry nor
     its spectrum is checked again."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if r < 1:
-        raise ValueError("need r >= 1 Chebyshev iterations")
+    r = check_iterations(r)
     if not (0.0 <= gamma <= 1.0 and 0.0 <= beta <= 1.0):
         raise ValueError(f"gates out of [0, 1]: gamma={gamma}, beta={beta}")
     check_alpha(alpha)
@@ -237,8 +242,7 @@ def traffic_model(d_k: int, b_k: int, variant: str, r: int) -> TrafficReport:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     _check_tile("k", b_k, d_k)
-    if r < 1:
-        raise ValueError("need r >= 1")
+    r = check_iterations(r)
     g = d_k // b_k
     n_low = g * (g + 1) // 2
     if variant == "reference":

@@ -259,6 +259,13 @@ class TestChebyshev:
             _, h2 = chebyshev_solve(h, lam, q, r=r + 10, spectral_bounds=bounds)
             assert h2[-1] <= h1[-1]
 
+    def test_numpy_integer_r_accepted(self):
+        h = np.diag([1.0, 2.0, 3.0])
+        q = np.ones(3)
+        x, hist = chebyshev_solve(h, 0.5, q, r=np.int64(6))
+        assert hist.shape == (6,)
+        assert np.array_equal(x, chebyshev_solve(h, 0.5, q, r=6)[0])
+
     def test_invalid_bounds_rejected(self):
         q = np.ones(2)
         with pytest.raises(ValueError):
@@ -267,6 +274,8 @@ class TestChebyshev:
             chebyshev_solve(np.eye(2), 1.0, q, r=5, spectral_bounds=(2.0, 1.0))
         with pytest.raises(ValueError):
             chebyshev_solve(np.eye(2), 1.0, q, r=0)
+        with pytest.raises(ValueError, match="r must be an integer number of iterations, got 2.5"):
+            chebyshev_solve(np.eye(2), 1.0, q, r=2.5)
         with pytest.raises(ValueError):
             chebyshev_solve(lambda p: p, 1.0, q, r=5)  # operator form needs bounds
 
@@ -438,6 +447,17 @@ class TestForwardAndGates:
         for r in (0, -3):
             with pytest.raises(ValueError, match=f"need r >= 1 iterations, got {r}"):
                 ssm_forward(kind, k, v, q, gates, solver="chebyshev", r=r)
+        for r in (2.5, 3.0):
+            with pytest.raises(ValueError, match=f"r must be an integer .*, got {r}"):
+                ssm_forward(kind, k, v, q, gates, solver="chebyshev", r=r)
+
+    @pytest.mark.parametrize("kind", list(SsmKind))
+    def test_numpy_integer_r_accepted(self, kind):
+        T = 6
+        k, v, q = rand_kvq(T, 3, 2, seed=26)
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.5), lam=np.full(T, 0.5))
+        y, _ = ssm_forward(kind, k, v, q, gates, solver="chebyshev", r=np.int32(3))
+        assert np.array_equal(y, ssm_forward(kind, k, v, q, gates, solver="chebyshev", r=3)[0])
 
     def test_forward_final_state_matches_steps(self):
         T, d_k, d_v = 7, 3, 2

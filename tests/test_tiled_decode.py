@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridssm import tiled_decode
 from hybridssm.ssm_core import GkaInfoState, zero_info_state
@@ -13,6 +16,8 @@ from hybridssm.tiled_decode import (
     tiled_update_and_norm,
     traffic_model,
 )
+
+TILE_SIZES = st.sampled_from([1, 2, 4, 8])
 
 
 def random_spd(d, seed=0, scale=1.0):
@@ -50,6 +55,15 @@ class TestLowerTiles:
     def test_bad_tile_size_rejected(self):
         with pytest.raises(ValueError):
             LowerTiles.from_dense(random_spd(6, seed=0), 4)
+
+    @pytest.mark.filterwarnings("error")  # inf - inf must not reach the symmetry test
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_naming_the_entry(self, bad):
+        # NaN > tol is False, so the symmetry test alone lets a NaN through
+        h = random_spd(8, seed=16)
+        h[5, 2] = h[2, 5] = bad
+        with pytest.raises(ValueError, match=r"non-finite entry at \(row, col\) = \(2, 5\)"):
+            LowerTiles.from_dense(h, 4)
 
     @pytest.mark.parametrize("b, match", [
         (0, "tile sizes must be >= 1"),
@@ -125,22 +139,32 @@ class TestDecodeStep:
         u = rng.standard_normal((d_v, d_k))
         return GkaInfoState(h=h, u=u), rng
 
-    @pytest.mark.parametrize("trial", range(20))
-    def test_variants_agree(self, trial):
-        # oracle: the reference variant
-        state, rng = self.setup_state(seed=trial)
-        k, v, q = rng.standard_normal((3, 8))
-        gamma, beta = rng.uniform(0.7, 1.0), rng.uniform(0.3, 1.0)
-        results = {var: decode_step(state, k, v, q, gamma, beta, variant=var,
-                                    r=10, b_k=4, b_v=4)
-                   for var in ("reference", "tiled_small_batch", "tiled_large_batch")}
-        ref = results["reference"]
-        for var in ("tiled_small_batch", "tiled_large_batch"):
-            got = results[var]
+    @settings(max_examples=40, deadline=None, derandomize=True)  # same inputs every run
+    @given(g=st.integers(1, 4), b_k=TILE_SIZES, b_v=TILE_SIZES, gamma=st.floats(0.0, 1.0),
+           beta=st.floats(0.0, 1.0), r=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_variants_agree(self, g, b_k, b_v, gamma, beta, r, seed):
+        # oracle: the reference variant, on an exactly symmetric H = G G^T
+        rng = np.random.default_rng(seed)
+        d_k, d_v = g * b_k, g * b_v
+        gmat = rng.standard_normal((d_k, d_k))
+        state = GkaInfoState(h=gmat @ gmat.T, u=rng.standard_normal((d_v, d_k)))
+        k, q = rng.standard_normal((2, d_k))
+        v = rng.standard_normal(d_v)
+        x = rng.standard_normal(d_k)
+        ref = decode_step(state, k, v, q, gamma, beta, "reference", r=r, b_k=b_k, b_v=b_v)
+        for variant in VARIANTS:
+            got = decode_step(state, k, v, q, gamma, beta, variant, r=r, b_k=b_k, b_v=b_v)
             assert np.max(np.abs(got.y - ref.y)) < 1e-9
-            assert np.max(np.abs(got.state.h - ref.state.h)) < 1e-9
-            assert np.max(np.abs(got.state.u - ref.state.u)) < 1e-9
             assert got.lam == pytest.approx(ref.lam, rel=1e-12)
+            assert np.array_equal(got.state.h, got.state.h.T)
+            assert np.array_equal(got.state.h, ref.state.h)
+            assert np.array_equal(got.state.u, ref.state.u)
+            tiles = LowerTiles.from_dense(got.state.h, b_k)
+            assert np.array_equal(tiled_matvec(tiles, x), tiles.to_dense() @ x)
+            model = traffic_model(d_k, b_k, variant, r)
+            # an empty H (lam = 0) skips the Chebyshev loop's loads
+            loads = model.tiles_loaded if got.lam > 0.0 else model.tiles_stored
+            assert (got.counters.loads, got.counters.stores) == (loads, model.tiles_stored)
 
     def test_more_iterations_closer_to_exact_solve(self):
         # oracle: dense solve
@@ -269,6 +293,25 @@ class TestDecodeStep:
         assert out.lam > 0.0
         assert calls == {"tiled_update_and_norm": 1, "tiled_matvec": 7, "to_dense": 1}
 
+    @pytest.mark.parametrize("r", [2.5, 2.0, np.float64(7.0)])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_integer_r_rejected_by_every_variant(self, variant, r):
+        # int(r) would silently run fewer iterations than asked for
+        state, rng = self.setup_state()
+        k, v, q = rng.standard_normal((3, 8))
+        message = f"r must be an integer number of iterations, got {r!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decode_step(state, k, v, q, 0.9, 0.5, variant, r=r, b_k=4, b_v=4)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_numpy_integer_r_accepted(self, variant):
+        state, rng = self.setup_state()
+        k, v, q = rng.standard_normal((3, 8))
+        out = decode_step(state, k, v, q, 0.9, 0.5, variant, r=np.int64(7), b_k=4, b_v=4)
+        same = decode_step(state, k, v, q, 0.9, 0.5, variant, r=7, b_k=4, b_v=4)
+        assert np.array_equal(out.y, same.y)
+        assert out.counters == same.counters
+
     def test_indivisible_tiles_rejected(self):
         state, rng = self.setup_state()
         with pytest.raises(ValueError):
@@ -326,6 +369,13 @@ class TestTrafficModel:
     def test_bad_tile_size_rejected_for_every_variant(self, variant, b_k, match):
         with pytest.raises(ValueError, match=match):
             traffic_model(8, b_k, variant, r=1)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_integer_r_rejected_for_every_variant(self, variant):
+        # it used to report tiles_loaded = 10.5 for the large-batch variant
+        with pytest.raises(ValueError, match="r must be an integer number of iterations, got 2.5"):
+            traffic_model(128, 64, variant, 2.5)
+        assert traffic_model(128, 64, variant, np.int32(2)) == traffic_model(128, 64, variant, 2)
 
     def test_reference_counts_full_grid(self):
         rep = traffic_model(64, 16, "reference", r=5)
