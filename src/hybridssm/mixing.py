@@ -174,28 +174,52 @@ def _checked_causal(m: MixingMatrix | np.ndarray, rank_tol: float) -> np.ndarray
     return mat
 
 
-def _cut_svds(mat: np.ndarray, compute_uv: bool):
-    """Yield (k, s, u) for every cut k of the square mat, in the order
-    k = 1, T-1, 2, T-2, ...: the singular values s of M[k:, :k] and, with
-    compute_uv, its left singular vectors u (None without).
+def _cut_svds(mat: np.ndarray, rank_tol: float, bases: bool):
+    """Yield (k, s, r, q) for every cut k of the square mat, in the order
+    k = 1, T-1, 2, T-2, ...: the singular values s of H_k = M[k:, :k], its
+    rank r = numerical_rank(s, rank_tol) and, with bases, an orthonormal
+    basis q of im(H_k) with r columns (None without).
 
     Cut k's block is (T-k) x k and cut T-k's block transposed has the same
-    shape, so the two go through one stacked SVD call: ceil((T-1)/2) calls,
-    with the middle cut of an even T alone. A transpose has the same
-    singular values, and its right singular vectors are the block's left
-    ones.
+    shape, so the two go through one stacked values-only SVD call:
+    ceil((T-1)/2) calls, with the middle cut of an even T alone. A
+    transpose has the same singular values.
+
+    While every pair so far has full rank k in both cuts, any orthonormal
+    basis of im(H_k) will do: the wide cut T-k has k rows and full row
+    rank, so its basis is I_k, as is the square middle cut's, and the tall
+    cut k takes the reduced Householder Q of its block. From the first pair
+    that holds a rank-deficient cut on, each pair's bases come from one
+    stacked thin SVD with vectors: cut k's left vectors, and the right
+    vectors of cut T-k's transposed block, which are that cut's left
+    vectors. Deficiency is inherited inward, as
+    rank H_{k+1} <= rank H_k + 1 (H_{k+1} is H_k less its first row, plus
+    one column) and rank H_{j-1} <= rank H_j + 1, so no later pair could
+    take the QR path and only that first pair pays for both calls.
     """
     T = mat.shape[0]
+    deficient = False  # some pair so far holds a rank-deficient cut
     for k in range(1, T // 2 + 1):
         j = T - k
-        blocks = [hankel_block(mat, k)] + ([hankel_block(mat, j).T] if j != k else [])
-        if compute_uv:
-            u, s, vh = np.linalg.svd(np.stack(blocks), full_matrices=False)
+        blocks = np.stack([hankel_block(mat, k)] + ([hankel_block(mat, j).T] if j != k else []))
+        if deficient:
+            u, s, vh = np.linalg.svd(blocks, full_matrices=False)
         else:
-            u, s, vh = None, np.linalg.svd(np.stack(blocks), compute_uv=False), None
-        yield k, s[0], None if u is None else u[0]
+            s = np.linalg.svd(blocks, compute_uv=False)
+        ranks = [numerical_rank(sv, rank_tol) for sv in s]
+        if bases and not deficient and min(ranks) < k:  # the first deficient pair
+            deficient = True
+            u, _, vh = np.linalg.svd(blocks, full_matrices=False)
+        if not bases:
+            qs = [None, None]
+        elif deficient:  # copies, so the stacked factors are not kept alive
+            qs = [u[0, :, :ranks[0]].copy(), vh[-1, :ranks[-1]].T.copy()]  # [1] unread if j == k
+        else:
+            eye = np.eye(k)
+            qs = [eye if j == k else np.linalg.qr(blocks[0])[0], eye]
+        yield k, s[0], ranks[0], qs[0]
         if j != k:
-            yield j, s[1], None if vh is None else vh[1].T
+            yield j, s[1], ranks[1], qs[1]
 
 
 def hankel_profile(m: MixingMatrix | np.ndarray,
@@ -206,8 +230,8 @@ def hankel_profile(m: MixingMatrix | np.ndarray,
     T = mat.shape[0]
     ranks = np.zeros(max(T - 1, 0), dtype=np.int64)
     svs: list[np.ndarray] = [None] * ranks.size
-    for k, s, _ in _cut_svds(mat, compute_uv=False):
+    for k, s, r, _ in _cut_svds(mat, rank_tol, bases=False):
         svs[k - 1] = s
-        ranks[k - 1] = numerical_rank(s, rank_tol)
+        ranks[k - 1] = r
     n_min = int(ranks.max()) if ranks.size else 0
     return HankelProfile(ranks=ranks, n_min=n_min, singular_values=svs)

@@ -15,18 +15,29 @@ T_ii = D_i = M_ii. Under this convention the unit-delay matrix (Hankel rank
 1) is realizable at n = 1, which the read-after-write indexing cannot do.
 
 Construction: at each time cut k the reachable future-tail space is
-im(H_k) with H_k = M[k:, :k]. Cuts k and T - k share one stacked thin SVD
-(``mixing._cut_svds``), whose singular values also give each cut's rank
-r_k (``mixing.numerical_rank``): Q_k holds the r_k leading left singular
-vectors. Advancing the cut drops the tail's first coordinate (P_k) and
-adds the new input's column, which in coordinates gives
+im(H_k) with H_k = M[k:, :k], and Q_k is any orthonormal basis of it with
+r_k = rank H_k columns. Cuts k and T - k share one stacked values-only SVD
+(``mixing._cut_svds``), whose singular values give each cut's rank r_k
+(``mixing.numerical_rank``). While every pair so far has full rank, the
+basis needs no singular vectors: the wide cut T - k (k rows, full row
+rank) takes Q = I_k, as does the square middle cut, and the tall cut k
+takes the reduced Householder Q of its block. From the first pair that
+holds a rank-deficient cut on, Q_k is the r_k leading left singular
+vectors, from one stacked thin SVD with vectors per pair. Deficiency is
+inherited inward (rank H_{k+1} <= rank H_k + 1 on the tall side,
+rank H_{j-1} <= rank H_j + 1 on the wide side), so only that first pair
+pays for both calls. Advancing the cut drops the tail's first coordinate
+(P_k) and adds the new input's column, which in coordinates gives
 
     A_{k+1}^T = Q_{k+1}^+ P_k Q_k,      B_{k+1}^T = Q_{k+1}^+ M[k+1:, k],
 
 with Q^+ = Q^T since the columns are orthonormal. The output reads the
 tail's first coordinate: C_k = Q_k^T e_1. The stored A_t, B_t and C_t are
 n wide and zero outside their cuts' rank blocks, so the state coordinates
-past a cut's rank are never reached and stay 0.
+past a cut's rank are never reached and stay 0. On a mixer of full rank at
+every cut, Q_t = I for t >= T/2, so there A_t is an exact 0/1 shift, B_t
+the column M[t+1:, t] and C_t = e_1: the state holds the pending future
+contributions of the past inputs, one coordinate per future step.
 """
 
 from __future__ import annotations
@@ -80,17 +91,21 @@ def realize(m: MixingMatrix | np.ndarray,
             rank_tol: float = DEFAULT_RANK_TOL) -> TimeVaryingRealization:
     """Construct a state-dimension n_min realization of the causal mixer m.
 
-    Each cut's basis Q_t is its rank-truncated left singular vectors. A_t,
-    B_t and C_t start at zero and each cut writes only its own rank block:
+    Each cut's basis Q_t is an orthonormal basis of im(M[t:, :t]) with
+    rank-many columns (``mixing._cut_svds``): I or a Householder Q while
+    every cut pair so far has full rank, which needs only the singular
+    values, and the rank-truncated left singular vectors from the first
+    rank-deficient pair on, which inherits deficiency inward. A_t, B_t and
+    C_t start at zero and each cut writes only its own rank block:
     A_t[:r_t, :r_{t+1}] = Q_t[1:]^T Q_{t+1}, B_{t-1}[:r_t] = Q_t^T M[t:, t-1]
     and C_t[:r_t] = Q_t[0]. A_0 and A_{T-1} are the identity.
+    Where every cut has full rank, A_t is an exact 0/1 shift for t >= T/2.
     """
     mat = _checked_causal(m, rank_tol)
     T = mat.shape[0]
-    # Q_t of cuts t = 1..T-1, copied so the stacked SVD factors are not kept alive
-    bases = [None] * T
-    for k, s, u in _cut_svds(mat, compute_uv=True):
-        bases[k] = u[:, :numerical_rank(s, rank_tol)].copy()
+    bases = [None] * T  # Q_t of cuts t = 1..T-1
+    for k, _, _, q in _cut_svds(mat, rank_tol, bases=True):
+        bases[k] = q
     n = max((q.shape[1] for q in bases[1:]), default=0)
 
     a = np.zeros((T, n, n))

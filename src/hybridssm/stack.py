@@ -3,11 +3,12 @@ MLP with residuals) over vector sequences, used to exercise the alignment
 losses, gate gradients, and chunked prefill without any pretrained model.
 
 Mixers: full causal attention, sliding-window attention, or one of the
-three SSM recurrences with sigmoid gates computed from the layer input. An
-SSM layer runs ``ssm_core.ssm_forward`` (or ``chunk_forward`` when caches
-are collected), the same chunkwise kernels as everything else. The forward
-pass is plain analytic numpy that keeps a complex dtype, so ``autodiff``
-differentiates gate parameters by the complex step.
+three SSM recurrences with sigmoid gates computed from the layer input and
+L2-normalised queries and keys. An SSM layer runs ``ssm_core.ssm_forward``
+(or ``chunk_forward`` when caches are collected), the same chunkwise
+kernels as everything else. The forward pass is plain analytic numpy that
+keeps a complex dtype, so ``autodiff`` differentiates gate parameters by
+the complex step.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ class ToyHybridStack:
             else:
                 gamma = _sigmoid(x @ params[f"{i}.gamma_w"] + params[f"{i}.gamma_b"])
                 beta = _sigmoid(x @ params[f"{i}.beta_w"] + params[f"{i}.beta_b"])
-            y, cache = self._ssm_scan(kind, k, v, q, gamma, beta, collect_cache)
+            y, cache = self._ssm_scan(kind, _unit_rows(k), v, _unit_rows(q), gamma, beta,
+                                      collect_cache)
         return x + y @ w[f"{i}.wo"].T, cache
 
     def _ssm_scan(self, kind, k, v, q, gamma, beta, collect_cache):
@@ -183,6 +185,15 @@ class ToyHybridStack:
                 caches.append(cache)
         final = rmsnorm(x) if self.final_norm == "rms" else x
         return StackTrace(hidden=hidden, final=final, caches=caches)
+
+
+def _unit_rows(z):
+    """Rows of z scaled to unit L2 norm, as Gated DeltaNet does with its
+    queries and keys (GDN's erase contracts only for ||k|| <= 1). The norm
+    is sqrt(sum z * z), analytic, so a complex step passes through it; a
+    zero row, such as a padding token's, stays zero and writes nothing."""
+    norm = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
+    return z / np.where(norm == 0.0, 1.0, norm)
 
 
 def _sigmoid(z):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridssm import realization
-from hybridssm.mixing import (_cut_svds, build_attention_mixer, build_swa_mixer, hankel_block, hankel_profile,
-                              numerical_rank, random_token_sequence)
+from hybridssm.mixing import (DEFAULT_RANK_TOL, _cut_svds, build_attention_mixer, build_swa_mixer,
+                              hankel_block, hankel_profile, numerical_rank, random_token_sequence)
 from hybridssm.realization import (
     TimeVaryingRealization,
     io_matrix,
@@ -264,24 +264,94 @@ def test_realization_of_generated_mixers(family, T, rank, scale, seed):
 def test_paired_cut_sweep_matches_the_direct_svds(family, T, rank, scale, seed):
     m = generated_mixer(family, T, rank, scale, seed)
     profile = hankel_profile(m)
-    sweep = {k: (s, u) for k, s, u in _cut_svds(m, compute_uv=True)}
+    # the sweep as realize runs it, values-only SVDs and then paired SVDs with vectors
+    sweep = {k: (s, r) for k, s, r, _ in _cut_svds(m, DEFAULT_RANK_TOL, bases=True)}
     assert sorted(sweep) == list(range(1, T))
     for k in range(1, T):
         # oracle: one direct SVD per cut
-        h = hankel_block(m, k)
-        s = np.linalg.svd(h, compute_uv=False)
+        s = np.linalg.svd(hankel_block(m, k), compute_uv=False)
         tol = 1e-12 * s[0]
         rank_k = numerical_rank(s)
-        assert profile.ranks[k - 1] == rank_k
+        assert profile.ranks[k - 1] == sweep[k][1] == rank_k
         for got in (profile.singular_values[k - 1], sweep[k][0]):
             assert numerical_rank(got) == rank_k
             assert np.max(np.abs(got - s)) <= tol
-        # the basis realize keeps: orthonormal columns that span the block
-        q = sweep[k][1][:, :rank_k]
-        assert q.shape == (T - k, rank_k)
-        assert np.max(np.abs(q.T @ q - np.eye(rank_k)), initial=0.0) <= 1e-12
-        dropped = s[rank_k] if rank_k < s.size else 0.0
-        assert np.linalg.norm(h - q @ (q.T @ h), 2) <= dropped + tol
+
+
+def first_deficient_pair(ranks, T):
+    """Smallest k <= T/2 whose cut k or T-k has rank below k, else None;
+    ranks[t] is cut t's rank."""
+    return next((k for k in range(1, T // 2 + 1) if min(ranks[k], ranks[T - k]) < k), None)
+
+
+@pytest.mark.parametrize("family", ["low_rank", "delay", "swa", "softmax"])
+@settings(max_examples=30, deadline=None, derandomize=True)  # same inputs every run
+@given(T=st.integers(0, 40), rank=st.integers(1, 8), scale=st.floats(0.5, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_realize_cut_bases_are_orthonormal_and_span_each_block(family, T, rank, scale, seed):
+    m = generated_mixer(family, T, rank, scale, seed)
+    profile = hankel_profile(m)
+    ranks = [0] + list(profile.ranks)  # ranks[t] is cut t's rank
+    deficient_from = first_deficient_pair(ranks, T)
+    for k, _, _, q in _cut_svds(m, DEFAULT_RANK_TOL, bases=True):
+        h = hankel_block(m, k)
+        s = np.linalg.svd(h, compute_uv=False)  # oracle: one direct SVD per cut
+        assert q.shape == (T - k, ranks[k])
+        assert np.max(np.abs(q.T @ q - np.eye(ranks[k])), initial=0.0) <= 1e-12
+        dropped = s[ranks[k]] if ranks[k] < s.size else 0.0
+        assert np.linalg.norm(h - q @ (q.T @ h), 2) <= dropped + 1e-12 * s[0]
+        # before the first deficient pair a wide or square cut's basis is I
+        if k >= T - k and (deficient_from is None or T - k < deficient_from):
+            assert np.array_equal(q, np.eye(T - k))
+    r = realize(m)
+    assert r.n == profile.n_min
+    if deficient_from is None:
+        # full rank at every cut: from the middle on, A_t is an exact 0/1 shift
+        for t in range((T + 1) // 2, T - 1):
+            shift = np.zeros((r.n, r.n))
+            shift[:T - t, :T - t - 1] = np.eye(T - t, T - t - 1, k=-1)
+            assert np.array_equal(r.a[t], shift)
+
+
+def recorded_svd_calls(monkeypatch):
+    """Patch np.linalg.svd to record (k, compute_uv) per call, k being the
+    stacked blocks' column count: the pair's cut k <= T/2."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        calls.append((a.shape[-1], kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
+def test_full_rank_mixer_takes_no_left_vectors(monkeypatch):
+    T = 64
+    mix = build_attention_mixer(random_token_sequence(T, 8, rng=np.random.default_rng(64)))
+    assert np.all(hankel_profile(mix).ranks == np.minimum(np.arange(1, T), np.arange(T - 1, 0, -1)))
+    calls = recorded_svd_calls(monkeypatch)
+    r = realize(mix)
+    # one values-only call per pair, ceil((T - 1) / 2) in all
+    assert calls == [(k, False) for k in range(1, T // 2 + 1)]
+    monkeypatch.undo()
+    rep = verify_minimality(r, mix)
+    assert rep.is_minimal and rep.reconstruction_error < 1e-9
+
+
+@pytest.mark.parametrize("T, w", [(40, 6), (41, 3)])
+def test_swa_mixer_takes_paired_left_vectors_from_its_first_deficient_pair(monkeypatch, T, w):
+    mix = build_swa_mixer(random_token_sequence(T, 8, rng=np.random.default_rng(T)), w)
+    k0 = first_deficient_pair([0] + list(hankel_profile(mix).ranks), T)
+    assert k0 == w  # the window caps every cut's rank at w - 1
+    calls = recorded_svd_calls(monkeypatch)
+    r = realize(mix)
+    # values only up to k0; k0 pays for both calls, every later pair takes vectors only
+    assert calls == [(k, False) for k in range(1, k0 + 1)] + [(k, True) for k in range(k0, T // 2 + 1)]
+    monkeypatch.undo()
+    rep = verify_minimality(r, mix)
+    assert rep.is_minimal and rep.reconstruction_error < 1e-9
 
 
 class TestSerialization:

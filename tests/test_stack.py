@@ -3,7 +3,7 @@ import pytest
 
 from hybridssm import autodiff as ad
 from hybridssm import kernels
-from hybridssm.stack import ToyHybridStack, parse_mixer, rmsnorm
+from hybridssm.stack import ToyHybridStack, _unit_rows, parse_mixer, rmsnorm
 
 
 class TestAutodiffOps:
@@ -107,6 +107,21 @@ class TestToyHybridStack:
         assert np.array_equal(raw.forward(x).final, raw.forward(x).hidden[-1])
         got = normed.forward(x).final
         assert np.allclose(got, rmsnorm(raw.forward(x).final), atol=1e-14)
+
+    def test_ssm_layers_normalise_queries_and_keys(self):
+        # with raw projections (key norms about 7) this stack's GDN layer
+        # erased nothing and its last hidden state reached 1.2e55, all finite
+        stack = ToyHybridStack(("attn", "mamba2", "gka", "gdn"), d_model=8, d_k=4, seed=11)
+        x = np.random.default_rng(0).standard_normal((70, 8))
+        assert np.max(np.abs(stack.forward(x).hidden[-1])) < 100.0
+
+    def test_unit_rows_keep_zero_rows_and_pass_a_complex_step(self):
+        z = np.array([[3.0, 4.0], [0.0, 0.0]])
+        assert np.array_equal(_unit_rows(z), [[0.6, 0.8], [0.0, 0.0]])
+        # d(z_0 / ||z||) / dz_0 = z_1^2 / ||z||^3 on the first row
+        direction = np.array([[1.0, 0.0], [0.0, 0.0]])
+        got = ad.derivative(lambda t: _unit_rows(t)[0, 0], z, direction)
+        assert got == pytest.approx(16.0 / 125.0, rel=1e-14)
 
     def test_fixed_gate_override(self):
         stack = ToyHybridStack(("mamba2",), d_model=8, d_k=4, seed=7,
