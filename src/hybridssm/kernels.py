@@ -15,7 +15,14 @@ Conventions: states are ``d_v x d_k`` matrices updated on the right
 linear scans also chain a taller start state, whose rows past d_v take no
 values and so carry the transitions only (``_carry``). All arrays are
 C-contiguous float64, or complex128 when a complex-step derivative runs
-through them (see ``autodiff``).
+through them (see ``autodiff``); the blocked keys are also kept as a
+C-contiguous transpose, so the chunk GEMMs Q K^T and K K^T are NN products.
+
+The kernels pay only for what the result reads. The decay matrix D is
+exponentiated only on and below its diagonal. A finiteness check tests a
+whole array first; the row-wise mask that locates the first bad row
+(``first_non_finite_row``, which ``ssm_core``'s checks and GKA's output
+stop call, and GDN's overflow mask) is built only once that test fails.
 """
 
 from __future__ import annotations
@@ -26,6 +33,16 @@ USING_NUMBA = False  # recorded by run manifests; every kernel is plain numpy
 
 
 CHUNK = 64  # tokens per block of the chunkwise scans and GKA's forward
+
+
+def first_non_finite_row(x):
+    """The first row (index on axis 0) of x holding a non-finite entry, or
+    None if every entry is finite. The whole array is tested first, and the
+    row is located only once that test fails: the row-wise reduction costs
+    two to three times the plain test, and almost every array passes."""
+    if np.isfinite(x).all():
+        return None
+    return int(np.argmax(~np.isfinite(x).all(axis=tuple(range(1, x.ndim)))))
 
 
 def _blocks(x, L, fill=0.0):
@@ -42,21 +59,26 @@ def _ssd_terms(k, q, gamma):
     tokens that neither decay nor write). G[t] = gamma_1 ... gamma_t and
     D[t, i] = gamma_{i+1} ... gamma_t on and below the diagonal, 0 above
     it. Both come from the cumulative log-decays cs, D as exp(cs_t - cs_i),
-    so a small gamma never makes D a ratio of two underflowed products.
+    so a small gamma never makes D a ratio of two underflowed products. D
+    is exponentiated only on and below the diagonal, where it is read: the
+    upper triangle's exp(cs_t - cs_i) would overflow for a tiny gamma.
 
-    Returns (K, G, D, kd, qk, gq): the blocked keys, G, D, kd = the keys
-    decayed to their chunk's end, and the query half qk = (Q K^T) o D and
-    gq = diag(G) Q of the blocked queries Q, both None when q is None."""
+    Returns (K, Kt, G, D, kd, qk, gq): the blocked keys K and their
+    transposes Kt, C-contiguous so that products with them are NN GEMMs,
+    G, D, kd = the keys decayed to their chunk's end, and the query half
+    qk = (Q K^T) o D and gq = diag(G) Q of the blocked queries Q, both None
+    when q is None."""
     L = max(1, min(CHUNK, k.shape[0]))
     K = _blocks(k, L)
+    Kt = np.ascontiguousarray(K.transpose(0, 2, 1))
     cs = np.cumsum(np.log(_blocks(gamma, L, fill=1.0)), axis=1)
-    lower = np.tri(L, dtype=bool)
-    D = np.exp(np.where(lower, cs[:, :, None] - cs[:, None, :], -np.inf))
+    diff = cs[:, :, None] - cs[:, None, :]
+    D = np.exp(diff, out=np.zeros_like(diff), where=np.tri(L, dtype=bool))
     G, kd = np.exp(cs), D[:, -1, :, None] * K
     if q is None:
-        return K, G, D, kd, None, None
+        return K, Kt, G, D, kd, None, None
     Q = _blocks(q, L)
-    return K, G, D, kd, (Q @ K.transpose(0, 2, 1)) * D, G[:, :, None] * Q
+    return K, Kt, G, D, kd, (Q @ Kt) * D, G[:, :, None] * Q
 
 
 def _carry(y0, e, aq, a_end, s0, T):
@@ -83,7 +105,7 @@ def mamba2_scan(k, v, q, gamma, s0):
 
     Chunkwise SSD form: per chunk Y = ((Q K^T) o D) V + diag(G) Q S_0^T,
     with the state carried between chunks."""
-    K, G, _, kd, qk, gq = _ssd_terms(k, q, gamma)
+    K, _, G, _, kd, qk, gq = _ssd_terms(k, q, gamma)
     V = _blocks(v, K.shape[1])
     a_end = G[:, -1, None, None] * np.eye(k.shape[1])
     return _carry(qk @ V, V.transpose(0, 2, 1) @ kd, gq, a_end, s0, k.shape[0])
@@ -141,10 +163,12 @@ def _wy_solve(k, v, q, gamma, beta):
     Returns (x, e, a_end, qk, gq): x = [U_0 | W], e, a_end and the query
     half of _ssd_terms (None when q is None)."""
     d_v = v.shape[1]
-    K, G, D, kd, qk, gq = _ssd_terms(k, q, gamma)
+    K, Kt, G, D, kd, qk, gq = _ssd_terms(k, q, gamma)
     B = _blocks(beta, K.shape[1])[:, :, None]
-    n = B * (K @ K.transpose(0, 2, 1)) * D  # its strict lower triangle is read
-    x = _ut_solve(n, B * np.concatenate([_blocks(v, K.shape[1]), G[:, :, None] * K], axis=2))
+    # only the system's strict lower triangle is read; passed without a
+    # name, it is freed when the solve returns
+    x = _ut_solve(B * (K @ Kt) * D,
+                  B * np.concatenate([_blocks(v, K.shape[1]), G[:, :, None] * K], axis=2))
     xk = x.transpose(0, 2, 1) @ kd  # [U_0^T kd; W^T kd]
     return x, xk[:, :d_v], G[:, -1, None, None] * np.eye(k.shape[1]) - xk[:, d_v:], qk, gq
 
@@ -170,8 +194,11 @@ def _wy_chunks(k, v, q, gamma, beta):
     """
     d_v = v.shape[1]
     x, e, a_end, qk, gq = _wy_solve(k, v, q, gamma, beta)
-    late = np.logical_or.accumulate(~np.isfinite(x).all(axis=2), axis=1)[:, :, None]
-    qx = np.where(late, np.nan, qk @ np.where(late, 0.0, x)) if late.any() else qk @ x
+    if np.isfinite(x).all():
+        qx = qk @ x
+    else:
+        late = np.logical_or.accumulate(~np.isfinite(x).all(axis=2), axis=1)[:, :, None]
+        qx = np.where(late, np.nan, qk @ np.where(late, 0.0, x))
     return gq - qx[:, :, d_v:], a_end, qx[:, :, :d_v], e
 
 
@@ -306,11 +333,10 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     T, d_k = k.shape
     d_v = v.shape[1]
     dtype = np.result_type(k, v, q, gamma, beta)
-    K, G, D, _, _, _ = _ssd_terms(k, None, gamma)
+    K, Kt, G, D, _, _, _ = _ssd_terms(k, None, gamma)
     C, L = K.shape[:2]
     Q, V = _blocks(q, L), _blocks(v, L)
     W = D * _blocks(beta, L)[:, None, :]
-    Kt = K.transpose(0, 2, 1)
     w_end = W[:, -1, :, None]  # each block's writes decayed to its end
     dh, du = (K * w_end).transpose(0, 2, 1) @ K, (V * w_end).transpose(0, 2, 1) @ K
     read_fro = lam is None or solver_r > 0
@@ -374,9 +400,9 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
                     x[c, t] = np.linalg.solve(h + lam_s[c, t] * eye, rhs[c, t])
         y_b = Gb * (x @ U0[:nb].transpose(0, 2, 1)) + ((x @ Ktb) * Wb) @ V[:nb]
         y[:stop] = y_b.reshape(nb * L, d_v)[:stop]
-        bad_y = ~np.isfinite(y[:stop]).all(axis=1)
-        if bad_y.any():
-            stop = int(np.argmax(bad_y))
+        bad_y = first_non_finite_row(y[:stop])
+        if bad_y is not None:
+            stop = bad_y
             y[stop + 1:] = np.nan
     # the carry's end state if every row was read (copied: a view would keep
     # every block's state alive with the returned one)

@@ -159,19 +159,28 @@ class GateTrack:
         if gamma.shape != beta.shape or gamma.ndim != 1:
             raise ValueError("gamma/beta must be 1-D arrays of equal length")
         _require_finite(gamma=gamma, beta=beta)  # NaN passes both range tests
-        if np.any(gamma.real <= 0.0) or np.any(gamma.real > 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
-        if np.any(beta.real < 0.0) or np.any(beta.real > 1.0):
-            raise ValueError("beta must lie in [0, 1]")
+        _require_in_range("gamma must lie in (0, 1]", gamma,
+                          (gamma.real <= 0.0) | (gamma.real > 1.0))
+        _require_in_range("beta must lie in [0, 1]", beta, (beta.real < 0.0) | (beta.real > 1.0))
         if self.lam is not None:
             lam = np.asarray(self.lam, dtype=np.float64)
             object.__setattr__(self, "lam", lam)
-            if lam.shape != gamma.shape or np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
-                raise ValueError("lam must be positive and finite, one per step")
+            message = "lam must be positive and finite, one per step"
+            if lam.shape != gamma.shape:
+                raise ValueError(message)
+            _require_in_range(message, lam, ~((lam > 0.0) & (lam < np.inf)))  # NaN fails both
 
     @property
     def T(self) -> int:
         return self.gamma.shape[0]
+
+
+def _require_in_range(message: str, x: np.ndarray, bad: np.ndarray) -> None:
+    """Raise ValueError, message followed by the first step t where bad
+    holds and x[t], if bad holds at any step."""
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValueError(f"{message}: step {t} is {x[t]}")
 
 
 def make_default_gates(features: np.ndarray, seed: int = 42,
@@ -331,11 +340,12 @@ def _real_or_complex(x) -> np.ndarray:
 
 def _require_finite(**arrays: np.ndarray) -> None:
     """Raise ValueError naming the first argument with a non-finite entry
-    and the first row that holds one."""
+    and the first row that holds one. Each array is tested whole first; the
+    row is located only once that test fails (kernels.first_non_finite_row)."""
     for name, arr in arrays.items():
-        bad_rows = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
-        if bad_rows.any():
-            raise ValueError(f"{name} is non-finite at row {int(np.argmax(bad_rows))}")
+        row = kernels.first_non_finite_row(arr)
+        if row is not None:
+            raise ValueError(f"{name} is non-finite at row {row}")
 
 
 class NonFiniteOutput(FloatingPointError):
@@ -351,9 +361,9 @@ def _finite_output(kind: SsmKind, y: np.ndarray, s: np.ndarray):
     """Return (y, s) if both are finite; otherwise raise NonFiniteOutput
     naming the first non-finite output row (or FloatingPointError naming
     the state, if only it is)."""
-    bad_rows = ~np.isfinite(y).all(axis=1)
-    if bad_rows.any():
-        raise NonFiniteOutput(kind, int(np.argmax(bad_rows)))
+    row = kernels.first_non_finite_row(y)
+    if row is not None:
+        raise NonFiniteOutput(kind, row)
     if not np.isfinite(s).all():
         raise FloatingPointError(f"{kind.value} final state is non-finite")
     return y, s

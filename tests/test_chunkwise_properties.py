@@ -5,13 +5,16 @@ forward with zero value columns for the transitions, a GDN chunk record
 equals ``chunk_forward``'s end state and transition, and the P2P and CASO
 paths built on them reproduce the single-device forward; PICASO-R over
 Mamba-2, GDN and GKA chunk records does not depend on where the cycle
-starts."""
+starts; the SSD decay matrix is exponentiated only on and below its
+diagonal, and equals exp(cs_t - cs_i) there bit for bit."""
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hybridssm.composition import caso_compose, picaso_r, run_chunk, state_deviation
-from hybridssm.kernels import CHUNK, _ut_solve
+from hybridssm.kernels import CHUNK, _ssd_terms, _ut_solve
 from hybridssm.seqpar import MessageBus, p2p_forward, shard
 from hybridssm.ssm_core import (GateTrack, SsmKind, SsmState, chunk_forward, ssm_forward,
                                 ssm_step)
@@ -59,6 +62,32 @@ def test_scan_replays_the_step_oracle(kind, T, d_k, d_v, unit_keys, max_key_norm
         y_ref[t] = state.s @ q[t]
     assert relative_error(y, y_ref) <= 1e-12
     assert relative_error(s, state.s) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(steps=st.lists(st.sampled_from([1e-300, 1e-3, 0.5, 0.9, 1.0]), min_size=1,
+                      max_size=3 * CHUNK + 5),
+       complex_step=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_decay_matrix_is_exponentiated_only_where_it_is_read(steps, complex_step, seed):
+    # steps of 1e-300 next to 1.0 make the upper triangle's exp(cs_t - cs_i)
+    # overflow if it were taken; a length that is not a whole number of
+    # chunks gives a short last chunk, padded with steps that do not decay
+    gamma = np.array(steps)
+    if complex_step:
+        gamma = gamma + 1e-20j * gamma * np.random.default_rng(seed).standard_normal(gamma.size)
+    T = gamma.size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K, Kt, _, D, _, _, _ = _ssd_terms(np.ones((T, 2)), None, gamma)
+    L = D.shape[1]
+    assert D.shape == (-(-T // L), L, L) and D.dtype == gamma.dtype
+    assert Kt.flags.c_contiguous and np.array_equal(Kt, K.transpose(0, 2, 1))
+    assert np.all(D[:, ~np.tri(L, dtype=bool)] == 0.0)
+    padded = np.concatenate([gamma, np.ones(-T % L)])
+    for c in range(D.shape[0]):
+        cs = np.cumsum(np.log(padded[c * L:(c + 1) * L]))
+        for t in range(L):
+            assert D[c, t, :t + 1].tobytes() == np.exp(cs[t] - cs[:t + 1]).tobytes()
 
 
 def forward_substitution(n, rhs):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridssm import kernels
 from hybridssm.mixing import hankel_profile
@@ -24,6 +25,8 @@ from hybridssm.ssm_core import (
     ssm_forward,
     ssm_io_matrix,
     ssm_step,
+    _finite_output,
+    _require_finite,
     zero_info_state,
 )
 
@@ -437,6 +440,31 @@ class TestForwardAndGates:
         with pytest.raises(ValueError, match="beta is non-finite at row 5"):
             GateTrack(gamma=np.full(8, 0.5), beta=bad)
 
+    def test_gamma_range_error_names_the_first_offending_step(self):
+        gamma = np.array([0.5, 1.0, 1.5, 0.0, 2.0])
+        with pytest.raises(ValueError, match=re.escape("gamma must lie in (0, 1]: step 2 is 1.5")):
+            GateTrack(gamma=gamma, beta=np.full(5, 0.5))
+        gamma[2] = 0.9  # a zero decay is out of range too
+        with pytest.raises(ValueError, match=re.escape("gamma must lie in (0, 1]: step 3 is 0.0")):
+            GateTrack(gamma=gamma, beta=np.full(5, 0.5))
+
+    def test_beta_range_error_names_the_first_offending_step(self):
+        beta = np.array([0.0, 1.0, 0.3, -0.25, 1.5])
+        with pytest.raises(ValueError, match=re.escape("beta must lie in [0, 1]: step 3 is -0.25")):
+            GateTrack(gamma=np.full(5, 0.5), beta=beta)
+
+    @pytest.mark.parametrize("bad, shown", [(0.0, "0.0"), (-2.0, "-2.0"), (np.inf, "inf"),
+                                            (np.nan, "nan")])
+    def test_lam_range_error_names_the_first_offending_step(self, bad, shown):
+        lam = np.full(6, 0.5)
+        lam[[4, 5]] = bad, -1.0
+        with pytest.raises(ValueError, match=re.escape(
+                f"lam must be positive and finite, one per step: step 4 is {shown}")):
+            GateTrack(gamma=np.full(6, 0.5), beta=np.full(6, 0.5), lam=lam)
+        # a track of the wrong length keeps the plain message
+        with pytest.raises(ValueError, match="one per step$"):
+            GateTrack(gamma=np.full(6, 0.5), beta=np.full(6, 0.5), lam=np.full(5, 0.5))
+
     @pytest.mark.parametrize("kind", list(SsmKind))
     def test_bad_solver_arguments_rejected(self, kind):
         T = 6
@@ -805,3 +833,51 @@ class TestForwardAndGates:
             y, _ = ssm_forward(SsmKind.GKA, k, v, q, gates, solver=solver, r=5)
             assert np.array_equal(y[:3], np.zeros((3, 3)))
             assert np.all(np.isfinite(y))
+
+
+def first_bad_row_by_scan(arr):
+    """The oracle: scan the rows in order and return the first that holds a
+    non-finite entry, or None."""
+    for row in range(arr.shape[0]):
+        if not all(np.isfinite(x) for x in np.ravel(arr[row])):
+            return row
+    return None
+
+
+@st.composite
+def arrays_with_non_finite_entries(draw):
+    """A 1-D to 3-D float64 or complex128 array, holding NaN or +-inf (in
+    the real or the imaginary part) at zero or more generated positions."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
+    for _ in range(draw(st.integers(0, 4))):
+        index = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        arr[index] = complex(arr[index].real, value) if complex_ and draw(st.booleans()) else value
+    return arr
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays=st.lists(arrays_with_non_finite_entries(), min_size=1, max_size=3))
+def test_finiteness_checks_name_the_row_a_row_scan_finds(arrays):
+    # the whole-array test runs first and the row is located only after it
+    # fails; both must name what a plain row scan names
+    named = {f"a{i}": arr for i, arr in enumerate(arrays)}
+    first = next(((name, row) for name, arr in named.items()
+                  if (row := first_bad_row_by_scan(arr)) is not None), None)
+    if first is None:
+        _require_finite(**named)
+    else:
+        with pytest.raises(ValueError, match=f"^{first[0]} is non-finite at row {first[1]}$"):
+            _require_finite(**named)
+    y, s = arrays[0], np.zeros((2, 2))
+    row = first_bad_row_by_scan(y)
+    if row is None:
+        got_y, got_s = _finite_output(SsmKind.GDN, y, s)
+        assert got_y is y and got_s is s
+    else:
+        with pytest.raises(NonFiniteOutput, match=f"^gdn output is non-finite from row {row}$") as err:
+            _finite_output(SsmKind.GDN, y, s)
+        assert err.value.row == row
