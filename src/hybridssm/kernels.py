@@ -4,8 +4,9 @@ per-chunk zero-start end states and transitions from the key/value half of
 that solve alone (no queries, no carried state), the GKA
 information-form forward in SSD-form blocks (exact solves, by block
 Woodbury where a block allows it and per token otherwise, or Chebyshev
-solves), Chebyshev iteration over a batch of systems, the Sherman-Morrison
-downdate, and the causal conv1d.
+solves), Chebyshev iteration over a batch of systems, the in-place
+Sherman-Morrison downdate and the recurrence-form GKA scan built on it,
+and the causal conv1d.
 
 Each computation has exactly one body here; ``ssm_core``, ``seqpar`` and
 ``composition`` call these rather than restating them.
@@ -23,6 +24,10 @@ exponentiated only on and below its diagonal. A finiteness check tests a
 whole array first; the row-wise mask that locates the first bad row
 (``first_non_finite_row``, which ``ssm_core``'s checks and GKA's output
 stop call, and GDN's overflow mask) is built only once that test fails.
+GKA's Woodbury blocks invert no triangular factor and no zero state: a
+block takes one triangular solve, and one inverse only when it is entered
+from a non-zero state. The recurrence-form scan takes one product with Phi
+per token and reads all its outputs in one GEMM after the loop.
 """
 
 from __future__ import annotations
@@ -262,9 +267,13 @@ def _woodbury_block(h0, k, beta, q, lam):
     With A = H_0 + lam I and Kb = diag(beta)^1/2 K, Woodbury gives
     x_t = A^-1 q_t - (Kb_t A^-1)^T C_t^-1 Kb_t A^-1 q_t, with C_t the leading
     (t+1)-square block of C = I + Kb A^-1 Kb^T. The Cholesky factor R of a
-    leading block is the leading block of R, so with P = Kb A^-1 all rows
-    take X = Q A^-1 - (tril(Q P^T R^-T) R^-1) P. A row with q_t = 0
-    gets x_t = 0.
+    leading block is the leading block of R, so with P = Kb A^-1 and
+    Y = R^-1 P, whose row t reads rows <= t of P only, all rows take
+    X = Q A^-1 - tril(Q Y^T) Y: two GEMMs. Y comes from one triangular
+    solve, (D^-1 R) Y = D^-1 P with D = diag(R), by _ut_solve; R itself is
+    never inverted. A block entered from the zero state (every forward's
+    first) takes A^-1 = I / lam, which is inv(lam I) bit for bit, without an
+    inverse. A row with q_t = 0 gets x_t = 0.
 
     The guard: cond(A) <= 1 + ||H_0||_F / lam and lambda_max(C) <= 1 +
     sum_i beta_i k_i^T A^-1 k_i (lambda_min(C) >= 1) must both stay within
@@ -276,14 +285,17 @@ def _woodbury_block(h0, k, beta, q, lam):
             and np.max(np.abs(kb), initial=0.0) <= WOODBURY_TAU * np.sqrt(lam)
             and 1.0 + np.linalg.norm(h0 / lam) <= WOODBURY_TAU):
         return None
-    a_inv = np.linalg.inv(h0 + lam * np.eye(h0.shape[0]))
+    eye = np.eye(h0.shape[0])
+    a_inv = np.linalg.inv(h0 + lam * eye) if h0.any() else eye / lam
     p = kb @ a_inv
     if not 1.0 + np.sum(p * kb) <= WOODBURY_TAU:
         return None
-    r_inv = np.tril(np.linalg.inv(np.linalg.cholesky(p @ kb.T + np.eye(k.shape[0]))))
+    r = np.linalg.cholesky(p @ kb.T + np.eye(k.shape[0]))
+    d = np.diagonal(r)[:, None]
+    y = _ut_solve((r / d)[None], (p / d)[None])[0]
 
     def solve(b):
-        return b @ a_inv - np.tril(b @ p.T @ r_inv.T) @ r_inv @ p
+        return b @ a_inv - np.tril(b @ y.T) @ y
 
     x = solve(q)
     # the two terms of X can be up to lambda_max(C) times larger than x,
@@ -310,8 +322,9 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
 
     so U_t is never formed: y_t = G_t U_0 x_t + sum_i W_ti (k_i . x_t) v_i
     for a whole block of rows in two GEMMs. The exact solver takes a whole
-    block by Woodbury (_woodbury_block: one inverse of H_0 + lam I, one
-    Cholesky and masked GEMMs) when the block does not decay (gamma = 1),
+    block by Woodbury (_woodbury_block: one inverse of H_0 + lam I, none
+    for a zero H_0, one Cholesky, one triangular solve and masked GEMMs)
+    when the block does not decay (gamma = 1),
     every row it solves has the same fixed lam, the system is real and the
     guard on cond(H_0 + lam I) and on the capacitance matrix holds (see
     WOODBURY_TAU). Any other block (decaying gamma, a lam that varies
@@ -344,7 +357,7 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         # the norm terms weight unit keys by W_ti ||k_i||^2, so a huge key
         # makes only the rows it reaches non-finite, not (by 0 * inf) the
         # rows before it
-        n = np.diagonal(K @ Kt, axis1=1, axis2=2)  # ||k_i||^2
+        n = np.einsum('cld,cld->cl', K, K)  # ||k_i||^2
         unit = K * np.divide(1.0, np.sqrt(n), out=np.zeros_like(n), where=n > 0.0)[..., None]
         Wn = np.multiply(W, n[:, None, :], out=np.zeros_like(W), where=W > 0.0)
         own = np.sum((Wn @ (unit @ unit.transpose(0, 2, 1)) ** 2) * Wn, axis=2)
@@ -415,12 +428,16 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
 
 
 def sherman_morrison_downdate(phi, k, beta):
-    """Fold beta k k^T into Phi = M^{-1}: returns (Phi', g) with
-    Phi' = (M + beta k k^T)^{-1} by the Sherman-Morrison identity and the
-    gain g = beta Phi' k."""
+    """Fold beta k k^T into Phi = M^{-1} in place: returns (Phi', g) with
+    Phi' = (M + beta k k^T)^{-1} by the Sherman-Morrison identity, written
+    over phi, and the gain g = beta Phi' k. The gain is taken from Phi k
+    before the downdate, g = beta Phi k / (1 + beta k^T Phi k), which
+    equals beta Phi' k in exact arithmetic and needs no second product
+    with Phi'; then Phi' = Phi - g (Phi k)^T."""
     pk = phi @ k
-    phi = phi - np.outer((beta / (1.0 + beta * (k @ pk))) * pk, pk)
-    return phi, beta * (phi @ k)
+    g = (beta / (1.0 + beta * (k @ pk))) * pk
+    phi -= np.outer(g, pk)
+    return phi, g
 
 
 def gka_recurrent_scan(k, v, q, beta, lam):
@@ -428,18 +445,22 @@ def gka_recurrent_scan(k, v, q, beta, lam):
 
     Maintains Phi_t = (sum_i beta_i k_i k_i^T + lam I)^{-1} incrementally via
     the Sherman-Morrison identity, computes the gain g_t = beta_t Phi_t k_t,
-    and updates S_t = S_{t-1} (I - k_t g_t^T) + v_t g_t^T with y_t = S_t q_t.
-    Returns (y, S, Phi).
+    and updates S_t = S_{t-1} (I - k_t g_t^T) + v_t g_t^T, that is
+    S_t = S_{t-1} + e_t g_t^T with the innovation e_t = v_t - S_{t-1} k_t.
+    The outputs y_t = S_t q_t = sum_{i<=t} e_i (g_i . q_t) are read after
+    the loop from the stored innovations E and gains G, all rows at once:
+    Y = tril(Q G^T) E. Returns (y, S, Phi).
     """
     T, d_k = k.shape
     phi = np.eye(d_k) / lam
     S = np.zeros((v.shape[1], d_k))
-    y = np.empty((T, v.shape[1]))
+    e = np.empty((T, v.shape[1]))
+    g = np.empty((T, d_k))
     for t in range(T):
-        phi, g = sherman_morrison_downdate(phi, k[t], beta[t])
-        S += np.outer(v[t] - S @ k[t], g)
-        y[t] = S @ q[t]
-    return y, S, phi
+        phi, g[t] = sherman_morrison_downdate(phi, k[t], beta[t])
+        e[t] = v[t] - S @ k[t]
+        S += np.outer(e[t], g[t])
+    return np.tril(q @ g.T) @ e, S, phi
 
 
 def conv1d_direct(u, w):

@@ -251,7 +251,8 @@ def gka_gain(info: GkaInfoState, k_t: np.ndarray, beta_t: float, lam_t: float) -
 class ShermanMorrisonGain:
     """Incremental gain path for the gamma == 1, constant-lam regime:
     maintains Phi = (sum_i beta_i k_i k_i^T + lam I)^{-1} one rank-1
-    downdate at a time. Must agree with the dense-solve path there."""
+    downdate at a time, in place (self.phi is the gain path's own array).
+    Must agree with the dense-solve path there."""
 
     def __init__(self, d_k: int, lam: float):
         if lam <= 0.0:

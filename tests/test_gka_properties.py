@@ -4,15 +4,17 @@ validated state and skip the spectrum check, so every such state must
 re-pass the full public GkaInfoState check; the tiled decode variants equal
 the reference with the modelled tile traffic; the blocked forward replays
 the per-token solves of either solver, with Woodbury's blocks and the
-dense ones at gamma = 1 and one lam; the GKA laws hold: additive fusion of
-chunk states equals a single pass without decay, and USP equals a single
-device; and a chunk record's Mamba-2 or GKA state, a decayed key sum,
-equals the end state of a forward over the chunk."""
+dense ones at gamma = 1 and one lam; the recurrence-form scan's outputs,
+read after its loop, replay its per-token Sherman-Morrison recurrence; the
+GKA laws hold: additive fusion of chunk states equals a single pass
+without decay, and USP equals a single device; and a chunk record's
+Mamba-2 or GKA state, a decayed key sum, equals the end state of a forward
+over the chunk."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from hybridssm import seqpar
+from hybridssm import kernels, seqpar
 from hybridssm.composition import gka_compose, run_chunk
 from hybridssm.ssm_core import (GateTrack, GkaInfoState, chebyshev_solve, gka_info_update,
                                 ssm_forward, zero_info_state)
@@ -153,6 +155,10 @@ def test_blocked_gka_forward_replays_the_per_token_solves(T, d_k, d_v, solver, r
        filtered_frac=SHARES, seed=st.integers(0, 2**32 - 1))
 # Woodbury without its refinement step misses this one by 2.2e-12
 @example(T=64, d_k=1, d_v=2, log_key_norm=0.0, log_ratio=3.0, filtered_frac=0.0, seed=36)
+# the prefill_gka benchmark's block shape with the largest capacitance
+# matrix the guard lets Woodbury take in both blocks (lambda_max(C) ~ 2e3);
+# at log_ratio = 4 the guard sends both blocks of this shape to the dense solve
+@example(T=128, d_k=64, d_v=3, log_key_norm=0.0, log_ratio=3.4, filtered_frac=0.5, seed=3)
 def test_fixed_lam_exact_gka_forward_replays_the_per_token_solves(T, d_k, d_v, log_key_norm,
                                                                   log_ratio, filtered_frac,
                                                                   seed):
@@ -175,6 +181,35 @@ def test_fixed_lam_exact_gka_forward_replays_the_per_token_solves(T, d_k, d_v, l
         state = gka_info_update(state, k[t], v[t], 1.0, beta[t])
         ref[t] = state.u @ np.linalg.solve(state.h + lam * np.eye(d_k), q[t])
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(T=st.one_of(st.sampled_from([1, 63, 64, 65, 130]), st.integers(1, 200)),
+       d_k=st.integers(1, 64), d_v=st.integers(1, 8), log_key_norm=st.floats(-1.0, 1.5),
+       log_lam=st.floats(-1.0, 0.5), filtered_frac=SHARES, seed=st.integers(0, 2**32 - 1))
+def test_recurrent_scan_replays_its_per_token_recurrence(T, d_k, d_v, log_key_norm, log_lam,
+                                                         filtered_frac, seed):
+    # the scan stores innovations and gains and reads every output after its
+    # loop as tril(Q G^T) E; the replay reads y_t = S_t q_t token by token from
+    # the same Sherman-Morrison recurrence. Phi must be the dense inverse and
+    # each gain beta Phi' k, the gain of the downdated Phi
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** log_lam
+    k = scaled_keys(rng, T, d_k, 10.0 ** log_key_norm)
+    v, q = rng.standard_normal((T, d_v)), rng.standard_normal((T, d_k))
+    _, beta = gates(rng, T, filtered_frac, plain_frac=1.0)
+    y, s, phi = kernels.gka_recurrent_scan(k, v, q, beta, lam)
+    phi_t, s_t, ref = np.eye(d_k) / lam, np.zeros((d_v, d_k)), np.zeros((T, d_v))
+    for t in range(T):
+        pk = phi_t @ k[t]
+        phi_t, g = kernels.sherman_morrison_downdate(phi_t, k[t], beta[t])
+        assert np.linalg.norm(g - beta[t] * (phi_t @ k[t])) <= 1e-13 * beta[t] * np.linalg.norm(pk)
+        s_t += np.outer(v[t] - s_t @ k[t], g)
+        ref[t] = s_t @ q[t]
+    assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(s, s_t) and np.array_equal(phi, phi_t)
+    dense = np.linalg.inv(k.T @ (beta[:, None] * k) + lam * np.eye(d_k))
+    assert np.linalg.norm(phi - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 @PROPERTY_SETTINGS

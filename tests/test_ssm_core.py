@@ -700,6 +700,29 @@ class TestForwardAndGates:
         assert dense_solves(k + 1e-30j, ones, lam) == T
         assert dense_solves(k, ones, lam, q=np.ones((T, d)) * (1 + 1e-30j)) == T
 
+    def test_gka_exact_forward_inverts_only_a_nonzero_block_entry(self, monkeypatch):
+        # on the prefill_gka benchmark's inputs both blocks are Woodbury's:
+        # the first enters from the zero state and takes A^-1 = I / lam,
+        # neither inverts its Cholesky factor, so the one inverse is the
+        # second block's A = H_0 + lam I
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.copy()) or inv(a))
+        T, d = 128, 64
+        rng = np.random.default_rng(40)
+        k, v, q = (rng.standard_normal((T, d)) for _ in range(3))
+        beta = rng.uniform(0.1, 0.9, T)
+        _, state = ssm_forward(SsmKind.GKA, k[:64], v[:64], q[:64],
+                               GateTrack(np.ones(64), beta[:64], np.full(64, 0.5)))
+        inverted.clear()
+        ssm_forward(SsmKind.GKA, k, v, q, GateTrack(np.ones(T), beta, np.full(T, 0.5)))
+        assert len(inverted) == 1
+        np.testing.assert_array_equal(inverted[0], state.h + 0.5 * np.eye(d))
+        # inv(lam I) is I / lam bit for bit, which the zero-state block relies on
+        for n in (1, 5, 64):
+            for lam in (1e-6, 0.5, 3.0, 1e4):
+                np.testing.assert_array_equal(inv(lam * np.eye(n)), np.eye(n) / lam)
+
     def test_gka_exact_complex_step_matches_woodbury_differences(self):
         # the complex step runs the dense solve, the real forward Woodbury in
         # all three blocks (keys of norm ~4, lam 0.5): the derivative of one
