@@ -1,4 +1,6 @@
-"""Numpy kernels: the chunkwise Mamba-2 (SSD) and GDN (WY) scans, GDN's
+"""Numpy kernels: the chunkwise Mamba-2 (SSD) and GDN (WY) scans, which
+chain their per-chunk terms (_ssd_chunks, _wy_chunks; chunk_terms returns
+either) by one carry (_carry), GDN's
 chunk systems solved by one blocked UT inverse for all chunks, GDN's
 per-chunk zero-start end states and transitions from the key/value half of
 that solve alone (no queries, no carried state), the GKA
@@ -86,10 +88,10 @@ def _ssd_terms(k, q, gamma):
     return K, Kt, G, D, kd, (Q @ Kt) * D, G[:, :, None] * Q
 
 
-def _carry(y0, e, aq, a_end, s0, T):
+def _carry(aq, a_end, y0, e, s0, T):
     """Chain the chunks from s0: with S_c the state entering chunk c,
     y_c = y0_c + aq_c S_c^T and S_{c+1} = e_c + S_c a_end_c, where y0 and e
-    are the chunks' zero-start outputs and end states.
+    are the chunks' zero-start outputs and end states (chunk_terms).
 
     s0 may have more rows than the values have columns (d_v): the rows past
     d_v carry transitions only, nothing is written to them, so the outputs'
@@ -105,15 +107,20 @@ def _carry(y0, e, aq, a_end, s0, T):
     return y.reshape(y.shape[0] * y.shape[1], y.shape[2])[:T], S
 
 
-def mamba2_scan(k, v, q, gamma, s0):
-    """Mamba-2 recurrence: S_t = gamma_t * S_{t-1} + v_t k_t^T, y_t = S_t q_t.
-
-    Chunkwise SSD form: per chunk Y = ((Q K^T) o D) V + diag(G) Q S_0^T,
-    with the state carried between chunks."""
+def _ssd_chunks(k, v, q, gamma):
+    """Per-chunk terms of the Mamba-2 scan in the SSD form: each chunk's
+    outputs are Y = ((Q K^T) o D) V + diag(G) Q S_0^T and its end state
+    V^T kd + S_0 G_L. Returns (aq, a_end, y0, e) = (diag(G) Q, G_L I,
+    ((Q K^T) o D) V, V^T kd), as _wy_chunks does for GDN."""
     K, _, G, _, kd, qk, gq = _ssd_terms(k, q, gamma)
     V = _blocks(v, K.shape[1])
-    a_end = G[:, -1, None, None] * np.eye(k.shape[1])
-    return _carry(qk @ V, V.transpose(0, 2, 1) @ kd, gq, a_end, s0, k.shape[0])
+    return gq, G[:, -1, None, None] * np.eye(k.shape[1]), qk @ V, V.transpose(0, 2, 1) @ kd
+
+
+def mamba2_scan(k, v, q, gamma, s0):
+    """Mamba-2 recurrence: S_t = gamma_t * S_{t-1} + v_t k_t^T, y_t = S_t q_t,
+    chunkwise in the SSD form (see _ssd_chunks)."""
+    return _carry(*_ssd_chunks(k, v, q, gamma), s0, k.shape[0])
 
 
 def _diagonal_quarters(x, s):
@@ -210,8 +217,20 @@ def _wy_chunks(k, v, q, gamma, beta):
 def gdn_scan(k, v, q, gamma, beta, s0):
     """GDN recurrence: S_t = S_{t-1} gamma_t (I - beta_t k_t k_t^T) + beta_t v_t k_t^T,
     y_t = S_t q_t, chunkwise in the WY form (see _wy_chunks)."""
-    aq, a_end, y0, e = _wy_chunks(k, v, q, gamma, beta)
-    return _carry(y0, e, aq, a_end, s0, k.shape[0])
+    return _carry(*_wy_chunks(k, v, q, gamma, beta), s0, k.shape[0])
+
+
+def chunk_terms(kind, k, v, q, gamma, beta):
+    """The per-chunk terms (aq, a_end, y0, e) of the "mamba2" (_ssd_chunks)
+    or "gdn" (_wy_chunks) scan, per block of min(CHUNK, T) tokens: each
+    block's zero-start outputs y0 and end state e, its transition a_end
+    and aq, the rows aq[t] = A_{1:t} q_t through which a start state
+    reaches its outputs. The blocks are independent: a block
+    entered from S_0 reads y0 + aq S_0^T and ends in e + S_0 a_end, and
+    _carry chains them so. beta is read by GDN only."""
+    if kind == "mamba2":
+        return _ssd_chunks(k, v, q, gamma)
+    return _wy_chunks(k, v, q, gamma, beta)
 
 
 def gdn_transition_prefixes(k, gamma, beta, q):

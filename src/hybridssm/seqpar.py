@@ -10,7 +10,15 @@ mechanisms are modeled:
   * P2P state passing: every rank runs its chunk from the zero state and
     records the chunk's cumulative transition; the previous state then
     enters as S_0 A_{1:n} corrections to the local states and outputs.
-    Valid for recurrences with linear readout (Mamba-2, GDN).
+    Valid for recurrences with linear readout (Mamba-2, GDN). The local
+    passes do not depend on one another, so when every chunk holds at
+    least one whole block of ``kernels.CHUNK`` tokens the simulator takes
+    every chunk's per-block terms from one chunkwise kernel call over the
+    whole sequence and lets each rank fold its own chunks' blocks. A plan
+    with a shorter chunk still runs one ``chunk_forward`` per chunk, which
+    perfbench's tracer test counts (one ``ssm_forward`` per chunk). The
+    outputs are those of one ``chunk_forward`` per chunk, bit for bit,
+    either way.
   * USP gather-compute-slice: reconstruct the full sequence per rank, run
     the unmodified layer, keep the local slice. Works for any layer,
     including GKA; the simulator runs the layer once and slices it for
@@ -27,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .ssm_core import (GateTrack, NonFiniteOutput, SsmKind, _as_kind, _finite_output,
-                       _require_finite, chunk_forward)
+from .ssm_core import (GateTrack, NonFiniteOutput, SsmKind, _as_kind, _check_layer_shapes,
+                       _finite_output, _require_finite, chunk_forward)
 from .ssm_core import ssm_forward  # noqa: F401  (perfbench's tracer test reads seqpar.ssm_forward)
 
 DEFAULT_ELEM_BYTES = 2  # BF16 accounting; simulation arithmetic stays float64
@@ -181,6 +189,42 @@ def conv1d_sp(u: np.ndarray, w: np.ndarray, plan: ShardPlan,
     return y
 
 
+def _padded_to_blocks(plan, k, v, q, gates):
+    """The sequence with every chunk padded to whole blocks of L = CHUNK
+    tokens, and the index of each chunk's first block. Padding tokens have
+    k = v = q = 0, gamma = 1 and beta = 0, so they neither decay nor write:
+    a chunk of at least L tokens is cut into the blocks its own zero-start
+    pass would take."""
+    L = kernels.CHUNK
+    lengths = np.diff(plan.bounds)
+    n_blocks = -(-lengths // L)
+    first = np.concatenate([[0], np.cumsum(n_blocks)])
+    arrays = (k, v, q, gates.gamma, gates.beta)
+    if np.all(lengths % L == 0):
+        return arrays, first
+    rows = np.concatenate([L * b + np.arange(n) for b, n in zip(first, lengths)])
+    padded = []
+    for x, fill in zip(arrays, (0.0, 0.0, 0.0, 1.0, 0.0)):
+        out = np.full((L * first[-1],) + x.shape[1:], fill, dtype=x.dtype)
+        out[rows] = x
+        padded.append(out)
+    return padded, first
+
+
+def _local_pass(aq, a_end, y0, e, n):
+    """A chunk's pass from the zero state, from its blocks' terms
+    (kernels.chunk_terms): the outputs [y | aq] (n rows) and the end state
+    [s_end; a_end], as chunk_forward returns them stacked. From the start
+    state [0; I] the first block reads [y0 | aq] and ends in [e; a_end]
+    with no product against it; the other blocks fold from there
+    (kernels._carry)."""
+    y, s = np.concatenate([y0[0], aq[0]], axis=1), np.concatenate([e[0], a_end[0]])
+    if len(aq) > 1:
+        rest, s = kernels._carry(aq[1:], a_end[1:], y0[1:], e[1:], s, n - len(y))
+        y = np.concatenate([y, rest])
+    return y[:n], s
+
+
 def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
                 gates: GateTrack, plan: ShardPlan, bus: MessageBus | None = None,
                 elem_bytes: int = DEFAULT_ELEM_BYTES):
@@ -191,10 +235,25 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
 
         S_n = S_n|_{S_0=0} + S_0 A_{1:n},    y_n += (S_0 A_{1:n}) q_n,
 
-    and the corrected final state is relayed onward. Returns (y, final
-    state); raises for kinds without a linear readout (GKA reads through a
-    matrix solve over the whole key history), and FloatingPointError
-    naming the first non-finite output row of the sequence."""
+    and the corrected final state is relayed onward. The chunks' zero-start
+    passes do not depend on one another. When every chunk has at least
+    CHUNK tokens, their per-block terms come from one kernels.chunk_terms
+    call over the sequence, each chunk padded to whole blocks of CHUNK
+    tokens, and each rank folds only its own chunks' blocks: those blocks
+    are the ones chunk_forward cuts the chunk into, so the local outputs
+    are chunk_forward's, bit for bit. A plan with a chunk shorter than
+    CHUNK runs chunk_forward on every chunk: perfbench's tracer test
+    (test_instrument_traces_imported_names_and_restores_them) counts one
+    traced ssm_forward per chunk on a plan of 2-token chunks. Blocks of
+    min(CHUNK, chunk length) would serve such plans too, since shard()
+    cuts equal chunks.
+
+    Returns (y, final state). Raises ValueError for kinds without a linear
+    readout (GKA reads through a matrix solve over the whole key history),
+    for shapes that do not match the plan and the gates, and for a
+    non-finite k, v or q, naming its sequence row; FloatingPointError
+    (NonFiniteOutput) naming the first non-finite row of the sequence, of a
+    chunk's local pass or of the corrected output."""
     kind = _as_kind(kind)
     if kind is SsmKind.GKA:
         raise ValueError("p2p_forward needs a linear readout; GKA's solve-based "
@@ -204,20 +263,31 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     q = np.ascontiguousarray(q, dtype=np.float64)
     if k.shape[0] != plan.length:
         raise ValueError(f"sequence length {k.shape[0]} != plan length {plan.length}")
+    _check_layer_shapes(k, v, q, gates)
     _require_finite(k=k, v=v, q=q)  # name a sequence row, not a chunk row
     d_v, d_k = v.shape[1], k.shape[1]
+    batched = min(np.diff(plan.bounds)) >= kernels.CHUNK
+    if batched:
+        padded, first = _padded_to_blocks(plan, k, v, q, gates)
+        terms = kernels.chunk_terms(kind.value, *padded)
     y = np.zeros((plan.length, d_v))
     state = np.zeros((d_v, d_k))
     state_bytes = d_v * d_k * elem_bytes
     for c in range(plan.n_chunks):
         sl = plan.chunk_slice(c)
-        sub = GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl],
-                        lam=None if gates.lam is None else gates.lam[sl])
         try:
-            y0, s_end, aq, a_end = chunk_forward(kind, k[sl], v[sl], q[sl], sub)
+            if batched:
+                b = slice(first[c], first[c + 1])
+                y_loc, s_loc = _local_pass(*(x[b] for x in terms), sl.stop - sl.start)
+                _finite_output(kind, y_loc, s_loc)
+                y_zero, aq, s_end, a_end = y_loc[:, :d_v], y_loc[:, d_v:], s_loc[:d_v], s_loc[d_v:]
+            else:
+                sub = GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl],
+                                lam=None if gates.lam is None else gates.lam[sl])
+                y_zero, s_end, aq, a_end = chunk_forward(kind, k[sl], v[sl], q[sl], sub)
         except NonFiniteOutput as err:  # name a sequence row, not a chunk row
             raise NonFiniteOutput(kind, sl.start + err.row) from None
-        y[sl] = y0 + aq @ state.T
+        y[sl] = y_zero + aq @ state.T
         state = s_end + state @ a_end
         state = _relay(bus, plan, c, "ssm_state", state, state_bytes)
     return _finite_output(kind, y, state)  # corrections can overflow where no chunk did

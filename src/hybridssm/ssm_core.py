@@ -283,9 +283,12 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
 
     Both forms run the one recurrence in kernels.chebyshev_dense, a dense H
     as its product H @ p, so they agree bit for bit on the same products.
-    Returns (x_r, residual_history); raises on a non-finite iterate, naming
-    the iteration."""
+    Returns (x_r, residual_history). Raises ValueError on a non-finite lam
+    or spectral bound, naming it, and FloatingPointError on a non-finite
+    iterate, naming the iteration."""
     r = check_iterations(r)
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     q = np.asarray(q, dtype=np.float64)
     dense = isinstance(apply_h, np.ndarray)
     if spectral_bounds is None:
@@ -293,6 +296,9 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
             raise ValueError("spectral_bounds are required for operator-form H")
         spectral_bounds = default_spectral_bounds(apply_h, lam)
     a, b = float(spectral_bounds[0]), float(spectral_bounds[1])
+    for name, bound in (("lower", a), ("upper", b)):
+        if not np.isfinite(bound):
+            raise ValueError(f"{name} spectral bound must be finite, got {bound}")
     if a <= 0.0:
         raise ValueError(f"lower spectral bound must be > 0, got {a}")
     if b < a:
@@ -370,6 +376,17 @@ def _finite_output(kind: SsmKind, y: np.ndarray, s: np.ndarray):
     return y, s
 
 
+def _check_layer_shapes(k: np.ndarray, v: np.ndarray, q: np.ndarray, gates: GateTrack) -> None:
+    """ValueError naming the first of k, v, q that is not 2-D with one row
+    per gate step, or a q shaped unlike k."""
+    for name, x in (("k", k), ("v", v), ("q", q)):
+        if x.ndim != 2 or x.shape[0] != gates.T:
+            raise ValueError(f"{name} must be 2-D with one row per gate step "
+                             f"(T = {gates.T}), got shape {x.shape}")
+    if q.shape != k.shape:
+        raise ValueError(f"q shape {q.shape} != k shape {k.shape}")
+
+
 def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
                 gates: GateTrack, s0: np.ndarray | None = None,
                 solver: str = "exact", r: int = 30, alpha: float = DEFAULT_ALPHA):
@@ -401,12 +418,7 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
         raise ValueError(f"unknown solver: {solver!r}")
     solver_r = 0 if solver == "exact" else check_iterations(r)
     k, v, q = _real_or_complex(k), _real_or_complex(v), _real_or_complex(q)
-    for name, x in (("k", k), ("v", v), ("q", q)):
-        if x.ndim != 2 or x.shape[0] != gates.T:
-            raise ValueError(f"{name} must be 2-D with one row per gate step "
-                             f"(T = {gates.T}), got shape {x.shape}")
-    if q.shape != k.shape:
-        raise ValueError(f"q shape {q.shape} != k shape {k.shape}")
+    _check_layer_shapes(k, v, q, gates)
     d_v, d_k = v.shape[1], k.shape[1]
     s0 = np.zeros((d_v, d_k)) if s0 is None else _real_or_complex(s0)
     # Mamba-2 and GDN carry the rows of a taller s0 as transitions (kernels._carry)

@@ -169,7 +169,9 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     and d_k; a bad one raises ValueError naming it, as do an r that is not
     an integer >= 1, an alpha that is not positive and finite and a tile
     size b_k or b_v below 1 or not dividing d_k or d_v (U's traffic is not
-    modeled; b_v is only checked). The input state's H is symmetric and the returned state is
+    modeled; b_v is only checked); an updated H whose Frobenius norm is not
+    finite raises FloatingPointError naming it, before any solve. The input
+    state's H is symmetric and the returned state is
     derived from it by a PSD-preserving update, so neither its symmetry nor
     its spectrum is checked again."""
     if variant not in VARIANTS:
@@ -202,6 +204,9 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
         # loop; the large-batch one reloads them every iteration
         reloads = counters if variant == "tiled_large_batch" else None
         apply_h = lambda p: tiled_matvec(tiles, p, reloads)
+    if not fro < np.inf:  # a key of norm ~1e160 overflows beta k k^T
+        raise FloatingPointError(f"the updated state H' = gamma H + beta k k^T is non-finite "
+                                 f"(||H'||_F = {fro})")
     lam = alpha * fro
     if lam > 0.0:
         x, _ = chebyshev_solve(apply_h, lam, q, r, spectral_bounds=(lam, lam + fro))

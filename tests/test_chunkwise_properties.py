@@ -2,8 +2,9 @@
 they replay the per-step oracle ``ssm_step``, GDN's blocked UT solve
 replays row-by-row forward substitution, ``chunk_forward`` equals a
 forward with zero value columns for the transitions, a GDN chunk record
-equals ``chunk_forward``'s end state and transition, and the P2P and CASO
-paths built on them reproduce the single-device forward; PICASO-R over
+equals ``chunk_forward``'s end state and transition, the P2P and CASO
+paths built on them reproduce the single-device forward, and P2P's
+batched local passes equal one ``chunk_forward`` per chunk bit for bit; PICASO-R over
 Mamba-2, GDN and GKA chunk records does not depend on where the cycle
 starts; the SSD decay matrix is exponentiated only on and below its
 diagonal, and equals exp(cs_t - cs_i) there bit for bit."""
@@ -157,6 +158,43 @@ def test_p2p_equals_single_device_forward(kind, pattern, n_ranks, chunk_len, d,
     y_ref, s_ref = ssm_forward(kind, k, v, q, gates)
     assert relative_error(y, y_ref) <= 1e-10
     assert relative_error(s, s_ref) <= 1e-10
+
+
+def p2p_by_chunk_forward(kind, k, v, q, gates, plan):
+    """The P2P forward with one chunk_forward call per chunk: each chunk's
+    zero-start pass on its own, then the S_0 A_{1:n} corrections in order."""
+    y = np.zeros((plan.length, v.shape[1]))
+    state = np.zeros((v.shape[1], k.shape[1]))
+    for c in range(plan.n_chunks):
+        sl = plan.chunk_slice(c)
+        y0, s_end, aq, a_end = chunk_forward(kind, k[sl], v[sl], q[sl],
+                                             GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl]))
+        y[sl] = y0 + aq @ state.T
+        state = s_end + state @ a_end
+    return y, state
+
+
+@PROPERTY_SETTINGS
+@given(kind=LINEAR_KINDS, pattern=st.sampled_from(["simple", "zigzag"]),
+       n_ranks=st.integers(1, 8),
+       chunk_len=st.one_of(st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK,
+                                            2 * CHUNK + 3]), st.integers(1, 2 * CHUNK + 3)),
+       d_k=st.integers(1, 6), d_v=st.integers(1, 6),
+       gamma_floor=st.sampled_from([1e-3, 0.5, 0.9, 1.0]),
+       filtered_frac=st.sampled_from([0.0, 0.2, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_p2p_equals_the_per_chunk_passes(kind, pattern, n_ranks, chunk_len, d_k, d_v,
+                                         gamma_floor, filtered_frac, seed):
+    # the batched terms of a chunk are the blocks its own pass takes (a
+    # short last block padded the same way), folded by the same operations
+    # in the same order: bit for bit
+    n_chunks = n_ranks if pattern == "simple" else 2 * n_ranks
+    T = n_chunks * chunk_len
+    rng = np.random.default_rng(seed)
+    k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, gamma_floor, filtered_frac)
+    plan = shard(T, n_ranks, pattern)
+    y, s = p2p_forward(kind, k, v, q, gates, plan, MessageBus(n_ranks))
+    y_ref, s_ref = p2p_by_chunk_forward(kind, k, v, q, gates, plan)
+    assert np.array_equal(y, y_ref) and np.array_equal(s, s_ref)
 
 
 @PROPERTY_SETTINGS

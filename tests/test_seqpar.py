@@ -225,16 +225,22 @@ class TestP2pForward:
                 p2p_forward(SsmKind.GDN, k, v, q, gates, shard(T, 2, "simple"), MessageBus(2))
 
     @pytest.mark.parametrize("pattern", ["simple", "zigzag"])
-    def test_gdn_solves_each_chunk_once(self, monkeypatch, pattern):
-        calls = []
+    @pytest.mark.parametrize("T", [32, 4 * (kernels.CHUNK + 3)])
+    def test_gdn_solves_each_chunk_once(self, monkeypatch, pattern, T):
+        # count the systems solved: every chunk is cut into whole blocks of
+        # L tokens, and each block is one system; chunks of at least CHUNK
+        # tokens are all solved in one call, shorter ones one call each
+        systems = []
         solve = kernels._ut_solve
         monkeypatch.setattr(kernels, "_ut_solve",
-                            lambda n, rhs: calls.append(1) or solve(n, rhs))
-        T = 32
+                            lambda n, rhs: systems.append(n.shape[0]) or solve(n, rhs))
         k, v, q, gates = rand_layer_inputs(T, seed=10)
-        plan = shard(T, 4, pattern)
-        p2p_forward(SsmKind.GDN, k, v, q, gates, plan, MessageBus(4))
-        assert len(calls) == plan.n_chunks
+        plan = shard(T, 2, pattern)
+        p2p_forward(SsmKind.GDN, k, v, q, gates, plan, MessageBus(2))
+        n = T // plan.n_chunks
+        L = min(kernels.CHUNK, n)
+        assert sum(systems) == plan.n_chunks * -(-n // L)
+        assert len(systems) == (1 if n >= kernels.CHUNK else plan.n_chunks)
 
     def test_gka_rejected(self):
         T = 8

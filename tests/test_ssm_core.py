@@ -282,6 +282,21 @@ class TestChebyshev:
         with pytest.raises(ValueError):
             chebyshev_solve(lambda p: p, 1.0, q, r=5)  # operator form needs bounds
 
+    @pytest.mark.parametrize("h, lam, bounds, match", [
+        (np.eye(3), np.inf, (np.inf, np.inf), "lam must be finite, got inf"),
+        (np.eye(3), np.nan, (1.0, 2.0), "lam must be finite, got nan"),
+        (np.eye(3), 1.0, (np.inf, np.inf), "lower spectral bound must be finite, got inf"),
+        (np.eye(3), 1.0, (np.nan, 2.0), "lower spectral bound must be finite, got nan"),
+        (np.eye(3), 1.0, (1.0, np.inf), "upper spectral bound must be finite, got inf"),
+        (np.full((3, 3), np.inf), 1.0, None, "upper spectral bound must be finite, got inf"),
+    ])
+    def test_non_finite_lam_or_bound_named(self, h, lam, bounds, match):
+        # an interval [inf, inf] used to reach a division by zero in the
+        # recurrence (alpha = 1 / inf); a NaN bound passed both range tests
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=re.escape(match)):
+                chebyshev_solve(h, lam, np.ones(3), 5, spectral_bounds=bounds)
+
     def test_divergence_reported_with_iteration_index(self):
         # bounds wildly below the true spectrum make the step sizes huge and
         # the iterates overflow; the failure must name an iteration

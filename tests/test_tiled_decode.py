@@ -247,6 +247,20 @@ class TestDecodeStep:
             decode_step(state, vectors["k"], vectors["v"], vectors["q"], 0.9, 0.5, variant,
                         r=1, b_k=4, b_v=4)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_overflowing_key_names_the_updated_state(self, variant, scale):
+        # beta k k^T overflows, so ||H'||_F and lam = alpha ||H'||_F are inf;
+        # the step names H' before the Chebyshev solve meets the interval
+        # [inf, inf] (it used to raise a bare ZeroDivisionError there)
+        state, rng = self.setup_state()
+        k, v, q = rng.standard_normal((3, 8))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match=re.escape("the updated state H' = gamma H + beta k k^T is "
+                                               "non-finite (||H'||_F = inf)")):
+                decode_step(state, scale * k, v, q, 0.9, 0.5, variant, r=3, b_k=4, b_v=4)
+
     @pytest.mark.parametrize("alpha", [0.0, -0.1, np.nan, np.inf])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_bad_alpha_rejected_by_every_variant(self, variant, alpha):
