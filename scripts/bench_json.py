@@ -7,8 +7,10 @@ change.
 Each ROOT is a checkout whose perfbench/results/ holds the manifests that
 `python3 perfbench/run.py --workload all --seed S --trace 0` wrote for every
 seed S in the range, and the one that `--trace 1` wrote at the trace seed.
-Per workload the file holds, for each end-to-end metric, both sides'
-median and quartiles (statistics.quantiles, as perfbench/stats.py reads
+The workloads and end-to-end metrics, and whether each metric is better
+higher or lower, are those that the change's BENCHMARK.json declares (the
+file is only read). Per workload the file holds, for each end-to-end
+metric, both sides' median and quartiles (statistics.quantiles, as perfbench/stats.py reads
 the spread) over the seeds, every run, and the number of seed pairs in
 which the change reads better; the failed and attempted requests; the
 traced per-layer figures that are non-zero on either side; and both
@@ -28,8 +30,19 @@ import json
 import statistics
 from pathlib import Path
 
-WORKLOADS = ("realize", "prefill_linear", "prefill_gka", "decode_gka")
-HIGHER_IS_BETTER = {"tok_per_s"}
+
+
+def benchmark(root):
+    """(workload names, {metric: +1.0 if higher is better, -1.0 if lower})
+    as ROOT/BENCHMARK.json declares them."""
+    declared = json.loads((Path(root) / "BENCHMARK.json").read_text())
+    signs = {"higher": 1.0, "lower": -1.0}
+    for m in declared["end_to_end"]:
+        if m["better"] not in signs:
+            raise ValueError(f"metric {m['name']!r}: better must be 'higher' or 'lower', "
+                             f"got {m['better']!r}")
+    return ([w["name"] for w in declared["workloads"]],
+            {m["name"]: signs[m["better"]] for m in declared["end_to_end"]})
 
 
 def manifest(root, workload, seed, trace):
@@ -42,13 +55,12 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def workload_entry(parent, change, workload, seeds, trace_seed):
+def workload_entry(parent, change, workload, seeds, trace_seed, signs):
     runs = {side: [manifest(root, workload, s, 0) for s in seeds]
             for side, root in (("parent", parent), ("change", change))}
     end_to_end = {}
-    for metric in runs["parent"][0]["end_to_end"]:
+    for metric, sign in signs.items():
         values = {side: [m["end_to_end"][metric] for m in ms] for side, ms in runs.items()}
-        sign = 1.0 if metric in HIGHER_IS_BETTER else -1.0
         better = sum(sign * (c - p) > 0.0 for p, c in zip(values["parent"], values["change"]))
         end_to_end[metric] = {"parent": summary(values["parent"]),
                               "change": summary(values["change"]),
@@ -84,9 +96,11 @@ def main(argv=None):
     if len(seeds) < 2:  # quartiles need two runs a side
         parser.error(f"--seeds {args.seeds[0]} {args.seeds[1]} gives {len(seeds)} seeds; "
                      "give a range of at least two")
+    workloads, signs = benchmark(args.change)
     entry = {"seeds": seeds, "trace_seed": args.trace_seed,
-             "workloads": {w: workload_entry(args.parent, args.change, w, seeds, args.trace_seed)
-                           for w in WORKLOADS}}
+             "workloads": {w: workload_entry(args.parent, args.change, w, seeds,
+                                             args.trace_seed, signs)
+                           for w in workloads}}
     Path(args.out).write_text(json.dumps(entry, indent=1) + "\n")
 
 

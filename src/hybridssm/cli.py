@@ -30,7 +30,8 @@ from .priming import importance_scores, make_recall_evaluator, select_layers
 from .realization import io_matrix, realize, save_realization, verify_minimality
 from .ssm_core import (GateTrack, GkaInfoState, ShermanMorrisonGain, SsmKind,
                        chebyshev_residual_bound, chebyshev_solve, default_spectral_bounds,
-                       gka_recurrence_equivalence, ssm_forward)
+                       gka_gain, gka_info_update, gka_recurrence_equivalence, ssm_forward,
+                       zero_info_state)
 from .tensorio import config_hash, ensure_dir, save_tensor, write_csv
 
 # params schema: name -> (type, default); cross-field checks live in the
@@ -234,12 +235,12 @@ def _run_ssm_equiv(cfg, rng, out, bundle):
                           lam=np.full(T, p["lam"]))
         diff = gka_recurrence_equivalence(k, v, q, gates)
         sm = ShermanMorrisonGain(p["d_k"], p["lam"])
-        h = np.zeros((p["d_k"], p["d_k"]))
+        info = zero_info_state(p["d_v"], p["d_k"])
         sm_err = 0.0
         for t in range(T):
             g_inc = sm.update(k[t], gates.beta[t])
-            h += gates.beta[t] * np.outer(k[t], k[t])
-            g_dense = gates.beta[t] * np.linalg.solve(h + p["lam"] * np.eye(p["d_k"]), k[t])
+            info = gka_info_update(info, k[t], v[t], 1.0, gates.beta[t])
+            g_dense = gka_gain(info, k[t], gates.beta[t], p["lam"])
             sm_err = max(sm_err, float(np.max(np.abs(g_inc - g_dense))))
         rows.append((trial, T, diff, sm_err))
         if diff > 1e-9:

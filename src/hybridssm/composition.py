@@ -25,32 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .ssm_core import (GateTrack, GkaInfoState, SsmKind, _as_kind, _real_or_complex,
-                       _require_finite)
+from .ssm_core import (ChunkRecord, GateTrack, GkaInfoState, SsmKind, _as_kind,
+                       _real_or_complex, _require_finite)
 from .ssm_core import ssm_forward  # unused here; the benchmark's tracer test reads it
-from .stack import ToyHybridStack
+from .stack import ATTENTION_KINDS, KvCache, ToyHybridStack
 
 MERGE_MODES = ("soup", "picaso_r", "gka_sum")
-
-
-@dataclass(frozen=True)
-class ChunkRecord:
-    """Final state of one chunk plus its accumulated transition operator.
-
-    state: (d_v, d_k) array or GkaInfoState. a_acc: scalar decay product or
-    dense (d_k, d_k) transition product, applied on the state's right.
-    """
-
-    state: np.ndarray | GkaInfoState
-    a_acc: float | np.ndarray
-
-    def __post_init__(self):
-        a = self.a_acc
-        if isinstance(a, np.ndarray):
-            if a.ndim != 2 or not np.all(np.isfinite(a)):
-                raise ValueError("dense transition must be a finite matrix")
-        elif not np.isfinite(a):
-            raise ValueError("transition product must be finite")
 
 
 def _apply(state, trans):
@@ -202,13 +182,6 @@ def soup_states(states: Sequence):
 
 
 @dataclass(frozen=True)
-class KvCache:
-    keys: np.ndarray
-    values: np.ndarray
-    pos_ids: np.ndarray
-
-
-@dataclass(frozen=True)
 class PrefillResult:
     layer_kinds: list
     kv_caches: dict = field(default_factory=dict)   # layer index -> KvCache
@@ -218,21 +191,14 @@ class PrefillResult:
     padded: int = 0
 
 
-def _merge_ssm_layer(kind: str, caches: list, merge_mode: str):
-    if kind == "gka":
-        infos = [GkaInfoState(h=c.info_h, u=c.info_u) for c in caches]
-        if merge_mode == "gka_sum":
-            return gka_compose(infos, mode="sum")
-        if merge_mode == "soup":
-            return gka_compose(infos, mode="soup")
-        records = [ChunkRecord(state=i, a_acc=c.decay_prod) for i, c in zip(infos, caches)]
-        return picaso_r(records)
+def _merge_ssm_layer(kind: str, records: list, merge_mode: str):
+    """Merge one SSM layer's per-chunk ChunkRecords by merge_mode."""
     if merge_mode == "gka_sum":
-        raise ValueError(f"gka_sum merge is only defined for GKA layers, not {kind!r}")
+        if kind != "gka":
+            raise ValueError(f"gka_sum merge is only defined for GKA layers, not {kind!r}")
+        return gka_compose([r.state for r in records], mode="sum")
     if merge_mode == "soup":
-        return soup_states([c.state for c in caches])
-    records = [ChunkRecord(state=c.state, a_acc=c.trans_prod if kind == "gdn" else c.decay_prod)
-               for c in caches]
+        return soup_states([r.state for r in records])
     return picaso_r(records)
 
 
@@ -274,7 +240,7 @@ def chunked_prefill(model: ToyHybridStack, tokens: np.ndarray, chunk_len: int,
     ssm_states = {}
     for i, kind in enumerate(kinds):
         caches = per_layer_caches[i]
-        if kind in ("attn", "swa"):
+        if kind in ATTENTION_KINDS:
             keys = [caches[0].keys[:p_len]] + [c.keys[p_len:] for c in caches]
             vals = [caches[0].values[:p_len]] + [c.values[p_len:] for c in caches]
             ids = [caches[0].pos_ids[:p_len]] + [c.pos_ids[p_len:] for c in caches]
@@ -292,17 +258,9 @@ def single_pass_prefill(model: ToyHybridStack, tokens: np.ndarray,
     prefix = np.zeros((0, model.d_model)) if prefix is None else np.asarray(prefix, dtype=np.float64)
     trace = model.forward(np.vstack([prefix, np.asarray(tokens, dtype=np.float64)]),
                           collect_caches=True)
+    kv_caches = {i: c for i, c in enumerate(trace.caches) if isinstance(c, KvCache)}
+    ssm_states = {i: c.state for i, c in enumerate(trace.caches) if isinstance(c, ChunkRecord)}
     kinds = [kind for kind, _ in model.mixers]
-    kv_caches = {}
-    ssm_states = {}
-    for i, kind in enumerate(kinds):
-        cache = trace.caches[i]
-        if kind in ("attn", "swa"):
-            kv_caches[i] = KvCache(keys=cache.keys, values=cache.values, pos_ids=cache.pos_ids)
-        elif kind == "gka":
-            ssm_states[i] = GkaInfoState(h=cache.info_h, u=cache.info_u)
-        else:
-            ssm_states[i] = cache.state
     return PrefillResult(layer_kinds=kinds, kv_caches=kv_caches, ssm_states=ssm_states)
 
 

@@ -24,8 +24,8 @@ C-contiguous transpose, so the chunk GEMMs Q K^T and K K^T are NN products.
 The kernels pay only for what the result reads. The decay matrix D is
 exponentiated only on and below its diagonal. A finiteness check tests a
 whole array first; the row-wise mask that locates the first bad row
-(``first_non_finite_row``, which ``ssm_core``'s checks and GKA's output
-stop call, and GDN's overflow mask) is built only once that test fails.
+(``first_non_finite_row``, which ``ssm_core``'s checks call, and GDN's
+overflow mask) is built only once that test fails.
 GKA's Woodbury blocks invert no triangular factor and no zero state: a
 block takes one triangular solve, and one inverse only when it is entered
 from a non-zero state. The recurrence-form scan takes one product with Phi
@@ -358,9 +358,10 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     symmetric.
 
     Returns (y, H, U). The pass stops at the first row whose ||H_t||_F
-    (when read) or output is non-finite: the rows after it are NaN, and
-    H, U are the state at that row, or after the last row if every row was
-    read.
+    (when read) is non-finite, and that row and every later one are NaN.
+    H, U are the state after the last row; they mean something only when
+    every row was read and every output is finite (ssm_forward raises
+    NonFiniteOutput, naming the first non-finite row, otherwise).
     """
     T, d_k = k.shape
     d_v = v.shape[1]
@@ -432,18 +433,8 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
                     x[c, t] = np.linalg.solve(h + lam_s[c, t] * eye, rhs[c, t])
         y_b = Gb * (x @ U0[:nb].transpose(0, 2, 1)) + ((x @ Ktb) * Wb) @ V[:nb]
         y[:stop] = y_b.reshape(nb * L, d_v)[:stop]
-        bad_y = first_non_finite_row(y[:stop])
-        if bad_y is not None:
-            stop = bad_y
-            y[stop + 1:] = np.nan
-    # the carry's end state if every row was read (copied: a view would keep
-    # every block's state alive with the returned one)
-    h, u = H0[C].copy(), U0[C].copy()
-    if stop < T:  # else the state at the row that stopped the pass
-        c, t = divmod(stop, L)
-        h = G[c, t] * H0[c] + (K[c] * W[c, t, :, None]).T @ K[c]
-        h, u = 0.5 * (h + h.T), G[c, t] * U0[c] + (V[c] * W[c, t, :, None]).T @ K[c]
-    return y, h, u
+    # copied: a view would keep every block's state alive with the returned one
+    return y, H0[C].copy(), U0[C].copy()
 
 
 def sherman_morrison_downdate(phi, k, beta):

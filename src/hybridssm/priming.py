@@ -149,7 +149,6 @@ class AgqaParams:
     h_q: int
     h_kv: int
     d_head: int
-    residual_learnable: bool = False
 
 
 def gqa_replication_matrix(h_q: int, h_kv: int) -> np.ndarray:
@@ -157,8 +156,7 @@ def gqa_replication_matrix(h_q: int, h_kv: int) -> np.ndarray:
     return np.kron(np.eye(h_kv), np.ones((m, 1)))
 
 
-def agqa_init(h_q: int, h_kv: int, d_head: int, rank: int = 8, seed: int = 42,
-              residual_learnable: bool = False) -> AgqaParams:
+def agqa_init(h_q: int, h_kv: int, d_head: int, rank: int = 8, seed: int = 42) -> AgqaParams:
     if h_q % h_kv != 0:
         raise ValueError(f"H_Q={h_q} not divisible by H_KV={h_kv}")
     rng = np.random.default_rng(seed)
@@ -167,7 +165,6 @@ def agqa_init(h_q: int, h_kv: int, d_head: int, rank: int = 8, seed: int = 42,
         w2=np.zeros((h_q * d_head, rank)),
         r_mat=gqa_replication_matrix(h_q, h_kv),
         h_q=h_q, h_kv=h_kv, d_head=d_head,
-        residual_learnable=residual_learnable,
     )
 
 

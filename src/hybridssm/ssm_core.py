@@ -118,6 +118,26 @@ class GkaInfoState:
         return self.u.shape[0]
 
 
+@dataclass(frozen=True)
+class ChunkRecord:
+    """Final state of one chunk plus its accumulated transition operator.
+
+    state: (d_v, d_k) array or GkaInfoState. a_acc: scalar decay product or
+    dense (d_k, d_k) transition product, applied on the state's right.
+    """
+
+    state: np.ndarray | GkaInfoState
+    a_acc: float | np.ndarray
+
+    def __post_init__(self):
+        a = self.a_acc
+        if isinstance(a, np.ndarray):
+            if a.ndim != 2 or not np.all(np.isfinite(a)):
+                raise ValueError("dense transition must be a finite matrix")
+        elif not np.isfinite(a):
+            raise ValueError("transition product must be finite")
+
+
 def check_alpha(alpha: float) -> None:
     """ValueError naming alpha unless it is positive and finite: the
     adaptive lam_t = alpha ||H_t||_F would otherwise be 0, negative or NaN,
@@ -471,9 +491,9 @@ def gka_recurrence_equivalence(k: np.ndarray, v: np.ndarray, q: np.ndarray,
     information form on the same inputs.
 
     The recurrence path computes gains from the Sherman-Morrison recursion
-    (gamma == 1, fixed lam) or from the unrolled closed-form key sum
-    otherwise; the information path runs the additive (H, U) recursion with
-    its solve. The two are mathematically identical for gamma == 1 and
+    (gamma == 1, fixed lam) or otherwise by gka_info_update and the dense
+    gka_gain, one token at a time; the information path runs the blocked
+    (H, U) recursion with its solve. The two are mathematically identical for gamma == 1 and
     fixed lam.
     """
     if gates.lam is None:
@@ -490,10 +510,10 @@ def gka_recurrence_equivalence(k: np.ndarray, v: np.ndarray, q: np.ndarray,
     else:
         y_rec = np.empty((T, v.shape[1]))
         state = SsmState(np.zeros((v.shape[1], d_k)))
-        weighted = np.zeros((d_k, d_k))
+        info = zero_info_state(v.shape[1], d_k)
         for t in range(T):
-            weighted = gates.gamma[t] * weighted + gates.beta[t] * np.outer(k[t], k[t])
-            g = gates.beta[t] * np.linalg.inv(weighted + gates.lam[t] * np.eye(d_k)) @ k[t]
+            info = gka_info_update(info, k[t], v[t], gates.gamma[t], gates.beta[t])
+            g = gka_gain(info, k[t], gates.beta[t], gates.lam[t])
             state = ssm_step(SsmKind.GKA, state, k[t], v[t], gain=g)
             y_rec[t] = state.s @ q[t]
 

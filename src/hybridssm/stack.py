@@ -4,11 +4,16 @@ losses, gate gradients, and chunked prefill without any pretrained model.
 
 Mixers: full causal attention, sliding-window attention, or one of the
 three SSM recurrences with sigmoid gates computed from the layer input and
-L2-normalised queries and keys. An SSM layer runs ``ssm_core.ssm_forward``
-(or ``chunk_forward`` when caches are collected), the same chunkwise
-kernels as everything else. The forward pass is plain analytic numpy that
-keeps a complex dtype, so ``autodiff`` differentiates gate parameters by
-the complex step.
+L2-normalised queries and keys. An SSM layer runs ``ssm_core.ssm_forward``,
+the same chunkwise kernels as everything else. The forward pass is plain
+analytic numpy that keeps a complex dtype, so ``autodiff`` differentiates
+gate parameters by the complex step.
+
+A forward that collects caches gives each attention layer a ``KvCache``
+(keys, values, position ids) and each SSM layer the ``ssm_core.ChunkRecord``
+that ``composition`` merges: its final state and accumulated transition,
+prod(gamma) for Mamba-2 and GKA and, for GDN, the dense transition that
+``chunk_forward`` reads with the state.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .mixing import causal_softmax_rows
-from .ssm_core import GateTrack, _require_finite, chunk_forward, ssm_forward
+from .ssm_core import ChunkRecord, GateTrack, _require_finite, chunk_forward, ssm_forward
 
 ATTENTION_KINDS = ("attn", "swa")
 SSM_KINDS = ("mamba2", "gdn", "gka")
@@ -37,25 +42,20 @@ def parse_mixer(spec: str | tuple) -> tuple[str, int | None]:
     return kind, window
 
 
-@dataclass
-class LayerCache:
-    """Per-layer artifacts of one forward pass."""
+@dataclass(frozen=True)
+class KvCache:
+    """An attention layer's keys (T, d_k), values (T, d_v) and position ids."""
 
-    kind: str
-    keys: np.ndarray | None = None        # attention: (T, d_k)
-    values: np.ndarray | None = None      # attention: (T, d_v)
-    pos_ids: np.ndarray | None = None
-    state: np.ndarray | None = None       # mamba2/gdn: final (d_v, d_k)
-    decay_prod: float | None = None       # mamba2/gka: prod of gammas
-    trans_prod: np.ndarray | None = None  # gdn: dense accumulated transition
-    info_h: np.ndarray | None = None      # gka
-    info_u: np.ndarray | None = None
+    keys: np.ndarray
+    values: np.ndarray
+    pos_ids: np.ndarray
 
 
 @dataclass
 class StackTrace:
     """hidden[i] is the state after decoder layer i (hidden[0] the input);
-    final is the post-final-norm output."""
+    final is the post-final-norm output; caches[i], when collected, is
+    layer i's KvCache (attention) or ChunkRecord (SSM)."""
 
     hidden: list
     final: object
@@ -136,8 +136,7 @@ class ToyHybridStack:
             mix = causal_softmax_rows(q @ k.T, None if kind == "attn" else window)
             y = mix @ v
             if collect_cache:
-                cache = LayerCache(kind=kind, keys=k, values=v,
-                                   pos_ids=np.arange(pos_offset, pos_offset + T))
+                cache = KvCache(keys=k, values=v, pos_ids=np.arange(pos_offset, pos_offset + T))
         else:
             if i in self.fixed_gates:
                 g0, b0 = self.fixed_gates[i]
@@ -152,20 +151,17 @@ class ToyHybridStack:
 
     def _ssm_scan(self, kind, k, v, q, gamma, beta, collect_cache):
         """GKA runs with the fixed regularizer lam_t = gka_lam: the adaptive
-        alpha ||H_t||_F is not analytic, so a complex step cannot pass it."""
-        decay_prod = float(np.prod(gamma.real))
-        if kind == "gka":
-            y, info = ssm_forward(kind, k, v, q,
-                                  GateTrack(gamma, beta, np.full(len(gamma), self.gka_lam)))
-            cache = LayerCache(kind=kind, info_h=info.h, info_u=info.u,
-                               decay_prod=decay_prod) if collect_cache else None
-            return y, cache
-        gates = GateTrack(gamma, beta)
+        alpha ||H_t||_F is not analytic, so a complex step cannot pass it.
+        With collect_cache the layer's ChunkRecord comes back beside y."""
+        lam = np.full(len(gamma), self.gka_lam) if kind == "gka" else None
+        gates = GateTrack(gamma, beta, lam)
         if not collect_cache:
             return ssm_forward(kind, k, v, q, gates)[0], None
-        y, s, _, a_end = chunk_forward(kind, k, v, q, gates)
-        return y, LayerCache(kind=kind, state=s, decay_prod=decay_prod,
-                             trans_prod=a_end if kind == "gdn" else None)
+        if kind == "gdn":  # a dense transition, read with the state
+            y, s, _, a_acc = chunk_forward(kind, k, v, q, gates)
+        else:
+            (y, s), a_acc = ssm_forward(kind, k, v, q, gates), float(np.prod(gamma.real))
+        return y, ChunkRecord(state=s, a_acc=a_acc)
 
     def forward(self, x: np.ndarray, params: dict | None = None,
                 pos_offset: int = 0, collect_caches: bool = False) -> StackTrace:

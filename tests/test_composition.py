@@ -263,15 +263,14 @@ class TestChunkedPrefill:
         single = single_pass_prefill(model, tokens)
         assert state_deviation(chunked.ssm_states[0], single.ssm_states[0]) < 1e-12
 
-    def test_caso_over_gdn_stack_caches_matches_single_pass(self):
-        # the GDN first layer sees raw tokens, so its per-chunk caches
-        # (state, trans_prod) compose exactly into the single-pass state
-        model = ToyHybridStack(("gdn", "attn"), d_model=8, d_k=4, seed=18)
+    @pytest.mark.parametrize("kind", ["mamba2", "gdn", "gka"])
+    def test_caso_over_stack_caches_matches_single_pass(self, kind):
+        # the SSM first layer sees raw tokens, so its per-chunk caches, the
+        # layer's ChunkRecords, compose exactly into the single-pass state
+        model = ToyHybridStack((kind, "attn"), d_model=8, d_k=4, seed=18)
         tokens = np.random.default_rng(19).standard_normal((24, 8))
-        records = []
-        for c in range(3):
-            cache = model.forward(tokens[8 * c:8 * (c + 1)], collect_caches=True).caches[0]
-            records.append(ChunkRecord(state=cache.state, a_acc=cache.trans_prod))
+        records = [model.forward(tokens[8 * c:8 * (c + 1)], collect_caches=True).caches[0]
+                   for c in range(3)]
         single = single_pass_prefill(model, tokens)
         assert state_deviation(caso_compose(records), single.ssm_states[0]) < 1e-12
 

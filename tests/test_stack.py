@@ -3,7 +3,8 @@ import pytest
 
 from hybridssm import autodiff as ad
 from hybridssm import kernels
-from hybridssm.stack import ToyHybridStack, _unit_rows, parse_mixer, rmsnorm
+from hybridssm.ssm_core import ChunkRecord
+from hybridssm.stack import KvCache, ToyHybridStack, _unit_rows, parse_mixer, rmsnorm
 
 
 class TestAutodiffOps:
@@ -128,7 +129,15 @@ class TestToyHybridStack:
                                fixed_gates={0: (1.0, 1.0)})
         x = np.random.default_rng(8).standard_normal((4, 8))
         trace = stack.forward(x, collect_caches=True)
-        assert trace.caches[0].decay_prod == 1.0
+        assert trace.caches[0].a_acc == 1.0
+
+    @pytest.mark.parametrize("kind", ["mamba2", "gdn", "gka"])
+    def test_collecting_caches_leaves_the_output_unchanged(self, kind):
+        stack = ToyHybridStack(("attn", kind, "swa:3"), d_model=8, d_k=4, seed=12)
+        x = np.random.default_rng(13).standard_normal((70, 8))
+        trace = stack.forward(x, collect_caches=True)
+        assert np.array_equal(trace.final, stack.forward(x).final)
+        assert [type(c) for c in trace.caches] == [KvCache, ChunkRecord, KvCache]
 
     def test_gka_layer_dual_gradients_flow(self):
         # the solve path must propagate tangents (implicit differentiation)
