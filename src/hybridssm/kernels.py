@@ -358,7 +358,8 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     symmetric.
 
     Returns (y, H, U). The pass stops at the first row whose ||H_t||_F
-    (when read) is non-finite, and that row and every later one are NaN.
+    (when read) is non-finite or whose dense system is singular, and that
+    row and every later one are NaN.
     H, U are the state after the last row; they mean something only when
     every row was read and every output is finite (ssm_forward raises
     NonFiniteOutput, naming the first non-finite row, otherwise).
@@ -430,7 +431,15 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
                         continue
                 for t in rows:
                     h = G[c, t] * H0[c] + (Kt[c] * W[c, t]) @ K[c]
-                    x[c, t] = np.linalg.solve(h + lam_s[c, t] * eye, rhs[c, t])
+                    try:
+                        x[c, t] = np.linalg.solve(h + lam_s[c, t] * eye, rhs[c, t])
+                    except np.linalg.LinAlgError:
+                        # singular by rounding (beta k k^T swamps lam): stop
+                        # at this row, as at a non-finite norm
+                        stop = c * L + int(t)
+                        break
+                if stop < (c + 1) * L:
+                    break
         y_b = Gb * (x @ U0[:nb].transpose(0, 2, 1)) + ((x @ Ktb) * Wb) @ V[:nb]
         y[:stop] = y_b.reshape(nb * L, d_v)[:stop]
     # copied: a view would keep every block's state alive with the returned one

@@ -46,19 +46,6 @@ def _as_kind(kind: SsmKind | str) -> SsmKind:
 
 
 @dataclass(frozen=True)
-class SsmState:
-    """Matrix recurrent state S in R^{d_v x d_k}."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64)
-        object.__setattr__(self, "s", s)
-        if s.ndim != 2 or not np.all(np.isfinite(s)):
-            raise ValueError("state must be a finite 2-D matrix")
-
-
-@dataclass(frozen=True)
 class GkaInfoState:
     """GKA information pair: H (d_k x d_k, symmetric PSD) and U (d_v x d_k).
 
@@ -203,45 +190,6 @@ def _require_in_range(message: str, x: np.ndarray, bad: np.ndarray) -> None:
         raise ValueError(f"{message}: step {t} is {x[t]}")
 
 
-def make_default_gates(features: np.ndarray, seed: int = 42,
-                       lam: float | None = None) -> GateTrack:
-    """Default gate functions: sigmoids of seeded random linear projections
-    of the per-step features (T, d)."""
-    x = np.asarray(features, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    w_gamma = rng.standard_normal(x.shape[1]) / np.sqrt(x.shape[1])
-    w_beta = rng.standard_normal(x.shape[1]) / np.sqrt(x.shape[1])
-    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
-    lam_arr = None if lam is None else np.full(x.shape[0], float(lam))
-    return GateTrack(gamma=sig(x @ w_gamma), beta=sig(x @ w_beta), lam=lam_arr)
-
-
-def ssm_step(kind: SsmKind | str, state: SsmState, k_t: np.ndarray, v_t: np.ndarray,
-             *, gamma: float = 1.0, beta: float = 1.0,
-             gain: np.ndarray | None = None) -> SsmState:
-    """One recurrence step. GKA takes its precomputed gain vector g_t
-    (see gka_gain); Mamba-2 ignores beta."""
-    kind = _as_kind(kind)
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma out of (0, 1]: {gamma}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta out of [0, 1]: {beta}")
-    s = state.s
-    k_t = np.asarray(k_t, dtype=np.float64)
-    v_t = np.asarray(v_t, dtype=np.float64)
-    if k_t.shape != (s.shape[1],) or v_t.shape != (s.shape[0],):
-        raise ValueError(f"k/v shapes {k_t.shape}/{v_t.shape} incompatible with state {s.shape}")
-    if kind is SsmKind.MAMBA2:
-        return SsmState(gamma * s + np.outer(v_t, k_t))
-    if kind is SsmKind.GDN:
-        erased = gamma * (s - beta * np.outer(s @ k_t, k_t))
-        return SsmState(erased + beta * np.outer(v_t, k_t))
-    if gain is None:
-        raise ValueError("GKA step needs the gain vector g_t (see gka_gain)")
-    g = np.asarray(gain, dtype=np.float64)
-    return SsmState(s - np.outer(s @ k_t, g) + np.outer(v_t, g))
-
-
 def gka_info_update(info: GkaInfoState, k_t: np.ndarray, v_t: np.ndarray,
                     gamma_t: float, beta_t: float) -> GkaInfoState:
     """H' = gamma H + beta k k^T, U' = gamma U + beta v k^T. beta = 0 leaves
@@ -295,11 +243,10 @@ def default_spectral_bounds(h: np.ndarray, lam: float) -> tuple[float, float]:
 
 def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
                     lam: float, q: np.ndarray, r: int,
-                    spectral_bounds: tuple[float, float] | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    spectral_bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev iteration for (H + lam I) x = q, H given as a dense matrix
     or as a matrix-vector operator. spectral_bounds = (a, b) must cover the
-    spectrum of H + lam I; defaults to [lam, lam + ||H||_F] for dense H.
+    spectrum of H + lam I; default_spectral_bounds gives [lam, lam + ||H||_F].
 
     Both forms run the one recurrence in kernels.chebyshev_dense, a dense H
     as its product H @ p, so they agree bit for bit on the same products.
@@ -310,11 +257,6 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     q = np.asarray(q, dtype=np.float64)
-    dense = isinstance(apply_h, np.ndarray)
-    if spectral_bounds is None:
-        if not dense:
-            raise ValueError("spectral_bounds are required for operator-form H")
-        spectral_bounds = default_spectral_bounds(apply_h, lam)
     a, b = float(spectral_bounds[0]), float(spectral_bounds[1])
     for name, bound in (("lower", a), ("upper", b)):
         if not np.isfinite(bound):
@@ -324,7 +266,7 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     if b < a:
         raise ValueError(f"invalid spectral interval [{a}, {b}]")
 
-    matvec = apply_h.__matmul__ if dense else apply_h
+    matvec = apply_h.__matmul__ if isinstance(apply_h, np.ndarray) else apply_h
     x, hist = kernels.chebyshev_dense(matvec, float(lam), q, r, a, b)
     bad = np.flatnonzero(~np.isfinite(hist))
     if bad.size or not np.all(np.isfinite(x)):
@@ -341,21 +283,6 @@ def chebyshev_residual_bound(a: float, b: float, iters: int) -> np.ndarray:
         return np.zeros(iters)
     sigma = (b + a) / (b - a)
     return 1.0 / np.cosh(ks * np.arccosh(sigma))
-
-
-def gka_output(info: GkaInfoState, q_t: np.ndarray, lam_t: float,
-               solver: str = "exact", r: int = 30) -> np.ndarray:
-    """Read y = U x with (H + lam I) x = q, by dense solve or Chebyshev."""
-    if lam_t <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam_t}")
-    q_t = np.asarray(q_t, dtype=np.float64)
-    if solver == "exact":
-        x = np.linalg.solve(info.h + lam_t * np.eye(info.d_k), q_t)
-    elif solver == "chebyshev":
-        x, _ = chebyshev_solve(info.h, lam_t, q_t, r)
-    else:
-        raise ValueError(f"unknown solver: {solver!r}")
-    return info.u @ x
 
 
 def _real_or_complex(x) -> np.ndarray:
@@ -485,48 +412,34 @@ def chunk_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarr
 
 
 def gka_recurrence_equivalence(k: np.ndarray, v: np.ndarray, q: np.ndarray,
-                               gates: GateTrack, solver: str = "exact",
-                               r: int = 30) -> float:
+                               gates: GateTrack) -> float:
     """Max-abs output difference between the state-recurrence form and the
-    information form on the same inputs.
-
-    The recurrence path computes gains from the Sherman-Morrison recursion
-    (gamma == 1, fixed lam) or otherwise by gka_info_update and the dense
-    gka_gain, one token at a time; the information path runs the blocked
-    (H, U) recursion with its solve. The two are mathematically identical for gamma == 1 and
-    fixed lam.
+    information form on the same inputs, which are mathematically identical
+    for gamma == 1 and one fixed lam: the recurrence path takes its gains
+    from the Sherman-Morrison recursion (kernels.gka_recurrent_scan), the
+    information path runs the blocked (H, U) recursion with its exact solve.
+    Raises ValueError for any other gates (the adaptive lam, a decaying
+    gamma or a lam that varies), whose two forms differ.
     """
     if gates.lam is None:
         raise ValueError("equivalence check needs a fixed lam track")
+    lam0 = float(gates.lam[0])
+    if not (np.all(gates.lam == lam0) and np.all(gates.gamma == 1.0)):
+        raise ValueError("the two GKA forms agree only for gamma == 1 and one fixed lam")
     k = np.ascontiguousarray(k, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
-    T, d_k = k.shape
-
-    lam0 = float(gates.lam[0])
-    fixed_lam = bool(np.all(gates.lam == lam0))
-    if fixed_lam and np.all(gates.gamma == 1.0):
-        y_rec, _, _ = kernels.gka_recurrent_scan(k, v, q, gates.beta, lam0)
-    else:
-        y_rec = np.empty((T, v.shape[1]))
-        state = SsmState(np.zeros((v.shape[1], d_k)))
-        info = zero_info_state(v.shape[1], d_k)
-        for t in range(T):
-            info = gka_info_update(info, k[t], v[t], gates.gamma[t], gates.beta[t])
-            g = gka_gain(info, k[t], gates.beta[t], gates.lam[t])
-            state = ssm_step(SsmKind.GKA, state, k[t], v[t], gain=g)
-            y_rec[t] = state.s @ q[t]
-
-    y_info, _ = ssm_forward(SsmKind.GKA, k, v, q, gates, solver=solver, r=r)
+    y_rec, _, _ = kernels.gka_recurrent_scan(k, v, q, gates.beta, lam0)
+    y_info, _ = ssm_forward(SsmKind.GKA, k, v, q, gates)
     return float(np.max(np.abs(y_rec - y_info)))
 
 
 def ssm_io_matrix(kind: SsmKind | str, keys: np.ndarray, queries: np.ndarray,
-                  gates: GateTrack, solver: str = "exact", r: int = 30) -> np.ndarray:
+                  gates: GateTrack) -> np.ndarray:
     """Finite-horizon input-output matrix of the layer with gates and keys
     frozen. The layer acts identically and independently on each value
     column, so one forward with the values v = I (column j the basis input
     e_j at position j) returns the matrix as its outputs."""
     T = np.shape(keys)[0]
-    y, _ = ssm_forward(kind, keys, np.eye(T), queries, gates, solver=solver, r=r)
+    y, _ = ssm_forward(kind, keys, np.eye(T), queries, gates)
     return y

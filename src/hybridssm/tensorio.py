@@ -40,11 +40,6 @@ def save_tensor(path: str, arr: np.ndarray, extra: dict | None = None) -> None:
         f.write("\n")
 
 
-def load_tensor(path: str) -> np.ndarray:
-    with open(path) as f:
-        return obj_to_tensor(json.load(f))
-
-
 def config_hash(config: dict) -> str:
     """Stable short hash of a config dict (canonical JSON, sorted keys)."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))

@@ -1,6 +1,6 @@
 """Properties of the chunkwise Mamba-2 and GDN scans over generated inputs:
-they replay the per-step oracle ``ssm_step``, GDN's blocked UT solve
-replays row-by-row forward substitution, ``chunk_forward`` equals a
+they replay the per-step oracle ``ssm_step`` (``tests/oracles.py``), GDN's
+blocked UT solve replays row-by-row forward substitution, ``chunk_forward`` equals a
 forward with zero value columns for the transitions, a GDN chunk record
 equals ``chunk_forward``'s end state and transition, the P2P and CASO
 paths built on them reproduce the single-device forward, and P2P's
@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 from hybridssm.composition import caso_compose, picaso_r, run_chunk, state_deviation
 from hybridssm.kernels import CHUNK, _ssd_terms, _ut_solve
 from hybridssm.seqpar import MessageBus, p2p_forward, shard
-from hybridssm.ssm_core import (GateTrack, SsmKind, SsmState, chunk_forward, ssm_forward,
-                                ssm_step)
+from hybridssm.ssm_core import GateTrack, SsmKind, chunk_forward, ssm_forward
+from oracles import ssm_step
 
 LINEAR_KINDS = st.sampled_from([SsmKind.MAMBA2, SsmKind.GDN])
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)  # same inputs every run
@@ -56,13 +56,13 @@ def test_scan_replays_the_step_oracle(kind, T, d_k, d_v, unit_keys, max_key_norm
                                   gamma_floor, filtered_frac)
     s0 = rng.standard_normal((d_v, d_k)) if with_s0 else np.zeros((d_v, d_k))
     y, s = ssm_forward(kind, k, v, q, gates, s0=s0)
-    state = SsmState(s0)
+    state = s0
     y_ref = np.empty_like(y)
     for t in range(T):
         state = ssm_step(kind, state, k[t], v[t], gamma=gates.gamma[t], beta=gates.beta[t])
-        y_ref[t] = state.s @ q[t]
+        y_ref[t] = state @ q[t]
     assert relative_error(y, y_ref) <= 1e-12
-    assert relative_error(s, state.s) <= 1e-12
+    assert relative_error(s, state) <= 1e-12
 
 
 @PROPERTY_SETTINGS

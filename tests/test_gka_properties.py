@@ -9,7 +9,9 @@ read after its loop, replay its per-token Sherman-Morrison recurrence; the
 GKA laws hold: additive fusion of chunk states equals a single pass
 without decay, and USP equals a single device; and a chunk record's
 Mamba-2 or GKA state, a decayed key sum, equals the end state of a forward
-over the chunk."""
+over the chunk; and a forward with one extreme or non-finite row of k, v or
+q returns finite output or raises ValueError or FloatingPointError, never a
+bare LinAlgError."""
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -290,3 +292,39 @@ def test_chunk_state_equals_the_forward_end_state(kind, T, d_k, d_v, solver, fix
     assert np.array_equal(record.state.h, record.state.h.T)
     assert np.all(np.abs(record.state.h - end.h) <= 1e-12 * summed_terms(w * beta, k, k))
     assert np.all(np.abs(record.state.u - end.u) <= 1e-12 * summed_terms(w * beta, v, k))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(T=st.integers(1, 140), d_k=st.integers(1, 6), d_v=st.integers(1, 6),
+       arg=st.sampled_from(["k", "v", "q"]),
+       value=st.sampled_from([1e100, 1e-100, 1e140, 1e160, np.nan, np.inf, -np.inf]),
+       solver=st.sampled_from(["exact", "chebyshev"]), fixed_lam=st.booleans(),
+       decay=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(T=20, d_k=4, d_v=4, arg="k", value=1e100, solver="exact", fixed_lam=True,
+         decay=False, seed=0)
+@example(T=20, d_k=4, d_v=4, arg="k", value=1e140, solver="exact", fixed_lam=True,
+         decay=True, seed=0)
+def test_gka_forward_on_an_extreme_row_is_finite_or_names_the_problem(T, d_k, d_v, arg, value,
+                                                                      solver, fixed_lam, decay,
+                                                                      seed):
+    # one row of k, v or q scaled by value, or set to it if it is NaN or
+    # inf: the forward returns finite output or raises ValueError or
+    # FloatingPointError, never LinAlgError (a ValueError subclass) from a
+    # dense system that rounding made singular
+    rng = np.random.default_rng(seed)
+    inputs = {"k": rng.standard_normal((T, d_k)), "v": rng.standard_normal((T, d_v)),
+              "q": rng.standard_normal((T, d_k))}
+    row = rng.integers(T)
+    if np.isfinite(value):
+        inputs[arg][row] *= value
+    else:
+        inputs[arg][row] = value
+    gamma = rng.uniform(0.5, 1.0, T) if decay else np.ones(T)
+    track = GateTrack(gamma, rng.uniform(0.0, 1.0, T), np.full(T, 0.5) if fixed_lam else None)
+    with np.errstate(all="ignore"):
+        try:
+            y, _ = ssm_forward("gka", **inputs, gates=track, solver=solver, r=8)
+        except (ValueError, FloatingPointError) as err:
+            assert not isinstance(err, np.linalg.LinAlgError), err
+            return
+    assert np.all(np.isfinite(y))

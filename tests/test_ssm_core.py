@@ -13,22 +13,20 @@ from hybridssm.ssm_core import (
     NonFiniteOutput,
     ShermanMorrisonGain,
     SsmKind,
-    SsmState,
     chebyshev_residual_bound,
     chebyshev_solve,
     default_spectral_bounds,
     gka_gain,
     gka_info_update,
-    gka_output,
     gka_recurrence_equivalence,
-    make_default_gates,
     ssm_forward,
     ssm_io_matrix,
-    ssm_step,
     _finite_output,
     _require_finite,
     zero_info_state,
 )
+
+from oracles import ssm_step
 
 
 def rand_kvq(T, d_k, d_v, seed=0, unit_keys=False):
@@ -43,11 +41,11 @@ class TestSsmStep:
     def test_mamba2_no_decay_accumulates_outer_products(self):
         T, d_k, d_v = 6, 3, 2
         k, v, _ = rand_kvq(T, d_k, d_v, seed=1)
-        state = SsmState(np.zeros((d_v, d_k)))
+        state = np.zeros((d_v, d_k))
         for t in range(T):
             state = ssm_step(SsmKind.MAMBA2, state, k[t], v[t], gamma=1.0)
         expected = sum(np.outer(v[t], k[t]) for t in range(T))
-        assert np.allclose(state.s, expected, atol=1e-13)
+        assert np.allclose(state, expected, atol=1e-13)
 
     def test_gdn_erase_preserves_orthogonal_direction(self):
         # orthonormal keys: erase along k2 leaves the k1 slot untouched
@@ -55,37 +53,31 @@ class TestSsmStep:
         k2 = np.array([0.0, 1.0, 0.0])
         v1 = np.array([2.0, -1.0])
         v2 = np.array([0.5, 3.0])
-        state = SsmState(np.zeros((2, 3)))
+        state = np.zeros((2, 3))
         state = ssm_step(SsmKind.GDN, state, k1, v1, gamma=1.0, beta=1.0)
         state = ssm_step(SsmKind.GDN, state, k2, v2, gamma=1.0, beta=1.0)
-        assert np.allclose(state.s, np.outer(v1, k1) + np.outer(v2, k2), atol=1e-14)
-        assert np.allclose(state.s @ k1, v1, atol=1e-14)
+        assert np.allclose(state, np.outer(v1, k1) + np.outer(v2, k2), atol=1e-14)
+        assert np.allclose(state @ k1, v1, atol=1e-14)
 
     def test_gdn_scalar_two_steps_hand_unrolled(self):
         # d_k = d_v = 1, k = 1: S' = S * gamma * (1 - beta) + beta * v
         gamma, beta = 0.5, 0.7
-        state = SsmState(np.zeros((1, 1)))
+        state = np.zeros((1, 1))
         state = ssm_step(SsmKind.GDN, state, [1.0], [1.0], gamma=gamma, beta=beta)
-        assert state.s[0, 0] == pytest.approx(0.7)
+        assert state[0, 0] == pytest.approx(0.7)
         state = ssm_step(SsmKind.GDN, state, [1.0], [2.0], gamma=gamma, beta=beta)
-        assert state.s[0, 0] == pytest.approx(0.7 * 0.5 * 0.3 + 0.7 * 2.0)
+        assert state[0, 0] == pytest.approx(0.7 * 0.5 * 0.3 + 0.7 * 2.0)
 
     def test_gate_range_enforced(self):
-        state = SsmState(np.zeros((1, 1)))
+        state = np.zeros((1, 1))
         with pytest.raises(ValueError):
             ssm_step(SsmKind.MAMBA2, state, [1.0], [1.0], gamma=0.0)
         with pytest.raises(ValueError):
             ssm_step(SsmKind.GDN, state, [1.0], [1.0], gamma=0.5, beta=1.5)
 
     def test_dimension_mismatch_rejected(self):
-        state = SsmState(np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            ssm_step(SsmKind.MAMBA2, state, np.ones(4), np.ones(2))
-
-    def test_gka_requires_gain(self):
-        state = SsmState(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            ssm_step(SsmKind.GKA, state, np.ones(3), np.ones(2))
+            ssm_step(SsmKind.MAMBA2, np.zeros((2, 3)), np.ones(4), np.ones(2))
 
 
 class TestGkaInfoUpdate:
@@ -265,9 +257,10 @@ class TestChebyshev:
     def test_numpy_integer_r_accepted(self):
         h = np.diag([1.0, 2.0, 3.0])
         q = np.ones(3)
-        x, hist = chebyshev_solve(h, 0.5, q, r=np.int64(6))
+        bounds = default_spectral_bounds(h, 0.5)
+        x, hist = chebyshev_solve(h, 0.5, q, r=np.int64(6), spectral_bounds=bounds)
         assert hist.shape == (6,)
-        assert np.array_equal(x, chebyshev_solve(h, 0.5, q, r=6)[0])
+        assert np.array_equal(x, chebyshev_solve(h, 0.5, q, r=6, spectral_bounds=bounds)[0])
 
     def test_invalid_bounds_rejected(self):
         q = np.ones(2)
@@ -276,11 +269,9 @@ class TestChebyshev:
         with pytest.raises(ValueError):
             chebyshev_solve(np.eye(2), 1.0, q, r=5, spectral_bounds=(2.0, 1.0))
         with pytest.raises(ValueError):
-            chebyshev_solve(np.eye(2), 1.0, q, r=0)
+            chebyshev_solve(np.eye(2), 1.0, q, r=0, spectral_bounds=(1.0, 2.0))
         with pytest.raises(ValueError, match="r must be an integer number of iterations, got 2.5"):
-            chebyshev_solve(np.eye(2), 1.0, q, r=2.5)
-        with pytest.raises(ValueError):
-            chebyshev_solve(lambda p: p, 1.0, q, r=5)  # operator form needs bounds
+            chebyshev_solve(np.eye(2), 1.0, q, r=2.5, spectral_bounds=(1.0, 2.0))
 
     @pytest.mark.parametrize("h, lam, bounds, match", [
         (np.eye(3), np.inf, (np.inf, np.inf), "lam must be finite, got inf"),
@@ -288,7 +279,6 @@ class TestChebyshev:
         (np.eye(3), 1.0, (np.inf, np.inf), "lower spectral bound must be finite, got inf"),
         (np.eye(3), 1.0, (np.nan, 2.0), "lower spectral bound must be finite, got nan"),
         (np.eye(3), 1.0, (1.0, np.inf), "upper spectral bound must be finite, got inf"),
-        (np.full((3, 3), np.inf), 1.0, None, "upper spectral bound must be finite, got inf"),
     ])
     def test_non_finite_lam_or_bound_named(self, h, lam, bounds, match):
         # an interval [inf, inf] used to reach a division by zero in the
@@ -308,35 +298,38 @@ class TestChebyshev:
 
 
 class TestGkaOutput:
+    # GKA's readout y_t = U_t (H_t + lam_t I)^{-1} q_t, as ssm_forward reads it
     def test_zero_history(self):
+        # the first row reads from the zero information state: H_0 = beta k k^T,
+        # so by Sherman–Morrison y_0 = beta (k . q) v / (beta |k|^2 + lam)
         rng = np.random.default_rng(8)
-        u = rng.standard_normal((3, 4))
-        info = GkaInfoState(h=np.zeros((4, 4)), u=u)
-        q = rng.standard_normal(4)
-        lam = 0.7
-        assert np.allclose(gka_output(info, q, lam), u @ q / lam, atol=1e-13)
+        k, v, q = rng.standard_normal((1, 4)), rng.standard_normal((1, 3)), rng.standard_normal((1, 4))
+        beta, lam = 0.6, 0.7
+        y, _ = ssm_forward(SsmKind.GKA, k, v, q,
+                           GateTrack(np.ones(1), np.array([beta]), np.array([lam])))
+        expected = beta * (k[0] @ q[0]) * v[0] / (beta * (k[0] @ k[0]) + lam)
+        assert np.allclose(y[0], expected, atol=1e-13)
 
     def test_zero_info_state_reads_zero(self):
-        info = GkaInfoState(h=np.eye(3), u=np.zeros((2, 3)))
-        for r in (1, 5, 30):
-            assert np.array_equal(gka_output(info, np.ones(3), 0.5, "chebyshev", r), np.zeros(2))
+        # v = 0 leaves U at zero, whatever H holds
+        T = 5
+        k, _, q = rand_kvq(T, 3, 2, seed=9)
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.7))
+        for solver, r in (("exact", 30), ("chebyshev", 1), ("chebyshev", 5), ("chebyshev", 30)):
+            y, state = ssm_forward(SsmKind.GKA, k, np.zeros((T, 2)), q, gates, solver=solver, r=r)
+            assert np.array_equal(y, np.zeros((T, 2)))
+            assert np.array_equal(state.u, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_chebyshev_converges_to_exact(self, seed):
-        rng = np.random.default_rng(seed)
-        d_k = 6
-        g = rng.standard_normal((d_k, d_k))
-        h = g @ g.T
-        info = GkaInfoState(h=h, u=rng.standard_normal((3, d_k)))
-        q = rng.standard_normal(d_k)
-        lam = 0.1 * np.linalg.norm(h)
-        exact = gka_output(info, q, lam, "exact")
-        approx = gka_output(info, q, lam, "chebyshev", r=60)
+        T, d_k, d_v = 12, 6, 3
+        k, v, q = rand_kvq(T, d_k, d_v, seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        gates = GateTrack(gamma=rng.uniform(0.8, 1.0, T), beta=rng.uniform(0.3, 1.0, T))
+        # lam_t = 0.1 ||H_t||_F bounds each system's condition number by 11
+        exact, _ = ssm_forward(SsmKind.GKA, k, v, q, gates, solver="exact", alpha=0.1)
+        approx, _ = ssm_forward(SsmKind.GKA, k, v, q, gates, solver="chebyshev", r=60, alpha=0.1)
         assert np.max(np.abs(exact - approx)) < 1e-6
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            gka_output(zero_info_state(1, 2), np.ones(2), 1.0, solver="cg")
 
 
 class TestRecurrenceEquivalence:
@@ -360,14 +353,18 @@ class TestRecurrenceEquivalence:
         gates = GateTrack(gamma=np.ones(1), beta=np.array([0.8]), lam=np.array([0.5]))
         assert gka_recurrence_equivalence(k, v, q, gates) < 1e-12
 
-    def test_closed_form_path_with_decay(self):
-        # with gamma < 1 the recurrence and info forms genuinely differ;
-        # the function must still run and report the gap
+    def test_rejects_gates_whose_forms_differ(self):
+        # with a decaying gamma or a lam that varies the recurrence and info
+        # forms genuinely differ, so there is no gap to check
         T = 6
         k, v, q = rand_kvq(T, 3, 2, seed=11)
-        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.7), lam=np.full(T, 0.5))
-        diff = gka_recurrence_equivalence(k, v, q, gates)
-        assert np.isfinite(diff)
+        lam = np.full(T, 0.5)
+        steps = lam.copy()
+        steps[3] = 0.6
+        for gamma, lam_t in ((np.full(T, 0.9), lam), (np.ones(T), steps)):
+            gates = GateTrack(gamma=gamma, beta=np.full(T, 0.7), lam=lam_t)
+            with pytest.raises(ValueError, match="gamma == 1 and one fixed lam"):
+                gka_recurrence_equivalence(k, v, q, gates)
 
     def test_requires_fixed_lam_track(self):
         k, v, q = rand_kvq(3, 2, 2, seed=12)
@@ -412,7 +409,7 @@ class TestIoMatrixProbe:
         assert np.max(np.abs(m_gdn - eps * m_m2)) < 100 * eps ** 2
 
     def test_probe_matches_sequential_forward(self):
-        # oracle: sequential forward per basis input, via ssm_step
+        # oracle: sequential forward per basis input, via the step oracle
         T, d_k = 5, 2
         rng = np.random.default_rng(15)
         keys = rng.standard_normal((T, d_k))
@@ -423,23 +420,15 @@ class TestIoMatrixProbe:
         probed = ssm_io_matrix(SsmKind.GDN, keys, queries, gates)
         manual = np.zeros((T, T))
         for j in range(T):
-            state = SsmState(np.zeros((1, d_k)))
+            state = np.zeros((1, d_k))
             for t in range(T):
                 v = np.array([1.0 if t == j else 0.0])
                 state = ssm_step(SsmKind.GDN, state, keys[t], v, gamma=gamma[t], beta=beta[t])
-                manual[t, j] = (state.s @ queries[t])[0]
+                manual[t, j] = (state @ queries[t])[0]
         assert np.allclose(probed, manual, atol=1e-12)
 
 
 class TestForwardAndGates:
-    def test_default_gates_deterministic_and_in_range(self):
-        x = np.random.default_rng(16).standard_normal((10, 4))
-        g1 = make_default_gates(x)
-        g2 = make_default_gates(x)
-        assert np.array_equal(g1.gamma, g2.gamma) and np.array_equal(g1.beta, g2.beta)
-        assert np.all((g1.gamma > 0) & (g1.gamma <= 1))
-        assert np.all((g1.beta >= 0) & (g1.beta <= 1))
-
     def test_gate_track_validation(self):
         with pytest.raises(ValueError):
             GateTrack(gamma=np.array([0.0]), beta=np.array([0.5]))
@@ -508,11 +497,11 @@ class TestForwardAndGates:
         rng = np.random.default_rng(18)
         gates = GateTrack(gamma=rng.uniform(0.5, 1.0, T), beta=rng.uniform(0.3, 1.0, T))
         y, s = ssm_forward(SsmKind.GDN, k, v, q, gates)
-        state = SsmState(np.zeros((d_v, d_k)))
+        state = np.zeros((d_v, d_k))
         for t in range(T):
             state = ssm_step(SsmKind.GDN, state, k[t], v[t], gamma=gates.gamma[t], beta=gates.beta[t])
-        assert np.allclose(s, state.s, atol=1e-12)
-        assert np.allclose(y[-1], state.s @ q[-1], atol=1e-12)
+        assert np.allclose(s, state, atol=1e-12)
+        assert np.allclose(y[-1], state @ q[-1], atol=1e-12)
 
     def test_step_oracle_replays_gdn_with_filtered_tokens(self):
         # beta = 0 is a valid gate (the token is filtered out); the per-step
@@ -524,11 +513,11 @@ class TestForwardAndGates:
         beta[[0, 3, 4]] = 0.0
         gates = GateTrack(gamma=rng.uniform(0.5, 1.0, T), beta=beta)
         y, s = ssm_forward(SsmKind.GDN, k, v, q, gates)
-        state = SsmState(np.zeros((d_v, d_k)))
+        state = np.zeros((d_v, d_k))
         for t in range(T):
             state = ssm_step(SsmKind.GDN, state, k[t], v[t], gamma=gates.gamma[t], beta=beta[t])
-            assert np.allclose(y[t], state.s @ q[t], atol=1e-12)
-        assert np.allclose(s, state.s, atol=1e-12)
+            assert np.allclose(y[t], state @ q[t], atol=1e-12)
+        assert np.allclose(s, state, atol=1e-12)
 
     @pytest.mark.parametrize("kind", list(SsmKind))
     def test_non_finite_input_named(self, kind):
@@ -609,10 +598,10 @@ class TestForwardAndGates:
             y, _ = kernels.gdn_scan(k, v, q, gates.gamma, gates.beta, np.zeros((d_v, d)))
         # the step oracle's state overflows from row 31, so it runs on v
         # scaled by 1e-200: from the zero state y is linear in v
-        state, y_ref = SsmState(np.zeros((d_v, d))), np.empty((r, d_v))
+        state, y_ref = np.zeros((d_v, d)), np.empty((r, d_v))
         for t in range(r):
             state = ssm_step(SsmKind.GDN, state, k[t], 1e-200 * v[t])
-            y_ref[t] = state.s @ q[t]
+            y_ref[t] = state @ q[t]
         row_err = np.max(np.abs(1e-200 * y[:r] - y_ref), axis=1) / np.max(np.abs(y_ref), axis=1)
         assert np.max(row_err) <= 1e-12
         assert not np.isfinite(y[r:]).any()
@@ -683,6 +672,22 @@ class TestForwardAndGates:
             with pytest.raises(NonFiniteOutput, match="gka output is non-finite") as err:
                 ssm_forward(SsmKind.GKA, k * 1e160, v, q, gates)
         assert err.value.row == 0
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9])
+    def test_gka_singular_dense_solve_names_its_row(self, gamma):
+        # beta k k^T swamps a fixed lam at row 5, so H_5 + lam I is singular
+        # by rounding: the dense solve stops the pass there, as the
+        # adaptive lam already does on the same input
+        T, d = 20, 4
+        rng = np.random.default_rng(0)
+        k, v, q = (rng.standard_normal((T, d)) for _ in range(3))
+        k[5] *= 1e100
+        for lam in (np.full(T, 0.5), None):
+            with np.errstate(all="ignore"):
+                with pytest.raises(NonFiniteOutput) as err:
+                    ssm_forward(SsmKind.GKA, k, v, q, GateTrack(np.full(T, gamma),
+                                                                np.full(T, 0.5), lam))
+            assert err.value.row == 5
 
     def test_gka_exact_forward_takes_woodbury_only_where_the_block_allows(self, monkeypatch):
         # a block with gamma = 1, one lam and a real system that passes the
