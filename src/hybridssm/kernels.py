@@ -18,8 +18,9 @@ Conventions: states are ``d_v x d_k`` matrices updated on the right
 linear scans also chain a taller start state, whose rows past d_v take no
 values and so carry the transitions only (``_carry``). All arrays are
 C-contiguous float64, or complex128 when a complex-step derivative runs
-through them (see ``autodiff``); the blocked keys are also kept as a
-C-contiguous transpose, so the chunk GEMMs Q K^T and K K^T are NN products.
+through them (see ``autodiff``); a GEMM that reads the blocked keys
+transposed reads a C-contiguous copy (``_transposed``), so the chunk GEMMs
+Q K^T and K K^T are NN products.
 
 The kernels pay only for what the result reads. The decay matrix D is
 exponentiated only on and below its diagonal. A finiteness check tests a
@@ -30,6 +31,17 @@ GKA's Woodbury blocks invert no triangular factor and no zero state: a
 block takes one triangular solve, and one inverse only when it is entered
 from a non-zero state. The recurrence-form scan takes one product with Phi
 per token and reads all its outputs in one GEMM after the loop.
+
+The kernels also keep their working set small. Each chunk-sized term
+takes one buffer, built in place wherever that buffer's dtype holds the
+result, and each temporary is freed once its last reader has run: GDN's
+system is freed inside its solve, its query half is formed only after
+the key/value half, and its outputs are written over the solve's; the
+transposed keys are copied again for the queries rather than kept alive
+through the solve. At T = 1024 and d = 64 (16 chunks; a (C, L, d) float64
+array is 0.5 MiB) one GDN forward so allocates at most 3.0 MiB at a time
+(Mamba-2's 2.6 MiB, tracemalloc), which glibc's heap keeps between calls:
+repeated forwards do not page-fault their temporaries back in.
 """
 
 from __future__ import annotations
@@ -60,7 +72,16 @@ def _blocks(x, L, fill=0.0):
     return x.reshape((x.shape[0] // L, L) + x.shape[1:])
 
 
-def _ssd_terms(k, q, gamma):
+def _into(buf, op, a, b):
+    """op(a, b), written over buf, one of a and b, where buf's dtype holds
+    the result: a real buf with a complex operand (a complex-step gamma or
+    beta through real keys, see ``autodiff``) takes a new buffer. The
+    operands keep the order of the expression they replace: numpy's complex
+    product a * b can differ from b * a in the last bit."""
+    return op(a, b, out=buf if np.result_type(a, b) == buf.dtype else None)
+
+
+def _ssd_terms(k, gamma):
     """The state-free terms shared by both scans and GKA's forward, per
     chunk of L = min(CHUNK, T) tokens (a short last chunk is padded with
     tokens that neither decay nor write). G[t] = gamma_1 ... gamma_t and
@@ -70,22 +91,27 @@ def _ssd_terms(k, q, gamma):
     is exponentiated only on and below the diagonal, where it is read: the
     upper triangle's exp(cs_t - cs_i) would overflow for a tiny gamma.
 
-    Returns (K, Kt, G, D, kd, qk, gq): the blocked keys K and their
-    transposes Kt, C-contiguous so that products with them are NN GEMMs,
-    G, D, kd = the keys decayed to their chunk's end, and the query half
-    qk = (Q K^T) o D and gq = diag(G) Q of the blocked queries Q, both None
-    when q is None."""
+    Returns (K, G, D): the blocked keys K, G and D."""
     L = max(1, min(CHUNK, k.shape[0]))
     K = _blocks(k, L)
-    Kt = np.ascontiguousarray(K.transpose(0, 2, 1))
     cs = np.cumsum(np.log(_blocks(gamma, L, fill=1.0)), axis=1)
-    diff = cs[:, :, None] - cs[:, None, :]
-    D = np.exp(diff, out=np.zeros_like(diff), where=np.tri(L, dtype=bool))
-    G, kd = np.exp(cs), D[:, -1, :, None] * K
-    if q is None:
-        return K, Kt, G, D, kd, None, None
-    Q = _blocks(q, L)
-    return K, Kt, G, D, kd, (Q @ Kt) * D, G[:, :, None] * Q
+    D = np.subtract(cs[:, :, None], cs[:, None, :])
+    tri = np.tri(L, dtype=bool)
+    np.exp(D, out=D, where=tri)
+    np.copyto(D, 0.0, where=~tri)
+    return K, np.exp(cs), D
+
+
+def _transposed(K):
+    """Each block of K transposed, C-contiguous, so that products with it
+    are NN GEMMs."""
+    return np.ascontiguousarray(K.transpose(0, 2, 1))
+
+
+def _scores(q, K, D):
+    """qk = (Q K^T) o D of the blocked queries Q, in the buffer of Q K^T."""
+    qk = _blocks(q, K.shape[1]) @ _transposed(K)
+    return _into(qk, np.multiply, qk, D)
 
 
 def _carry(aq, a_end, y0, e, s0, T):
@@ -95,14 +121,27 @@ def _carry(aq, a_end, y0, e, s0, T):
 
     s0 may have more rows than the values have columns (d_v): the rows past
     d_v carry transitions only, nothing is written to them, so the outputs'
-    columns past d_v are aq_c S_c^T and the state's rows past d_v S_c a_end_c."""
+    columns past d_v are aq_c S_c^T and the state's rows past d_v S_c a_end_c.
+
+    When s0 has rows that are exactly zero, the first chunk multiplies only
+    the others: a zero row's products are exactly zero, except where a row
+    of aq or a_end overflowed, which a zero row would read as 0 * inf = NaN.
+    A zero-start forward so takes no product with its start state at all."""
     d_v = e.shape[1]
     S = s0.astype(np.result_type(s0, e, a_end))
     y = np.empty(aq.shape[:2] + (S.shape[0],), dtype=np.result_type(y0, aq, S))
+    live = np.flatnonzero(S.any(axis=1))
     for c in range(y.shape[0]):
-        y[c] = aq[c] @ S.T
+        if c == 0 and live.size < S.shape[0]:
+            y[0] = 0.0
+            y[0][:, live] = aq[0] @ S[live].T
+            s_live = S[live] @ a_end[0]
+            S = np.zeros_like(S)
+            S[live] = s_live
+        else:
+            y[c] = aq[c] @ S.T
+            S = S @ a_end[c]
         y[c, :, :d_v] += y0[c]
-        S = S @ a_end[c]
         S[:d_v] += e[c]
     return y.reshape(y.shape[0] * y.shape[1], y.shape[2])[:T], S
 
@@ -112,9 +151,12 @@ def _ssd_chunks(k, v, q, gamma):
     outputs are Y = ((Q K^T) o D) V + diag(G) Q S_0^T and its end state
     V^T kd + S_0 G_L. Returns (aq, a_end, y0, e) = (diag(G) Q, G_L I,
     ((Q K^T) o D) V, V^T kd), as _wy_chunks does for GDN."""
-    K, _, G, _, kd, qk, gq = _ssd_terms(k, q, gamma)
-    V = _blocks(v, K.shape[1])
-    return gq, G[:, -1, None, None] * np.eye(k.shape[1]), qk @ V, V.transpose(0, 2, 1) @ kd
+    K, G, D = _ssd_terms(k, gamma)
+    L = K.shape[1]
+    V = _blocks(v, L)
+    e = V.transpose(0, 2, 1) @ (D[:, -1, :, None] * K)  # V^T kd
+    y0 = _scores(q, K, D) @ V
+    return G[:, :, None] * _blocks(q, L), G[:, -1, None, None] * np.eye(k.shape[1]), y0, e
 
 
 def mamba2_scan(k, v, q, gamma, s0):
@@ -155,11 +197,20 @@ def _ut_solve(n, rhs):
         a_inv, t_lower, c_inv = _diagonal_quarters(t, s)
         t_lower[...] = -(c_inv @ _diagonal_quarters(n, s)[1]) @ a_inv
         s *= 2
+    del n  # a system passed without a name is freed before the last GEMM
     return t[:, :L, :L] @ rhs
 
 
+def _wy_system(K, B, D):
+    """The chunk systems' matrices diag(beta) (K K^T) o D, in the buffer of
+    K K^T."""
+    n = K @ _transposed(K)
+    n = _into(n, np.multiply, B, n)
+    return _into(n, np.multiply, n, D)
+
+
 def _wy_solve(k, v, q, gamma, beta):
-    """The key/value half of the GDN chunk terms in the gated WY/UT form.
+    """The GDN chunk terms in the gated WY/UT form.
 
     Within a chunk S_t = gamma_t S_{t-1} + u_t k_t^T with the pseudo-values
     u_t = beta_t (v_t - gamma_t S_{t-1} k_t). Stacked as rows they are
@@ -172,17 +223,38 @@ def _wy_solve(k, v, q, gamma, beta):
     the zero-start end state e = U_0^T kd and the transition
     a_end = G_L I - W^T kd, which need no queries.
 
-    Returns (x, e, a_end, qk, gq): x = [U_0 | W], e, a_end and the query
-    half of _ssd_terms (None when q is None)."""
+    The key/value solve comes first and the query half after it, so that
+    the chunk-sized temporaries of the two are never alive together. The
+    system and the right-hand side take one buffer each: the system, and
+    the transposed keys it is built from, are freed inside the solve, the
+    right-hand side after it. Only then are the query scores qk and kd
+    formed; D is freed before e and a_end are taken (a_end as -W^T kd
+    with G_L added to its diagonal), and kd after.
+
+    Returns (x, e, a_end, qk, G): x = [U_0 | W], e, a_end, the query scores
+    qk = (Q K^T) o D (None when q is None) and G."""
     d_v = v.shape[1]
-    K, Kt, G, D, kd, qk, gq = _ssd_terms(k, q, gamma)
-    B = _blocks(beta, K.shape[1])[:, :, None]
+    K, G, D = _ssd_terms(k, gamma)
+    C, L, d_k = K.shape
+    B = _blocks(beta, L)[:, :, None]
+    rhs = np.empty((C, L, d_v + d_k), dtype=np.result_type(v, G, K, B))
+    rhs[:, :, :d_v] = _blocks(v, L)
+    np.multiply(G[:, :, None], K, out=rhs[:, :, d_v:])
+    np.multiply(B, rhs, out=rhs)
     # only the system's strict lower triangle is read; passed without a
-    # name, it is freed when the solve returns
-    x = _ut_solve(B * (K @ Kt) * D,
-                  B * np.concatenate([_blocks(v, K.shape[1]), G[:, :, None] * K], axis=2))
-    xk = x.transpose(0, 2, 1) @ kd  # [U_0^T kd; W^T kd]
-    return x, xk[:, :d_v], G[:, -1, None, None] * np.eye(k.shape[1]) - xk[:, d_v:], qk, gq
+    # name, it is freed inside the solve
+    x = _ut_solve(_wy_system(K, B, D), rhs)
+    del rhs
+    qk = None if q is None else _scores(q, K, D)
+    kd = D[:, -1, :, None] * K  # the keys decayed to their chunk's end
+    del D
+    xt = x.transpose(0, 2, 1)
+    e, a_end = xt[:, :d_v] @ kd, xt[:, d_v:] @ kd
+    del kd
+    # a_end = G_L I - W^T kd, formed as -W^T kd with G_L added to its diagonal
+    np.negative(a_end, out=a_end)
+    a_end.reshape(C, d_k * d_k)[:, ::d_k + 1] += G[:, -1:]
+    return x, e, a_end, qk, G
 
 
 def gdn_chunk_states(k, v, gamma, beta):
@@ -197,21 +269,37 @@ def gdn_chunk_states(k, v, gamma, beta):
 
 def _wy_chunks(k, v, q, gamma, beta):
     """Per-chunk terms of the GDN scan: _wy_solve's key/value half, and
-    the outputs of an SSD chunk with values U = U_0 - W S_0^T, which are
-    qk U_0 + aq S_0^T with aq = diag(G) Q - qk W. Returns (aq, a_end) and
-    the zero-start outputs qk U_0 and end states e. A chunk's rows of aq
-    and qk U_0 read NaN from its first row of [U_0 | W] that overflowed on;
-    the rows before it are formed without those rows, which the exact zeros
-    above qk's diagonal would meet as 0 * inf = NaN.
+    then, from its query scores, the outputs of an SSD chunk with values
+    U = U_0 - W S_0^T, which are qk U_0 + aq S_0^T with
+    aq = diag(G) Q - qk W. Returns (aq, a_end) and the zero-start outputs
+    qk U_0 and end states e.
+
+    Only once the solve has returned are the queries read: [qk U_0 | qk W]
+    is written over [U_0 | W] chunk by chunk (one GEMM per chunk, not one
+    per half: OpenBLAS rounds a product split by columns differently when
+    the halves are narrow), and aq is formed over its qk W half, so the
+    returned aq and qk U_0 are the two halves of one buffer. A chunk's rows
+    of aq and qk U_0 read NaN from its first row of [U_0 | W] that
+    overflowed on; the rows before it are formed without those rows, which
+    the exact zeros above qk's diagonal would meet as 0 * inf = NaN.
     """
     d_v = v.shape[1]
-    x, e, a_end, qk, gq = _wy_solve(k, v, q, gamma, beta)
-    if np.isfinite(x).all():
-        qx = qk @ x
-    else:
+    x, e, a_end, qk, G = _wy_solve(k, v, q, gamma, beta)
+    if not np.isfinite(x).all():
         late = np.logical_or.accumulate(~np.isfinite(x).all(axis=2), axis=1)[:, :, None]
         qx = np.where(late, np.nan, qk @ np.where(late, 0.0, x))
-    return gq - qx[:, :, d_v:], a_end, qx[:, :, :d_v], e
+    elif np.result_type(qk, x) == x.dtype:
+        # over x, chunk by chunk: numpy copies only the one chunk it overwrites
+        for c in range(x.shape[0]):
+            np.matmul(qk[c], x[c], out=x[c])
+        qx = x
+    else:
+        qx = qk @ x
+    del x, qk
+    # aq = diag(G) Q - qk W, as -qk W + diag(G) Q: the same value bit for bit
+    qw = np.negative(qx[:, :, d_v:], out=qx[:, :, d_v:])
+    gq = G[:, :, None] * _blocks(q, qx.shape[1])
+    return _into(qw, np.add, qw, gq), a_end, qx[:, :, :d_v], e
 
 
 def gdn_scan(k, v, q, gamma, beta, s0):
@@ -367,7 +455,8 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     T, d_k = k.shape
     d_v = v.shape[1]
     dtype = np.result_type(k, v, q, gamma, beta)
-    K, Kt, G, D, _, _, _ = _ssd_terms(k, None, gamma)
+    K, G, D = _ssd_terms(k, gamma)
+    Kt = _transposed(K)
     C, L = K.shape[:2]
     Q, V = _blocks(q, L), _blocks(v, L)
     W = D * _blocks(beta, L)[:, None, :]

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hybridssm.composition import caso_compose, picaso_r, run_chunk, state_deviation
-from hybridssm.kernels import CHUNK, _ssd_terms, _ut_solve
+from hybridssm.kernels import CHUNK, _ssd_terms, _transposed, _ut_solve
 from hybridssm.seqpar import MessageBus, p2p_forward, shard
 from hybridssm.ssm_core import GateTrack, SsmKind, chunk_forward, ssm_forward
 from oracles import ssm_step
@@ -79,9 +79,10 @@ def test_decay_matrix_is_exponentiated_only_where_it_is_read(steps, complex_step
     T = gamma.size
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        K, Kt, _, D, _, _, _ = _ssd_terms(np.ones((T, 2)), None, gamma)
+        K, _, D = _ssd_terms(np.ones((T, 2)), gamma)
     L = D.shape[1]
     assert D.shape == (-(-T // L), L, L) and D.dtype == gamma.dtype
+    Kt = _transposed(K)
     assert Kt.flags.c_contiguous and np.array_equal(Kt, K.transpose(0, 2, 1))
     assert np.all(D[:, ~np.tri(L, dtype=bool)] == 0.0)
     padded = np.concatenate([gamma, np.ones(-T % L)])

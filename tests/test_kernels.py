@@ -1,10 +1,14 @@
 """The numpy kernels against vectorized reference formulations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hybridssm import kernels as K
+from hybridssm import seqpar
 from hybridssm.ssm_core import GateTrack, chunk_forward, ssm_forward
+from oracles import ssm_step
 
 
 def rand_inputs(T=16, d_k=5, d_v=4, seed=0):
@@ -112,3 +116,78 @@ class TestChebyshevBatch:
         rhs = rng.standard_normal((3, 4))
         x, _ = K.chebyshev_dense(lambda p: p @ h, 2.0, rhs, 60, 2.0, 2.0 + np.linalg.norm(h))
         assert np.allclose(x, np.linalg.solve(h + 2.0 * np.eye(4), rhs.T).T, atol=1e-10)
+
+
+class TestZeroStartRows:
+    def test_overflowing_transition_meets_no_zero_state_row(self):
+        # keys of ||k||^2 = 1 + 1e10 along e_0 on rows 1-31 make each
+        # transition scale e_0 by -1e10, so aq overflows at row 31; values of
+        # 1e-10 keep the outputs representable (up to about 3.6e299), and
+        # the zero start state must not read them as 0 * inf = NaN
+        L, d = 64, 8
+        rng = np.random.default_rng(0)
+        k = rng.standard_normal((L, d))
+        k[0] /= np.linalg.norm(k[0])
+        k[1:32] = np.sqrt(1.0 + 1e10) * np.eye(d)[0]
+        k[32:, 0] = 0.0
+        k[32:] /= np.linalg.norm(k[32:], axis=1, keepdims=True)
+        v = rng.standard_normal((L, d)) * 1e-10
+        q = rng.standard_normal((L, d))
+        s, y_ref = np.zeros((d, d)), np.empty((L, d))
+        for t in range(L):
+            s = ssm_step("gdn", s, k[t], v[t])
+            y_ref[t] = s @ q[t]
+        assert np.all(np.isfinite(y_ref)) and np.max(np.abs(y_ref)) > 1e299
+        with np.errstate(over="ignore"):  # no invalid operation: 0 * inf stays unformed
+            y, state = ssm_forward("gdn", k, v, q, GateTrack(gamma=np.ones(L), beta=np.ones(L)))
+        scale = np.max(np.abs(y_ref))
+        assert np.max(np.abs(y - y_ref)) <= 1e-13 * scale
+        assert np.max(np.abs(state - s)) <= 1e-13 * np.max(np.abs(s))
+
+    def test_start_state_with_zero_rows_matches_the_step_oracle(self):
+        # a taller start state, some of its value and transition rows zero:
+        # the first chunk multiplies only the others, and every row still
+        # matches the token-by-token replay (the rows past d_v take no values)
+        T, d_k, d_v = 150, 4, 3
+        k, v, q, g, b = rand_inputs(T, d_k, d_v, seed=13)
+        s0 = np.random.default_rng(14).standard_normal((d_v + d_k, d_k))
+        s0[[1, 4]] = 0.0
+        y, s_end = ssm_forward("gdn", k, v, q, GateTrack(gamma=g, beta=b), s0=s0)
+        s = s0
+        for t in range(T):
+            s = ssm_step("gdn", s, k[t], np.concatenate([v[t], np.zeros(d_k)]),
+                         gamma=g[t], beta=b[t])
+            assert np.allclose(y[t], s @ q[t], rtol=0.0, atol=1e-12)
+        assert np.allclose(s_end, s, rtol=0.0, atol=1e-12)
+
+
+class TestWorkingSet:
+    """tracemalloc counts numpy's buffers exactly, so the peaks below hold
+    on any host and allocator. At prefill_linear's shapes (T = 1024,
+    d = 64, 16 chunks, zigzag over 4 ranks) one GDN forward or P2P pass
+    peaks at 3.04 and 3.07 MiB (5.54 and 5.51 before the chunk terms were
+    built in place); the bound allows one (C, L, d) array more."""
+
+    T, D = 1024, 64
+    SLACK = T * D * 8  # one (C, L, d) float64 array, 0.5 MiB
+
+    def peak(self, f):
+        f()  # warm-up
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("path, measured_mib", [("forward", 3.05), ("p2p", 3.08)])
+    def test_gdn_peak(self, path, measured_mib):
+        rng = np.random.default_rng(1)
+        k = rng.standard_normal((self.T, self.D))
+        k /= np.linalg.norm(k, axis=1, keepdims=True)
+        v, q = rng.standard_normal((self.T, self.D)), rng.standard_normal((self.T, self.D))
+        gates = GateTrack(gamma=rng.uniform(0.9, 1.0, self.T), beta=rng.uniform(0.1, 0.9, self.T))
+        plan = seqpar.shard(self.T, 4, "zigzag")
+        calls = {"forward": lambda: ssm_forward("gdn", k, v, q, gates),
+                 "p2p": lambda: seqpar.p2p_forward("gdn", k, v, q, gates, plan)}
+        assert self.peak(calls[path]) <= measured_mib * 2**20 + self.SLACK
