@@ -9,8 +9,10 @@ concatenation state decomposes exactly over chunks,
 with A^(c) the chunk's accumulated transition (scalar decay for Mamba-2
 and gated GKA, a dense Householder-like product for GDN). That is
 ``caso_compose``; ``picaso_r`` averages it over the K cyclic chunk orders
-in O(K). GKA's information pair additionally composes by plain summation
-when decay is off, and by souping (averaging) as the default heuristic.
+in O(K). Over scalar decays each is one weighted sum of the chunk states,
+taken in place; GDN's dense transitions take GEMMs. GKA's information pair
+additionally composes by plain summation when decay is off, and by souping
+(averaging) as the default heuristic.
 ``chunked_prefill`` runs the whole three-step pipeline on a toy hybrid
 stack: chunk with a shared prefix, prefill each chunk with reused position
 ids, concatenate KV caches keeping one prefix copy, and merge SSM states.
@@ -31,36 +33,6 @@ from .ssm_core import ssm_forward  # unused here; the benchmark's tracer test re
 from .stack import ATTENTION_KINDS, KvCache, ToyHybridStack
 
 MERGE_MODES = ("soup", "picaso_r", "gka_sum")
-
-
-def _apply(state, trans):
-    """state . trans, for scalar or dense transitions and array or info states."""
-    if isinstance(state, GkaInfoState):
-        if isinstance(trans, np.ndarray):
-            raise ValueError("info states take scalar (decay) transitions only")
-        return GkaInfoState(h=state.h * trans, u=state.u * trans)
-    if isinstance(trans, np.ndarray):
-        return state @ trans
-    return state * trans
-
-
-def _add(a, b):
-    if isinstance(a, GkaInfoState):
-        return GkaInfoState(h=a.h + b.h, u=a.u + b.u)
-    return a + b
-
-
-def _compose(trans_left, trans_right):
-    """Transition product trans_left . trans_right (sequence order)."""
-    if isinstance(trans_left, np.ndarray) or isinstance(trans_right, np.ndarray):
-        left = trans_left if isinstance(trans_left, np.ndarray) else trans_left * np.eye(trans_right.shape[0])
-        right = trans_right if isinstance(trans_right, np.ndarray) else trans_right * np.eye(left.shape[0])
-        return left @ right
-    return trans_left * trans_right
-
-
-def _identity_like(trans):
-    return np.eye(trans.shape[0]) if isinstance(trans, np.ndarray) else 1.0
 
 
 def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrack) -> ChunkRecord:
@@ -107,52 +79,125 @@ def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrac
     return ChunkRecord(state=GkaInfoState._derived(0.5 * (h + h.T), s[:d_v]), a_acc=a_acc)
 
 
-def _carry(merged, chunk: ChunkRecord):
-    """The state after one more chunk: merged . A^(c) + S^(c)."""
-    return _add(_apply(merged, chunk.a_acc), chunk.state)
+def _describe(record: ChunkRecord) -> str:
+    trans = "dense" if isinstance(record.a_acc, np.ndarray) else "scalar"
+    state = "a GkaInfoState" if isinstance(record.state, GkaInfoState) else "an array"
+    return f"a {trans} transition and {state} state"
+
+
+def _scalar_records(chunks: Sequence[ChunkRecord]) -> bool:
+    """True if the records' transitions are scalar decays, False if they are
+    dense matrices. Raises ValueError on an empty list, and on one that
+    mixes scalar and dense transitions or array and GkaInfoState states,
+    naming the first record that differs from record 0."""
+    if not chunks:
+        raise ValueError("need at least one chunk")
+    kinds = [(isinstance(c.a_acc, np.ndarray), isinstance(c.state, GkaInfoState)) for c in chunks]
+    for i, kind in enumerate(kinds):
+        if kind != kinds[0]:
+            raise ValueError(f"record {i} has {_describe(chunks[i])}, "
+                             f"unlike record 0's {_describe(chunks[0])}")
+    dense, info = kinds[0]
+    if dense and info:
+        raise ValueError("info states take scalar (decay) transitions only")
+    return not dense
+
+
+def _by_part(chunks: Sequence[ChunkRecord], merge):
+    """merge applied to the records' states, or to their H and their U
+    apart, which then form one GkaInfoState."""
+    if isinstance(chunks[0].state, GkaInfoState):
+        return GkaInfoState(h=merge([c.state.h for c in chunks]),
+                            u=merge([c.state.u for c in chunks]))
+    return merge([c.state for c in chunks])
 
 
 def caso_compose(chunks: Sequence[ChunkRecord]):
     """Exact composition of ordered chunk states for linear recurrences,
-    carried forward chunk by chunk."""
-    if not chunks:
-        raise ValueError("need at least one chunk")
-    return reduce(_carry, chunks[1:], chunks[0].state)
+    S^(K) + sum_{c<K} S^(c) A^(c+1) ... A^(K), carried forward chunk by
+    chunk, S <- S A^(c) + S^(c).
+
+    Scalar decays (Mamba-2, GKA) are applied in place, by Horner's rule on
+    the weights u_c = a_{c+1} ... a_{K-1} (0-based), and a GKA pair folds
+    its H and its U into one GkaInfoState; dense transitions (GDN) take one
+    GEMM a chunk. Raises ValueError on an empty list or one that mixes
+    transition kinds or state types."""
+    if not _scalar_records(chunks):
+        return reduce(lambda s, c: s @ c.a_acc + c.state, chunks[1:], chunks[0].state)
+    if len(chunks) == 1:
+        return chunks[0].state
+
+    def fold(states):
+        acc = states[0] * chunks[1].a_acc + states[1]
+        for state, chunk in zip(states[2:], chunks[2:]):
+            acc *= chunk.a_acc
+            acc += state
+        return acc
+
+    return _by_part(chunks, fold)
 
 
 def picaso_r(chunks: Sequence[ChunkRecord]):
-    """Mean of caso_compose over the K cyclic chunk orderings, via running
-    prefix/suffix products (O(K) transition multiplies total)."""
-    if not chunks:
-        raise ValueError("need at least one chunk")
+    """Mean of caso_compose over the K cyclic chunk orderings.
+
+    Scalar decays (Mamba-2, GKA) give one weighted sum of the states,
+    accumulated in place (for GKA, of H and of U into one GkaInfoState).
+    In the order starting at chunk s, chunk c is followed by chunks
+    c+1 ... K-1 and then 0 ... s-1 when s <= c, and by c+1 ... s-1 when
+    s > c, so (0-based) its weight is
+
+        w_c = (prod_{j>c} a_j) sum_{r<=c} prod_{i<r} a_i + B_c, divided by K,
+
+    with B_{K-1} = 0 and B_c = 1 + a_{c+1} B_{c+1}. Every term is >= 0, so
+    nothing cancels. Dense transitions (GDN) take running prefix/suffix
+    products, O(K) transition multiplies in all. Raises ValueError on an
+    empty list or one that mixes transition kinds or state types."""
+    scalar = _scalar_records(chunks)
     K = len(chunks)
     if K == 1:
         return chunks[0].state
+    if scalar:
+        a = np.array([c.a_acc for c in chunks])
+        earlier = np.ones_like(a)
+        earlier[1:] = np.cumprod(a[:-1])  # prod_{i<r} a_i
+        later = np.ones_like(a)
+        later[:-1] = np.cumprod(a[:0:-1])[::-1]  # prod_{j>c} a_j
+        b = np.zeros_like(a)
+        for c in range(K - 2, -1, -1):
+            b[c] = 1.0 + a[c + 1] * b[c + 1]
+        w = (later * np.cumsum(earlier) + b) / K
 
-    eye = _identity_like(chunks[0].a_acc)
-    zero = _apply(chunks[0].state, 0.0)
+        def weighted_sum(states):
+            acc = states[0] * w[0]
+            term = np.empty_like(acc)
+            for state, weight in zip(states[1:], w[1:]):
+                acc += np.multiply(state, weight, out=term)
+            return acc
+
+        return _by_part(chunks, weighted_sum)
+
+    eye = np.eye(chunks[0].a_acc.shape[0])
+    zero = chunks[0].state * 0.0
 
     # prefix transition products L_s = A^(1..s) and prefix compositions
     # T_s = caso of the first s chunks
     prefix_prod = [eye]
     prefix_caso = [zero]
     for s in range(1, K + 1):
-        prefix_prod.append(_compose(prefix_prod[-1], chunks[s - 1].a_acc))
-        prefix_caso.append(_carry(prefix_caso[-1], chunks[s - 1]))
+        prefix_prod.append(prefix_prod[-1] @ chunks[s - 1].a_acc)
+        prefix_caso.append(prefix_caso[-1] @ chunks[s - 1].a_acc + chunks[s - 1].state)
 
     # suffix products R_s = A^(s+1..K) and suffix compositions
     # W_s = sum_{c>s} S^(c) A^(c+1..K)
     suffix_prod = [eye] * (K + 1)
     suffix_caso = [zero] * (K + 1)
     for s in range(K - 1, -1, -1):
-        suffix_caso[s] = _add(_apply(chunks[s].state, suffix_prod[s + 1]), suffix_caso[s + 1])
-        suffix_prod[s] = _compose(chunks[s].a_acc, suffix_prod[s + 1])
+        suffix_caso[s] = chunks[s].state @ suffix_prod[s + 1] + suffix_caso[s + 1]
+        suffix_prod[s] = chunks[s].a_acc @ suffix_prod[s + 1]
 
-    total = None
-    for s in range(K):  # cyclic order starting at chunk s+1
-        v_s = _add(_apply(suffix_caso[s], prefix_prod[s]), prefix_caso[s])
-        total = v_s if total is None else _add(total, v_s)
-    return _apply(total, 1.0 / K)
+    # cyclic order starting at chunk s+1
+    total = reduce(np.add, (suffix_caso[s] @ prefix_prod[s] + prefix_caso[s] for s in range(K)))
+    return total * (1.0 / K)
 
 
 def gka_compose(infos: Sequence[GkaInfoState], mode: str = "sum") -> GkaInfoState:

@@ -16,11 +16,14 @@ Each computation has exactly one body here; ``ssm_core``, ``seqpar`` and
 Conventions: states are ``d_v x d_k`` matrices updated on the right
 (``S_t = S_{t-1} A_t + v_t B_t``), outputs are ``y_t = S_t q_t``. The
 linear scans also chain a taller start state, whose rows past d_v take no
-values and so carry the transitions only (``_carry``). All arrays are
-C-contiguous float64, or complex128 when a complex-step derivative runs
-through them (see ``autodiff``); a GEMM that reads the blocked keys
-transposed reads a C-contiguous copy (``_transposed``), so the chunk GEMMs
-Q K^T and K K^T are NN products.
+values and so carry the transitions only (``_carry``). A block's
+transition a_end takes one of two shapes: Mamba-2's is the scalar decay
+G_L as a (1, 1) array, which scales the state, and GDN's a dense
+(d_k, d_k) matrix, which multiplies it; no G_L I is ever built. All
+arrays are C-contiguous float64, or complex128 when a complex-step
+derivative runs through them (see ``autodiff``); a GEMM that reads the
+blocked keys transposed reads a C-contiguous copy (``_transposed``), so
+the chunk GEMMs Q K^T and K K^T are NN products.
 
 The kernels pay only for what the result reads. The decay matrix D is
 exponentiated only on and below its diagonal. A finiteness check tests a
@@ -114,10 +117,19 @@ def _scores(q, K, D):
     return _into(qk, np.multiply, qk, D)
 
 
+def _transition(S, a):
+    """S a for one block's transition a: a (1, 1) scalar decay scales S, a
+    (d_k, d_k) matrix multiplies it (one GEMM). For d_k = 1 the two are the
+    same product, bit for bit, so the shape alone chooses."""
+    return S * a if a.shape[-1] == 1 else S @ a
+
+
 def _carry(aq, a_end, y0, e, s0, T):
     """Chain the chunks from s0: with S_c the state entering chunk c,
     y_c = y0_c + aq_c S_c^T and S_{c+1} = e_c + S_c a_end_c, where y0 and e
-    are the chunks' zero-start outputs and end states (chunk_terms).
+    are the chunks' zero-start outputs and end states (chunk_terms). a_end
+    is (C, 1, 1), Mamba-2's scalar decays, which scale S, or (C, d_k, d_k),
+    GDN's dense transitions, which multiply it (_transition).
 
     s0 may have more rows than the values have columns (d_v): the rows past
     d_v carry transitions only, nothing is written to them, so the outputs'
@@ -135,12 +147,12 @@ def _carry(aq, a_end, y0, e, s0, T):
         if c == 0 and live.size < S.shape[0]:
             y[0] = 0.0
             y[0][:, live] = aq[0] @ S[live].T
-            s_live = S[live] @ a_end[0]
+            s_live = _transition(S[live], a_end[0])
             S = np.zeros_like(S)
             S[live] = s_live
         else:
             y[c] = aq[c] @ S.T
-            S = S @ a_end[c]
+            S = _transition(S, a_end[c])
         y[c, :, :d_v] += y0[c]
         S[:d_v] += e[c]
     return y.reshape(y.shape[0] * y.shape[1], y.shape[2])[:T], S
@@ -149,14 +161,16 @@ def _carry(aq, a_end, y0, e, s0, T):
 def _ssd_chunks(k, v, q, gamma):
     """Per-chunk terms of the Mamba-2 scan in the SSD form: each chunk's
     outputs are Y = ((Q K^T) o D) V + diag(G) Q S_0^T and its end state
-    V^T kd + S_0 G_L. Returns (aq, a_end, y0, e) = (diag(G) Q, G_L I,
-    ((Q K^T) o D) V, V^T kd), as _wy_chunks does for GDN."""
+    V^T kd + S_0 G_L. Returns (aq, a_end, y0, e) = (diag(G) Q, G_L,
+    ((Q K^T) o D) V, V^T kd), as _wy_chunks does for GDN, but with the
+    transition kept a scalar: a_end is the block decays G_L as (C, 1, 1),
+    which _carry applies by scaling, not a dense G_L I."""
     K, G, D = _ssd_terms(k, gamma)
     L = K.shape[1]
     V = _blocks(v, L)
     e = V.transpose(0, 2, 1) @ (D[:, -1, :, None] * K)  # V^T kd
     y0 = _scores(q, K, D) @ V
-    return G[:, :, None] * _blocks(q, L), G[:, -1, None, None] * np.eye(k.shape[1]), y0, e
+    return G[:, :, None] * _blocks(q, L), G[:, -1, None, None], y0, e
 
 
 def mamba2_scan(k, v, q, gamma, s0):
@@ -315,7 +329,9 @@ def chunk_terms(kind, k, v, q, gamma, beta):
     and aq, the rows aq[t] = A_{1:t} q_t through which a start state
     reaches its outputs. The blocks are independent: a block
     entered from S_0 reads y0 + aq S_0^T and ends in e + S_0 a_end, and
-    _carry chains them so. beta is read by GDN only."""
+    _carry chains them so. a_end is (C, 1, 1) for Mamba-2, the block
+    decays G_L, and (C, d_k, d_k) for GDN (see _transition). beta is read
+    by GDN only."""
     if kind == "mamba2":
         return _ssd_chunks(k, v, q, gamma)
     return _wy_chunks(k, v, q, gamma, beta)

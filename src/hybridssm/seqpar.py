@@ -14,9 +14,13 @@ mechanisms are modeled:
     passes do not depend on one another, so when every chunk holds at
     least one whole block of ``kernels.CHUNK`` tokens the simulator takes
     every chunk's per-block terms from one chunkwise kernel call over the
-    whole sequence and lets each rank fold its own chunks' blocks. A plan
-    with a shorter chunk still runs one ``chunk_forward`` per chunk, which
-    perfbench's tracer test counts (one ``ssm_forward`` per chunk). The
+    whole sequence and lets each rank fold its own chunks' blocks. GDN's
+    block transitions are dense and fold through the tall start state
+    [0; I]; Mamba-2's are scalar decays, so its ranks carry the value rows
+    only, scale each block's aq rows by the decays before it, and hand on
+    S_0 a as a scaling by the chunk's decay a. A plan with a shorter chunk
+    still runs one ``chunk_forward`` per chunk, which perfbench's tracer
+    test counts (one ``ssm_forward`` per chunk). The
     outputs are those of one ``chunk_forward`` per chunk, bit for bit,
     either way.
   * USP gather-compute-slice: reconstruct the full sequence per rank, run
@@ -213,16 +217,47 @@ def _padded_to_blocks(plan, k, v, q, gates):
 
 def _local_pass(aq, a_end, y0, e, n):
     """A chunk's pass from the zero state, from its blocks' terms
-    (kernels.chunk_terms): the outputs [y | aq] (n rows) and the end state
-    [s_end; a_end], as chunk_forward returns them stacked. From the start
-    state [0; I] the first block reads [y0 | aq] and ends in [e; a_end]
-    with no product against it; the other blocks fold from there
-    (kernels._carry)."""
+    (kernels.chunk_terms): (y, s_end, aq, a_end) as chunk_forward returns
+    them, n rows, not yet checked for finiteness (_check_local_pass).
+
+    Dense (d_k, d_k) transitions (GDN) fold the start state [0; I]: the
+    first block reads [y0 | aq] and ends in [e; a_end] with no product
+    against it, and the other blocks fold from there (kernels._carry).
+    Scalar (1, 1) decays (Mamba-2) carry only the d_v value rows from the
+    zero state: the identity rows would only ever hold exact scalings, so
+    the chunk's aq rows are each block's aq times the product of the
+    chunk's earlier block decays, and its transition is the product of all
+    of them, a (1, 1) decay. Both give chunk_forward's values bit for bit."""
+    d_v = e.shape[1]
+    if a_end.shape[-1] == 1:
+        decay = np.cumprod(a_end[:, 0, 0])
+        y, s = y0[0], e[0]
+        if len(aq) > 1:
+            if np.count_nonzero(s.any(axis=1)) < 2:
+                # numpy takes a product with one row by GEMV, which can round
+                # unlike the tall fold's GEMM: the transition's first row
+                # rides along
+                s = np.vstack([s, decay[0] * np.eye(1, s.shape[1])])
+            rest, s = kernels._carry(aq[1:], a_end[1:], y0[1:], e[1:], s, n - len(y))
+            y, s = np.concatenate([y, rest[:, :d_v]]), s[:d_v]
+        aq = aq.copy()
+        aq[1:] *= decay[:-1, None, None]
+        return y[:n], s, aq.reshape(-1, aq.shape[2])[:n], decay[-1:, None]
     y, s = np.concatenate([y0[0], aq[0]], axis=1), np.concatenate([e[0], a_end[0]])
     if len(aq) > 1:
         rest, s = kernels._carry(aq[1:], a_end[1:], y0[1:], e[1:], s, n - len(y))
         y = np.concatenate([y, rest])
-    return y[:n], s
+    return y[:n, :d_v], s[:d_v], y[:n, d_v:], s[d_v:]
+
+
+def _check_local_pass(kind, y, s_end, aq, a_end):
+    """Raise NonFiniteOutput naming the first non-finite row of y or aq (a
+    chunk row), or FloatingPointError if only s_end or a_end is non-finite."""
+    rows = [r for r in map(kernels.first_non_finite_row, (y, aq)) if r is not None]
+    if rows:
+        raise NonFiniteOutput(kind, min(rows))
+    if not (np.isfinite(s_end).all() and np.isfinite(a_end).all()):
+        raise FloatingPointError(f"{kind.value} final state is non-finite")
 
 
 def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
@@ -241,8 +276,11 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     call over the sequence, each chunk padded to whole blocks of CHUNK
     tokens, and each rank folds only its own chunks' blocks: those blocks
     are the ones chunk_forward cuts the chunk into, so the local outputs
-    are chunk_forward's, bit for bit. A plan with a chunk shorter than
-    CHUNK runs chunk_forward on every chunk: perfbench's tracer test
+    are chunk_forward's, bit for bit. A Mamba-2 chunk's transition is then
+    its scalar decay a (see _local_pass), and the handoff is the scaling
+    state <- s_end + state a; a dense one is state <- s_end + state A_{1:n}.
+    A plan with a chunk shorter than CHUNK runs chunk_forward on every
+    chunk: perfbench's tracer test
     (test_instrument_traces_imported_names_and_restores_them) counts one
     traced ssm_forward per chunk on a plan of 2-token chunks. Blocks of
     min(CHUNK, chunk length) would serve such plans too, since shard()
@@ -278,9 +316,8 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
         try:
             if batched:
                 b = slice(first[c], first[c + 1])
-                y_loc, s_loc = _local_pass(*(x[b] for x in terms), sl.stop - sl.start)
-                _finite_output(kind, y_loc, s_loc)
-                y_zero, aq, s_end, a_end = y_loc[:, :d_v], y_loc[:, d_v:], s_loc[:d_v], s_loc[d_v:]
+                y_zero, s_end, aq, a_end = _local_pass(*(x[b] for x in terms), sl.stop - sl.start)
+                _check_local_pass(kind, y_zero, s_end, aq, a_end)
             else:
                 sub = GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl],
                                 lam=None if gates.lam is None else gates.lam[sl])
@@ -288,7 +325,7 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
         except NonFiniteOutput as err:  # name a sequence row, not a chunk row
             raise NonFiniteOutput(kind, sl.start + err.row) from None
         y[sl] = y_zero + aq @ state.T
-        state = s_end + state @ a_end
+        state = s_end + kernels._transition(state, a_end)
         state = _relay(bus, plan, c, "ssm_state", state, state_bytes)
     return _finite_output(kind, y, state)  # corrections can overflow where no chunk did
 

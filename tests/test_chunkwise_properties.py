@@ -4,7 +4,10 @@ blocked UT solve replays row-by-row forward substitution, ``chunk_forward`` equa
 forward with zero value columns for the transitions, a GDN chunk record
 equals ``chunk_forward``'s end state and transition, the P2P and CASO
 paths built on them reproduce the single-device forward, and P2P's
-batched local passes equal one ``chunk_forward`` per chunk bit for bit; PICASO-R over
+batched local passes equal one ``chunk_forward`` per chunk bit for bit;
+the carry applies Mamba-2's scalar block decays with the bits of the dense
+G_L I; P2P on one extreme row returns finite output or names the row
+(ValueError, NonFiniteOutput); PICASO-R over
 Mamba-2, GDN and GKA chunk records does not depend on where the cycle
 starts; the SSD decay matrix is exponentiated only on and below its
 diagonal, and equals exp(cs_t - cs_i) there bit for bit."""
@@ -12,12 +15,13 @@ diagonal, and equals exp(cs_t - cs_i) there bit for bit."""
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridssm.composition import caso_compose, picaso_r, run_chunk, state_deviation
-from hybridssm.kernels import CHUNK, _ssd_terms, _transposed, _ut_solve
+from hybridssm.kernels import CHUNK, _carry, _ssd_terms, _transposed, _ut_solve, chunk_terms
 from hybridssm.seqpar import MessageBus, p2p_forward, shard
-from hybridssm.ssm_core import GateTrack, SsmKind, chunk_forward, ssm_forward
+from hybridssm.ssm_core import GateTrack, NonFiniteOutput, SsmKind, chunk_forward, ssm_forward
 from oracles import ssm_step
 
 LINEAR_KINDS = st.sampled_from([SsmKind.MAMBA2, SsmKind.GDN])
@@ -145,6 +149,32 @@ def test_chunk_forward_equals_the_padded_forward(kind, T, d_k, d_v, gamma_floor,
 
 
 @PROPERTY_SETTINGS
+@given(T=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]),
+       d_k=st.integers(1, 6), d_v=st.integers(0, 6),
+       gamma_floor=st.sampled_from([1e-3, 0.5, 1.0]),
+       start=st.sampled_from(["zero", "tall", "zero_rows"]), seed=st.integers(0, 2**32 - 1))
+def test_scalar_carry_equals_the_dense_carry(T, d_k, d_v, gamma_floor, start, seed):
+    # Mamba-2's block transitions are the decays G_L as (C, 1, 1), which
+    # _carry applies by scaling; the dense G_L I multiplies by GEMM, whose
+    # off-diagonal terms add exact zeros: the same bits
+    rng = np.random.default_rng(seed)
+    k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, gamma_floor, 0.1)
+    aq, a_end, y0, e = chunk_terms("mamba2", k, v, q, gates.gamma, gates.beta)
+    assert a_end.shape == (-(-T // min(CHUNK, T)), 1, 1)
+    if start == "zero":
+        s0 = np.zeros((d_v, d_k))
+    elif start == "tall":
+        s0 = np.vstack([np.zeros((d_v, d_k)), np.eye(d_k)])
+    else:
+        s0 = rng.standard_normal((d_v + d_k, d_k))
+        s0[rng.uniform(size=d_v + d_k) < 0.5] = 0.0
+    scaled = _carry(aq, a_end, y0, e, s0, T)
+    dense = _carry(aq, a_end * np.eye(d_k), y0, e, s0, T)
+    for got, ref in zip(scaled, dense):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@PROPERTY_SETTINGS
 @given(kind=LINEAR_KINDS, pattern=st.sampled_from(["simple", "zigzag"]),
        n_ranks=st.integers(1, 8), chunk_len=st.integers(1, 2 * CHUNK + 3),
        d=st.integers(1, 6), gamma_floor=st.sampled_from([1e-3, 0.5, 0.9, 1.0]),
@@ -196,6 +226,64 @@ def test_p2p_equals_the_per_chunk_passes(kind, pattern, n_ranks, chunk_len, d_k,
     y, s = p2p_forward(kind, k, v, q, gates, plan, MessageBus(n_ranks))
     y_ref, s_ref = p2p_by_chunk_forward(kind, k, v, q, gates, plan)
     assert np.array_equal(y, y_ref) and np.array_equal(s, s_ref)
+
+
+@pytest.mark.parametrize("d_v, zero_column", [(1, False), (2, True)])
+@pytest.mark.parametrize("d_k", [2, 6])
+@pytest.mark.parametrize("pattern", ["simple", "zigzag"])
+@pytest.mark.parametrize("seed", range(2))
+def test_p2p_with_one_live_value_row_keeps_the_per_chunk_bits(d_v, zero_column, d_k, pattern,
+                                                              seed):
+    # a Mamba-2 shard whose first block has one non-zero value row: numpy
+    # would take that row's products by GEMV, which rounds unlike the tall
+    # fold's GEMM, so _local_pass carries one transition row along
+    rng = np.random.default_rng(seed)
+    T = 4 * (2 * CHUNK + 3)
+    k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, 0.5, 0.0)
+    if zero_column:
+        v[:, 0] = 0.0
+    plan = shard(T, 2, pattern)
+    y, s = p2p_forward("mamba2", k, v, q, gates, plan, MessageBus(2))
+    y_ref, s_ref = p2p_by_chunk_forward(SsmKind.MAMBA2, k, v, q, gates, plan)
+    assert np.array_equal(y, y_ref) and np.array_equal(s, s_ref)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=LINEAR_KINDS, pattern=st.sampled_from(["simple", "zigzag"]),
+       n_ranks=st.integers(1, 4),
+       chunk_len=st.one_of(st.sampled_from([CHUNK, CHUNK + 1, 2 * CHUNK]),
+                           st.integers(1, 2 * CHUNK + 3)),
+       d_k=st.integers(1, 6), d_v=st.integers(1, 6), arg=st.sampled_from(["k", "v", "q"]),
+       value=st.sampled_from([1e160, 1e-160, np.nan, np.inf, -np.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_p2p_forward_on_an_extreme_row_is_finite_or_names_the_row(kind, pattern, n_ranks,
+                                                                   chunk_len, d_k, d_v, arg,
+                                                                   value, seed):
+    # one row of k, v or q scaled by value, or set to it if it is NaN or
+    # inf: P2P returns finite output and state, or raises ValueError naming
+    # the argument and that sequence row, or NonFiniteOutput naming a
+    # sequence row at or after it (the rows before it never read it)
+    n_chunks = n_ranks if pattern == "simple" else 2 * n_ranks
+    T = n_chunks * chunk_len
+    rng = np.random.default_rng(seed)
+    k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, 0.5, 0.1)
+    inputs = {"k": k, "v": v, "q": q}
+    row = int(rng.integers(T))
+    if np.isfinite(value):
+        inputs[arg][row] *= value
+    else:
+        inputs[arg][row] = value
+    with np.errstate(all="ignore"):
+        try:
+            y, s = p2p_forward(kind, **inputs, gates=gates, plan=shard(T, n_ranks, pattern),
+                               bus=MessageBus(n_ranks))
+        except NonFiniteOutput as err:
+            assert row <= err.row < T, (err.row, row)
+            return
+        except ValueError as err:
+            assert str(err) == f"{arg} is non-finite at row {row}"
+            return
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(s))
 
 
 @PROPERTY_SETTINGS

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridssm import kernels, ssm_core
 from hybridssm.composition import (
@@ -179,6 +180,73 @@ class TestPicasoR:
         base = picaso_r(recs)
         rotated = picaso_r(recs[rot:] + recs[:rot])
         assert np.max(np.abs(base - rotated)) < 1e-12
+
+
+def sequential_fold(states, decays):
+    """CASO's definition, folded in order: S <- S a_c + S^(c), for arrays
+    or (H, U) pairs."""
+    merged = states[0]
+    for state, a in zip(states[1:], decays[1:]):
+        merged = tuple(m * a + x for m, x in zip(merged, state))
+    return merged
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(decays=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=8),
+       info=st.booleans(), d_k=st.integers(1, 4), d_v=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_scalar_weighted_sums_equal_the_cyclic_enumeration(decays, info, d_k, d_v, seed):
+    # scalar-decay CASO and PICASO-R are one weighted sum of the states;
+    # the oracle folds every cyclic order one chunk at a time. All weights
+    # are >= 0, so the two differ by rounding only: 1e-12 relative
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in decays:
+        x = rng.standard_normal((d_k, d_k))
+        states.append((x @ x.T, rng.standard_normal((d_v, d_k))) if info
+                      else (rng.standard_normal((d_v, d_k)),))
+    records = [ChunkRecord(state=GkaInfoState(h=s[0], u=s[1]) if info else s[0], a_acc=a)
+               for s, a in zip(states, decays)]
+    K = len(records)
+    rotations = [sequential_fold(states[r:] + states[:r], decays[r:] + decays[:r])
+                 for r in range(K)]
+    caso_ref = rotations[0]
+    picaso_ref = tuple(sum(parts) / K for parts in zip(*rotations))
+    for got, ref in ((caso_compose(records), caso_ref), (picaso_r(records), picaso_ref)):
+        got = (got.h, got.u) if info else (got,)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+
+class TestMixedRecords:
+    @pytest.mark.parametrize("compose", [caso_compose, picaso_r])
+    def test_scalar_and_dense_transitions_are_rejected(self, compose):
+        state = np.ones((2, 3))
+        records = [ChunkRecord(state=state, a_acc=0.5), ChunkRecord(state=state, a_acc=0.7),
+                   ChunkRecord(state=state, a_acc=0.5 * np.eye(3))]
+        with pytest.raises(ValueError, match="record 2 has a dense transition and an array "
+                                             "state, unlike record 0's a scalar transition"):
+            compose(records)
+        with pytest.raises(ValueError, match="record 1 has a scalar transition"):
+            compose(records[2:] + records[:2])
+
+    @pytest.mark.parametrize("compose", [caso_compose, picaso_r])
+    def test_array_and_info_states_are_rejected(self, compose):
+        info = GkaInfoState(h=np.eye(3), u=np.ones((2, 3)))
+        records = [ChunkRecord(state=info, a_acc=0.5),
+                   ChunkRecord(state=np.ones((2, 3)), a_acc=0.5)]
+        with pytest.raises(ValueError, match="record 1 has a scalar transition and an array "
+                                             "state, unlike record 0's a scalar transition "
+                                             "and a GkaInfoState state"):
+            compose(records)
+
+    @pytest.mark.parametrize("compose", [caso_compose, picaso_r])
+    def test_info_states_with_dense_transitions_are_rejected(self, compose):
+        info = GkaInfoState(h=np.eye(3), u=np.ones((2, 3)))
+        records = [ChunkRecord(state=info, a_acc=np.eye(3))] * 2
+        with pytest.raises(ValueError, match="info states take scalar"):
+            compose(records)
 
 
 class TestGkaCompose:
