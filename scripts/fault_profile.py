@@ -2,6 +2,7 @@
 a benchmark workload's requests.
 
     python3 scripts/fault_profile.py ROOT [--workload NAME] [--requests N] [--seed S]
+                                     [--summary]
 
 ROOT is a checkout: the library is imported from ROOT/src and the
 benchmark's workloads, set-up count and clock probe from ROOT/perfbench,
@@ -22,6 +23,11 @@ a second pass over the same requests, traced, gives peak_kb, the
 ``tracemalloc`` peak of memory allocated in the step above what was live
 when it began. Every request's checks must pass, or the script exits 1.
 
+With --summary the script prints one row per step instead, over all the
+requests: the mean minflt, the mean peak_kb and the median ms.
+
+    step  minflt  peak_kb  ms
+
 The script sets no allocator option and no environment variable, so the
 heap behaves as in the benchmark process. perfbench/run.py pins BLAS to
 one thread; to match it, run with OPENBLAS_NUM_THREADS=1 (the header
@@ -31,12 +37,14 @@ prints the value seen).
 import argparse
 import os
 import resource
+import statistics
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 HEADER = ("request", "step", "minflt", "peak_kb", "ms")
+SUMMARY_HEADER = HEADER[1:]
 
 
 def load_benchmark(root):
@@ -109,12 +117,27 @@ def run_pass(workload, seed, requests, meter, probe, setups):
     return rows, ok
 
 
+def summarize(rows):
+    """[(step, mean minflt, mean peak_kb, median ms)] over the requests,
+    one per step in the order of a request, from (index, step, (faults,
+    ms), peak_kb) rows."""
+    by_step = {}
+    for _, step, (faults, ms), peak_kb in rows:
+        by_step.setdefault(step, []).append((faults, peak_kb, ms))
+    return [(step, statistics.fmean(f for f, _, _ in figures),
+             statistics.fmean(p for _, p, _ in figures),
+             statistics.median(m for _, _, m in figures))
+            for step, figures in by_step.items()]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", type=Path)
     parser.add_argument("--workload", default="prefill_linear")
     parser.add_argument("--requests", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--summary", action="store_true",
+                        help="one row per step: mean minflt, mean peak_kb, median ms")
     args = parser.parse_args(argv)
     if args.requests < 1:
         parser.error("--requests must be >= 1")
@@ -123,7 +146,7 @@ def main(argv=None):
         parser.error(f"--workload must be one of {', '.join(workloads.WORKLOADS)}")
     print(f"# {args.workload} seed {args.seed} from {args.root.resolve()}, "
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
-    print(" ".join(HEADER))
+    print(" ".join(SUMMARY_HEADER if args.summary else HEADER))
     passes, ok = [], True
     for traced in (False, True):
         if traced:
@@ -133,8 +156,14 @@ def main(argv=None):
         passes.append(rows)
         ok = ok and passed
     tracemalloc.stop()
-    for (index, step, (faults, ms)), (_, _, peak_kb) in zip(*passes):
-        print(f"{index} {step} {faults} {peak_kb:.1f} {ms:.3f}")
+    rows = [(index, step, figures, peak_kb)
+            for (index, step, figures), (_, _, peak_kb) in zip(*passes)]
+    if args.summary:
+        for step, faults, peak_kb, ms in summarize(rows):
+            print(f"{step} {faults:.1f} {peak_kb:.1f} {ms:.3f}")
+    else:
+        for index, step, (faults, ms), peak_kb in rows:
+            print(f"{index} {step} {faults} {peak_kb:.1f} {ms:.3f}")
     if not ok:
         print("error: a request missed its checks", file=sys.stderr)
     return 0 if ok else 1

@@ -6,9 +6,9 @@ per-chunk zero-start end states and transitions from the key/value half of
 that solve alone (no queries, no carried state), the GKA
 information-form forward in SSD-form blocks (exact solves, by block
 Woodbury where a block allows it and per token otherwise, or Chebyshev
-solves), Chebyshev iteration over a batch of systems, the in-place
-Sherman-Morrison downdate and the recurrence-form GKA scan built on it,
-and the causal conv1d.
+solves), GKA's decayed rank-one information write, Chebyshev iteration
+over a batch of systems, the in-place Sherman-Morrison downdate and the
+recurrence-form GKA scan built on it, and the causal conv1d.
 
 Each computation has exactly one body here; ``ssm_core``, ``seqpar`` and
 ``composition`` call these rather than restating them.
@@ -43,8 +43,13 @@ the key/value half, and its outputs are written over the solve's; the
 transposed keys are copied again for the queries rather than kept alive
 through the solve. At T = 1024 and d = 64 (16 chunks; a (C, L, d) float64
 array is 0.5 MiB) one GDN forward so allocates at most 3.0 MiB at a time
-(Mamba-2's 2.6 MiB, tracemalloc), which glibc's heap keeps between calls:
-repeated forwards do not page-fault their temporaries back in.
+(Mamba-2's 2.6 MiB, tracemalloc). Whether glibc's heap keeps those blocks
+between calls depends on its layout, not on the call alone: in the
+benchmark's request order (scripts/fault_profile.py) the Mamba-2 forward
+takes 0 minor faults a request, but in a loop of 1,000 forwards on one
+input it takes 352-608 a call. GKA's rank-one write (decayed_rank_one)
+adds its outer product one strip of rows at a time, so its only array of
+the state's size is the one it returns.
 """
 
 from __future__ import annotations
@@ -549,6 +554,30 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         y[:stop] = y_b.reshape(nb * L, d_v)[:stop]
     # copied: a view would keep every block's state alive with the returned one
     return y, H0[C].copy(), U0[C].copy()
+
+
+def decayed_rank_one(a, x, y, gamma, beta, b, lower=False):
+    """gamma a + beta x y^T, GKA's information write, as one new array: a is
+    scaled into it in one pass, then beta x y^T is added one strip of b rows
+    at a time, each strip formed (np.multiply.outer), scaled by beta and
+    added in place, so the only temporary is one (b, len(y)) strip. Each
+    entry is (gamma a_ij) + (beta (x_i y_j)), in the operand order of
+    gamma * a + beta * np.outer(x, y), whose bits it keeps. With lower, a is
+    square and cut into b x b tiles: only the tiles (i, j) with i >= j take
+    the write, and the strict-upper tiles are set to exactly 0. gamma and
+    beta are real; b >= 1."""
+    out = np.multiply(gamma, a, dtype=np.result_type(a, x, y))
+    n = a.shape[1]
+    for r in range(0, a.shape[0], b):
+        rows = slice(r, r + b)
+        cols = r + b if lower else n
+        if lower:
+            out[rows, cols:] = 0.0
+        strip = np.multiply.outer(x[rows], y[:cols])
+        np.multiply(beta, strip, out=strip)
+        block = out[rows, :cols]
+        np.add(block, strip, out=block)
+    return out
 
 
 def sherman_morrison_downdate(phi, k, beta):

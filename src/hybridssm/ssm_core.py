@@ -192,9 +192,11 @@ def _require_in_range(message: str, x: np.ndarray, bad: np.ndarray) -> None:
 
 def gka_info_update(info: GkaInfoState, k_t: np.ndarray, v_t: np.ndarray,
                     gamma_t: float, beta_t: float) -> GkaInfoState:
-    """H' = gamma H + beta k k^T, U' = gamma U + beta v k^T. beta = 0 leaves
-    the state untouched (the token is filtered out); beta = 1 recovers the
-    original un-gated update."""
+    """H' = gamma H + beta k k^T, U' = gamma U + beta v k^T, each by
+    kernels.decayed_rank_one as one strip of all its rows, the decode
+    step's write with a single tile. beta = 0 leaves the state untouched
+    (the token is filtered out); beta = 1 recovers the original un-gated
+    update."""
     if not 0.0 <= gamma_t <= 1.0:
         raise ValueError(f"gamma out of [0, 1]: {gamma_t}")
     if not 0.0 <= beta_t <= 1.0:
@@ -204,8 +206,9 @@ def gka_info_update(info: GkaInfoState, k_t: np.ndarray, v_t: np.ndarray,
     if k_t.shape != (info.d_k,) or v_t.shape != (info.d_v,):
         raise ValueError(f"k/v shapes {k_t.shape}/{v_t.shape} incompatible with "
                          f"info state ({info.d_v}, {info.d_k})")
-    return GkaInfoState._derived(h=gamma_t * info.h + beta_t * np.outer(k_t, k_t),
-                                 u=gamma_t * info.u + beta_t * np.outer(v_t, k_t))
+    h = kernels.decayed_rank_one(info.h, k_t, k_t, gamma_t, beta_t, max(info.d_k, 1))
+    u = kernels.decayed_rank_one(info.u, v_t, k_t, gamma_t, beta_t, max(info.d_v, 1))
+    return GkaInfoState._derived(h=h, u=u)
 
 
 def gka_gain(info: GkaInfoState, k_t: np.ndarray, beta_t: float, lam_t: float) -> np.ndarray:
@@ -250,6 +253,11 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
 
     Both forms run the one recurrence in kernels.chebyshev_dense, a dense H
     as its product H @ p, so they agree bit for bit on the same products.
+    The residual norms square the residual's entries, so they overflow once
+    an entry passes about 1e154 although every iterate is finite; a run
+    whose norms did so is repeated once on q scaled by a power of two near
+    1 / max|q|, which scales every iterate exactly, and its x and norms are
+    scaled back (its products count again in any traffic apply_h records).
     Returns (x_r, residual_history). Raises ValueError on a non-finite lam
     or spectral bound, naming it, and FloatingPointError on a non-finite
     iterate, naming the iteration."""
@@ -267,8 +275,14 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
         raise ValueError(f"invalid spectral interval [{a}, {b}]")
 
     matvec = apply_h.__matmul__ if isinstance(apply_h, np.ndarray) else apply_h
-    x, hist = kernels.chebyshev_dense(matvec, float(lam), q, r, a, b)
+    with np.errstate(over="ignore"):  # an overflow is named below, or the run repeated
+        x, hist = kernels.chebyshev_dense(matvec, float(lam), q, r, a, b)
     bad = np.flatnonzero(~np.isfinite(hist))
+    if bad.size and np.isfinite(x).all():
+        e = np.frexp(np.max(np.abs(q)))[1]
+        x, hist = kernels.chebyshev_dense(matvec, float(lam), np.ldexp(q, -e), r, a, b)
+        x, hist = np.ldexp(x, e), np.ldexp(hist, e)
+        bad = np.flatnonzero(~np.isfinite(hist))
     if bad.size or not np.all(np.isfinite(x)):
         idx = int(bad[0]) + 1 if bad.size else r
         raise FloatingPointError(f"Chebyshev iterate non-finite at iteration {idx}")

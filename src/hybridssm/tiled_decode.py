@@ -5,8 +5,8 @@ regularizer from a Frobenius norm fused into the update pass, runs r
 Chebyshev iterations, and reads the output:
 
   (i)  H' = gamma H + beta k k^T      (tiled; only lower-triangular tiles
-                                       are persisted, the norm counts the
-                                       off-diagonal tiles twice)
+                                       are computed and persisted, the norm
+                                       counts the off-diagonal tiles twice)
   (ii) lam = alpha ||H'||_F
   (iii) (H' + lam I) x = q by Chebyshev, each product one GEMV on the
         symmetric operand that the step builds once from the lower tiles
@@ -14,8 +14,15 @@ Chebyshev iterations, and reads the output:
         matching tile column (the mirror is never persisted)
   (iv) U' = gamma U + beta v k^T and y = U' x
 
-The lower tiles are one (d, d) array, 0 on the strict-upper tiles, so
-each stage is a whole-array pass. "Registers" become an explicit working
+The lower tiles are one (d, d) array, 0 on the strict-upper tiles. Both
+rank-one writes, (i) and (iv), are kernels.decayed_rank_one: the old
+state is scaled into the new array in one pass, and the write is added
+one tile row at a time (strips of b_k rows for H', of b_v rows for U'),
+each strip formed and scaled in place. So a step allocates no (d, d)
+array besides the ones it returns and, for the tiled variants, the tile
+stores; (i) takes the write on the lower tiles only, 10 of the 16 at a
+4 x 4 grid. Every entry keeps the bits of the whole-matrix expression
+gamma H + beta k k^T. "Registers" become an explicit working
 set and "HBM" the persisted tile store, so the two kernel variants differ
 only in traffic: the resident variant keeps lower tiles in registers
 across the Chebyshev loop, the reload variant re-reads them every
@@ -30,6 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .ssm_core import (DEFAULT_ALPHA, SYMMETRY_TOL, GkaInfoState, check_alpha,
                        check_iterations, chebyshev_solve)
 
@@ -106,10 +114,13 @@ def tiled_update_and_norm(tiles: LowerTiles, k: np.ndarray, gamma: float, beta: 
                           ) -> tuple[LowerTiles, float]:
     """H' = gamma H + beta k k^T over the lower tiles, with the Frobenius
     norm of the symmetric operand they build (to_dense), which counts each
-    off-diagonal tile twice, once for its unpersisted mirror. On an exactly
-    symmetric H this is the reference step's sum, so lam matches it bit for
-    bit. Each lower tile counts as one load and one store."""
-    out = LowerTiles(_zero_upper(gamma * tiles.lower + beta * np.outer(k, k), tiles.b), tiles.b)
+    off-diagonal tile twice, once for its unpersisted mirror. The write
+    (kernels.decayed_rank_one) goes one tile row at a time and forms
+    beta k k^T on the lower tiles only; the strict-upper tiles stay 0. On
+    an exactly symmetric H this is the reference step's sum, so lam matches
+    it bit for bit. Each lower tile counts as one load and one store."""
+    b = tiles.b
+    out = LowerTiles(kernels.decayed_rank_one(tiles.lower, k, k, gamma, beta, b, lower=True), b)
     if counters is not None:
         counters.loads += out.n_lower()
         counters.stores += out.n_lower()
@@ -168,8 +179,10 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     SYMMETRY_TOL). k, v and q must be finite vectors of length d_k, d_v
     and d_k; a bad one raises ValueError naming it, as do an r that is not
     an integer >= 1, an alpha that is not positive and finite and a tile
-    size b_k or b_v below 1 or not dividing d_k or d_v (U's traffic is not
-    modeled; b_v is only checked); an updated H whose Frobenius norm is not
+    size b_k or b_v below 1 or not dividing d_k or d_v. The tile sizes are
+    also the heights of the strips in which the rank-one writes are added
+    (kernels.decayed_rank_one): b_k rows for H' and b_v rows for U', whose
+    traffic is not modeled. An updated H whose Frobenius norm is not
     finite raises FloatingPointError naming it, before any solve. The input
     state's H is symmetric and the returned state is
     derived from it by a PSD-preserving update, so neither its symmetry nor
@@ -187,7 +200,7 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     counters = TileCounters()
 
     if variant == "reference":
-        h = gamma * state.h + beta * np.outer(k, k)
+        h = kernels.decayed_rank_one(state.h, k, k, gamma, beta, b_k)
         fro = float(np.linalg.norm(h))
         n_tiles = (d_k // b_k) ** 2
         counters.loads += n_tiles  # whole-matrix update traversal
@@ -212,7 +225,7 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
         x, _ = chebyshev_solve(apply_h, lam, q, r, spectral_bounds=(lam, lam + fro))
     else:
         x = np.zeros(d_k)  # empty information matrix: nothing to read
-    u = gamma * state.u + beta * np.outer(v, k)
+    u = kernels.decayed_rank_one(state.u, v, k, gamma, beta, b_v)
     return DecodeResult(y=u @ x, state=GkaInfoState._derived(h, u), lam=lam, fro_norm=fro,
                         counters=counters)
 

@@ -296,6 +296,22 @@ class TestChebyshev:
             with np.errstate(over="ignore", invalid="ignore"):
                 chebyshev_solve(h, 1.0, q, r=400, spectral_bounds=(1e-300, 2e-300))
 
+    @pytest.mark.parametrize("scale", [600, 1000])
+    def test_residual_norm_overflow_does_not_fail_a_finite_solve(self, scale):
+        # entries of q past 1e154 overflow the residual norms' squares while
+        # every iterate is finite; the rerun on q scaled by a power of two
+        # gives the unscaled run's bits, scaled
+        rng = np.random.default_rng(21)
+        g = rng.standard_normal((6, 6))
+        h = g @ g.T
+        q = rng.standard_normal(6)
+        bounds = (0.5, 0.5 + np.linalg.norm(h))
+        x, hist = chebyshev_solve(h, 0.5, q, r=20, spectral_bounds=bounds)
+        x_big, hist_big = chebyshev_solve(h, 0.5, np.ldexp(q, scale), r=20,
+                                          spectral_bounds=bounds)
+        assert np.array_equal(x_big, np.ldexp(x, scale))
+        assert np.array_equal(hist_big, np.ldexp(hist, scale))
+
 
 class TestGkaOutput:
     # GKA's readout y_t = U_t (H_t + lam_t I)^{-1} q_t, as ssm_forward reads it

@@ -1,11 +1,13 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridssm import tiled_decode
-from hybridssm.ssm_core import GkaInfoState, zero_info_state
+from hybridssm.kernels import decayed_rank_one
+from hybridssm.ssm_core import GkaInfoState, chebyshev_solve, zero_info_state
 from hybridssm.tiled_decode import (
     VARIANTS,
     LowerTiles,
@@ -75,6 +77,65 @@ class TestLowerTiles:
         # b = 0 must not divide by zero, nor b < 0 give an empty store that drops H
         with pytest.raises(ValueError, match=match):
             LowerTiles.from_dense(np.eye(8), b)
+
+
+def lower_tile_mask(d, b):
+    """True on the b x b tiles (i, j) with i >= j of a d x d grid."""
+    tile = np.arange(d) // b
+    return tile[:, None] >= tile[None, :]
+
+
+GATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def rank_one_cases(draw):
+    d = draw(st.one_of(st.integers(1, 12), st.just(256)))
+    b = draw(st.sampled_from([t for t in range(1, d + 1) if d % t == 0]))
+    lower = draw(st.booleans())
+    n = d if lower else draw(st.sampled_from([1, 5, d]))  # U's writes are (d_v, d_k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((d, n)) if draw(st.booleans()) else np.zeros((d, n))
+    x, y = rng.standard_normal(d), rng.standard_normal(n)
+    return a, x, y, draw(GATES), draw(GATES), b, lower
+
+
+class TestDecayedRankOne:
+    @settings(max_examples=150, deadline=None, derandomize=True)  # same inputs every run
+    @given(case=rank_one_cases())
+    def test_strips_keep_the_bits_of_the_whole_matrix_write(self, case):
+        # oracle: the whole-matrix expression the strips replace
+        a, x, y, gamma, beta, b, lower = case
+        got = decayed_rank_one(a, x, y, gamma, beta, b, lower)
+        want = gamma * a + beta * np.outer(x, y)
+        if not lower:
+            assert np.array_equal(got, want)
+            return
+        mask = lower_tile_mask(a.shape[0], b)
+        assert np.array_equal(got[mask], want[mask])
+        assert np.all(got[~mask] == 0.0)
+
+    def test_input_is_not_written(self):
+        a = random_spd(8, seed=17)
+        before = a.copy()
+        decayed_rank_one(a, np.ones(8), np.ones(8), 0.5, 0.5, 4, lower=True)
+        assert np.array_equal(a, before)
+
+
+def outer_formula_step(state, k, v, q, gamma, beta, variant, r, b_k, alpha=0.05):
+    """(y, H', U', lam, fro_norm) of one decode step with every write a
+    whole-matrix np.outer expression: the oracle for the strip writes."""
+    if variant == "reference":
+        operand = gamma * state.h + beta * np.outer(k, k)
+    else:
+        lower = gamma * tiled_decode._zero_upper(state.h.copy(), b_k) + beta * np.outer(k, k)
+        operand = LowerTiles(tiled_decode._zero_upper(lower, b_k), b_k).to_dense()
+    fro = float(np.linalg.norm(operand))
+    lam = alpha * fro
+    x = (chebyshev_solve(operand, lam, q, r, (lam, lam + fro))[0] if lam > 0.0
+         else np.zeros(k.shape[0]))
+    u = gamma * state.u + beta * np.outer(v, k)
+    return u @ x, operand, u, lam, fro
 
 
 class TestTiledUpdateAndNorm:
@@ -165,6 +226,94 @@ class TestDecodeStep:
             # an empty H (lam = 0) skips the Chebyshev loop's loads
             loads = model.tiles_loaded if got.lam > 0.0 else model.tiles_stored
             assert (got.counters.loads, got.counters.stores) == (loads, model.tiles_stored)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)  # same inputs every run
+    @given(g=st.integers(1, 4), b_k=TILE_SIZES, b_v=TILE_SIZES, gamma=GATES, beta=GATES,
+           r=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @example(g=4, b_k=64, b_v=64, gamma=0.9, beta=0.5, r=30, seed=0)
+    @example(g=1, b_k=256, b_v=256, gamma=0.9, beta=0.5, r=30, seed=1)
+    @example(g=4, b_k=64, b_v=64, gamma=0.0, beta=0.5, r=30, seed=2)
+    def test_strip_writes_keep_the_outer_formula_bits(self, g, b_k, b_v, gamma, beta, r, seed):
+        # oracle: the same step with whole-matrix np.outer writes
+        rng = np.random.default_rng(seed)
+        d_k, d_v = g * b_k, g * b_v
+        gmat = rng.standard_normal((d_k, d_k))
+        state = GkaInfoState(h=gmat @ gmat.T, u=rng.standard_normal((d_v, d_k)))
+        k, q = rng.standard_normal((2, d_k))
+        v = rng.standard_normal(d_v)
+        for variant in VARIANTS:
+            got = decode_step(state, k, v, q, gamma, beta, variant, r=r, b_k=b_k, b_v=b_v)
+            y, h, u, lam, fro = outer_formula_step(state, k, v, q, gamma, beta, variant, r, b_k)
+            assert np.array_equal(got.y, y)
+            assert np.array_equal(got.state.h, h)
+            assert np.array_equal(got.state.u, u)
+            assert (got.lam, got.fro_norm) == (lam, fro)
+            model = traffic_model(d_k, b_k, variant, r)
+            loads = model.tiles_loaded if lam > 0.0 else model.tiles_stored
+            assert (got.counters.loads, got.counters.stores) == (loads, model.tiles_stored)
+
+    @pytest.mark.parametrize("variant, budget", [("reference", 1), ("tiled_small_batch", 2),
+                                                 ("tiled_large_batch", 2)])
+    def test_step_allocates_at_most_its_budget_of_state_sized_arrays(self, variant, budget):
+        # the writes go strip by strip, so besides the H' and U' it returns a
+        # step holds at most one (d, d) array at a time (the reference) or
+        # two (a tiled step's two tile stores)
+        d = 256
+        state, rng = self.setup_state(d_k=d, d_v=d, seed=18)
+        k, v, q = rng.standard_normal((3, d))
+        decode_step(state, k, v, q, 0.9, 0.5, variant, r=30, b_k=64, b_v=64)  # warm-up
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = decode_step(state, k, v, q, 0.9, 0.5, variant, r=30, b_k=64, b_v=64)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept - live >= out.state.h.nbytes + out.state.u.nbytes
+        assert peak - kept <= budget * d * d * 8
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True)  # same inputs every run
+    @given(variant=st.sampled_from(VARIANTS), arg=st.sampled_from(["k", "v", "q"]),
+           value=st.sampled_from([1e160, 1e-160, 1e300, np.nan, np.inf, -np.inf]),
+           h_scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]), g=st.integers(1, 4),
+           b=TILE_SIZES, gamma=GATES, beta=GATES, seed=st.integers(0, 2**32 - 1))
+    @example(variant="reference", arg="k", value=1e160, h_scale=1.0, g=2, b=4, gamma=0.9,
+             beta=0.5, seed=0)
+    @example(variant="tiled_large_batch", arg="q", value=np.nan, h_scale=0.0, g=2, b=4,
+             gamma=0.9, beta=0.5, seed=0)
+    def test_extreme_vector_gives_finite_output_or_names_the_problem(
+            self, variant, arg, value, h_scale, g, b, gamma, beta, seed):
+        # k, v or q scaled by value, or one entry set to it if it is NaN or
+        # inf: the step returns a finite y, or names the vector (ValueError),
+        # the overflowed H' or, only where x ~ q / lam may leave the range,
+        # the non-finite Chebyshev iterate (FloatingPointError), and raises
+        # nothing else
+        rng = np.random.default_rng(seed)
+        d = g * b
+        gmat = rng.standard_normal((d, d))
+        state = GkaInfoState(h=h_scale * (gmat @ gmat.T), u=rng.standard_normal((d, d)))
+        vectors = dict(zip("kvq", rng.standard_normal((3, d))))
+        if np.isfinite(value):
+            vectors[arg] *= value
+        else:
+            vectors[arg][rng.integers(d)] = value
+        try:
+            out = decode_step(state, vectors["k"], vectors["v"], vectors["q"], gamma, beta,
+                              variant, r=8, b_k=b, b_v=b)
+        except ValueError as err:
+            assert str(err).startswith(f"{arg} "), err
+            return
+        except FloatingPointError as err:
+            if str(err).startswith("Chebyshev iterate non-finite"):
+                k, q = vectors["k"], vectors["q"]
+                lam = 0.05 * np.linalg.norm(gamma * state.h + beta * np.outer(k, k))
+                assert np.max(np.abs(q)) > 1e290 * lam, err
+            else:
+                assert "H'" in str(err), err
+            return
+        assert np.all(np.isfinite(out.y))
 
     def test_more_iterations_closer_to_exact_solve(self):
         # oracle: dense solve
