@@ -7,7 +7,8 @@ concatenation state decomposes exactly over chunks,
     S(u_1 ... u_K) = S^(K) + sum_{c<K} S^(c) A^(c+1) ... A^(K),
 
 with A^(c) the chunk's accumulated transition (scalar decay for Mamba-2
-and gated GKA, a dense Householder-like product for GDN). That is
+and gated GKA, a dense Householder-like product for GDN), recorded by
+``ssm_core.run_chunk``, which the toy stack also calls. That is
 ``caso_compose``; ``picaso_r`` averages it over the K cyclic chunk orders
 in O(K). Over scalar decays each is one weighted sum of the chunk states,
 taken in place; GDN's dense transitions take GEMMs. GKA's information pair
@@ -26,57 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
-from .ssm_core import (ChunkRecord, GateTrack, GkaInfoState, SsmKind, _as_kind,
-                       _real_or_complex, _require_finite)
-from .ssm_core import ssm_forward  # unused here; the benchmark's tracer test reads it
+from .ssm_core import ChunkRecord, GkaInfoState, _require_finite
+from .ssm_core import run_chunk, ssm_forward  # noqa: F401  (read here by the CLI and the benchmark)
 from .stack import ATTENTION_KINDS, KvCache, ToyHybridStack
 
 MERGE_MODES = ("soup", "picaso_r", "gka_sum")
-
-
-def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrack) -> ChunkRecord:
-    """Process one chunk from the zero state and record (state, A_acc). For
-    GDN, kernels.gdn_chunk_states gives each block of kernels.CHUNK tokens
-    its zero-start end state e_c and transition a_end_c from the keys,
-    values and gates alone (no queries), and the blocks fold in order,
-    state <- state a_end_c + e_c and A_acc <- A_acc a_end_c. For Mamba-2
-    and GKA A_acc = prod(gamma) and the state is the writes decayed to the
-    chunk's end, U = (V w)^T K and GKA's H = (K w)^T K, symmetrised, with
-    w_i = gamma_{i+1} ... gamma_n (times beta_i for GKA). Raises ValueError
-    naming a k or v that is not 2-D with one row per gate step or is
-    non-finite, and FloatingPointError on an overflowed state (or, for
-    GDN, transition)."""
-    kind = _as_kind(kind)
-    k, v = _real_or_complex(k), _real_or_complex(v)
-    for name, x in (("k", k), ("v", v)):
-        if x.ndim != 2 or x.shape[0] != gates.T:
-            raise ValueError(f"{name} must be 2-D with one row per gate step "
-                             f"(T = {gates.T}), got shape {x.shape}")
-    _require_finite(k=k, v=v)
-    d_v, d_k = v.shape[1], k.shape[1]
-    if kind is SsmKind.GDN:
-        e, a_end = kernels.gdn_chunk_states(k, v, gates.gamma, gates.beta)
-        if not len(e):  # no tokens: the zero state and the identity
-            return ChunkRecord(state=np.zeros((d_v, d_k)), a_acc=np.eye(d_k))
-        s, a_acc = e[0], a_end[0]
-        for c in range(1, len(e)):
-            s, a_acc = s @ a_end[c] + e[c], a_acc @ a_end[c]
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a_acc))):
-            raise FloatingPointError("gdn chunk state is non-finite")
-        return ChunkRecord(state=s, a_acc=a_acc)
-    a_acc = float(np.prod(gates.gamma))
-    w = np.ones_like(gates.gamma)
-    w[:-1] = np.cumprod(gates.gamma[:0:-1])[::-1]  # w_i = gamma_{i+1} ... gamma_n
-    if kind is SsmKind.GKA:  # H rides along as d_k more value columns
-        w, v = w * gates.beta, np.hstack([v, k])
-    s = (v * w[:, None]).T @ k
-    if not np.all(np.isfinite(s)):
-        raise FloatingPointError(f"{kind.value} chunk state is non-finite")
-    if kind is SsmKind.MAMBA2:
-        return ChunkRecord(state=s, a_acc=a_acc)
-    h = s[d_v:]
-    return ChunkRecord(state=GkaInfoState._derived(0.5 * (h + h.T), s[:d_v]), a_acc=a_acc)
 
 
 def _describe(record: ChunkRecord) -> str:

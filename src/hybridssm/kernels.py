@@ -14,9 +14,7 @@ Each computation has exactly one body here; ``ssm_core``, ``seqpar`` and
 ``composition`` call these rather than restating them.
 
 Conventions: states are ``d_v x d_k`` matrices updated on the right
-(``S_t = S_{t-1} A_t + v_t B_t``), outputs are ``y_t = S_t q_t``. The
-linear scans also chain a taller start state, whose rows past d_v take no
-values and so carry the transitions only (``_carry``). A block's
+(``S_t = S_{t-1} A_t + v_t B_t``), outputs are ``y_t = S_t q_t``. A block's
 transition a_end takes one of two shapes: Mamba-2's is the scalar decay
 G_L as a (1, 1) array, which scales the state, and GDN's a dense
 (d_k, d_k) matrix, which multiplies it; no G_L I is ever built. All
@@ -70,6 +68,20 @@ def first_non_finite_row(x):
     if np.isfinite(x).all():
         return None
     return int(np.argmax(~np.isfinite(x).all(axis=tuple(range(1, x.ndim)))))
+
+
+def frobenius_norm(a):
+    """||a||_F as a float, also where only the sum of squares overflows:
+    np.linalg.norm squares the entries, so it reads inf once an entry
+    passes about 1e154 although a is finite. Then the norm of a scaled by
+    a power of two near 1 / max|a|, which scales every entry exactly, is
+    scaled back. Wherever the plain norm is finite it is returned as is."""
+    with np.errstate(over="ignore"):  # taken again below; a norm past the range stays inf
+        norm = float(np.linalg.norm(a))
+        if norm == np.inf and np.isfinite(a).all():
+            e = int(np.frexp(np.max(np.abs(a)))[1])
+            norm = float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+    return norm
 
 
 def _blocks(x, L, fill=0.0):
@@ -134,17 +146,13 @@ def _carry(aq, a_end, y0, e, s0, T):
     y_c = y0_c + aq_c S_c^T and S_{c+1} = e_c + S_c a_end_c, where y0 and e
     are the chunks' zero-start outputs and end states (chunk_terms). a_end
     is (C, 1, 1), Mamba-2's scalar decays, which scale S, or (C, d_k, d_k),
-    GDN's dense transitions, which multiply it (_transition).
-
-    s0 may have more rows than the values have columns (d_v): the rows past
-    d_v carry transitions only, nothing is written to them, so the outputs'
-    columns past d_v are aq_c S_c^T and the state's rows past d_v S_c a_end_c.
+    GDN's dense transitions, which multiply it (_transition). s0 is
+    (d_v, d_k), as e_c is.
 
     When s0 has rows that are exactly zero, the first chunk multiplies only
     the others: a zero row's products are exactly zero, except where a row
     of aq or a_end overflowed, which a zero row would read as 0 * inf = NaN.
     A zero-start forward so takes no product with its start state at all."""
-    d_v = e.shape[1]
     S = s0.astype(np.result_type(s0, e, a_end))
     y = np.empty(aq.shape[:2] + (S.shape[0],), dtype=np.result_type(y0, aq, S))
     live = np.flatnonzero(S.any(axis=1))
@@ -158,8 +166,8 @@ def _carry(aq, a_end, y0, e, s0, T):
         else:
             y[c] = aq[c] @ S.T
             S = _transition(S, a_end[c])
-        y[c, :, :d_v] += y0[c]
-        S[:d_v] += e[c]
+        y[c] += y0[c]
+        S += e[c]
     return y.reshape(y.shape[0] * y.shape[1], y.shape[2])[:T], S
 
 
@@ -346,8 +354,8 @@ def gdn_transition_prefixes(k, gamma, beta, q):
     """The GDN transitions A_t = gamma_t (I - beta_t k_t k_t^T) as seen by
     a linear readout: returns (aq, a_end) with aq[t] = A_{1:t} q_t and
     a_end = A_{1:T}, where A_{1:t} = A_1 ... A_t. That is the scan run
-    from S_0 = I with no values: its state is A_{1:t}."""
-    return gdn_scan(k, np.zeros((k.shape[0], 0)), q, gamma, beta, np.eye(k.shape[1]))
+    from S_0 = I over d_k zero value columns: its state is A_{1:t}."""
+    return gdn_scan(k, np.zeros_like(k), q, gamma, beta, np.eye(k.shape[1]))
 
 
 def chebyshev_dense(matvec, lam, rhs, iters, a, b):
@@ -525,7 +533,11 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         if solver_r > 0:
             fro_s = np.where(solve, _blocks(fro, L)[:nb], 0.0)
             apply_h = lambda p: Gb * (p @ Hb) + ((p @ Ktb) * Wb) @ Kb  # H_0 is symmetric
-            x, _ = chebyshev_dense(apply_h, lam_s, rhs, solver_r, lam_s, lam_s + fro_s)
+            # the discarded residual norms square the residuals, so they
+            # overflow for a query row past about 1e154 while every iterate
+            # is finite; an overflowing iterate reaches y, which is checked
+            with np.errstate(over="ignore"):
+                x, _ = chebyshev_dense(apply_h, lam_s, rhs, solver_r, lam_s, lam_s + fro_s)
         else:
             x = np.zeros_like(rhs, dtype=np.result_type(rhs, H0))
             eye = np.eye(d_k)

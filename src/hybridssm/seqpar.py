@@ -7,22 +7,17 @@ mechanisms are modeled:
 
   * conv1d boundary exchange: each chunk needs the previous chunk's last
     d_conv - 1 tokens, after which the causal conv is local.
-  * P2P state passing: every rank runs its chunk from the zero state and
-    records the chunk's cumulative transition; the previous state then
-    enters as S_0 A_{1:n} corrections to the local states and outputs.
-    Valid for recurrences with linear readout (Mamba-2, GDN). The local
-    passes do not depend on one another, so when every chunk holds at
-    least one whole block of ``kernels.CHUNK`` tokens the simulator takes
-    every chunk's per-block terms from one chunkwise kernel call over the
-    whole sequence and lets each rank fold its own chunks' blocks. GDN's
-    block transitions are dense and fold through the tall start state
-    [0; I]; Mamba-2's are scalar decays, so its ranks carry the value rows
-    only, scale each block's aq rows by the decays before it, and hand on
-    S_0 a as a scaling by the chunk's decay a. A plan with a shorter chunk
-    still runs one ``chunk_forward`` per chunk, which perfbench's tracer
-    test counts (one ``ssm_forward`` per chunk). The
-    outputs are those of one ``chunk_forward`` per chunk, bit for bit,
-    either way.
+  * P2P state passing: every rank runs its chunk from the state the
+    previous chunk hands on, and relays its end state onward (the
+    intra-/inter-chunk split of Sun et al., "Linear Attention Sequence
+    Parallelism", 2024). Valid for recurrences with linear readout (Mamba-2,
+    GDN). A chunk's block terms do not depend on its start state, so when
+    every chunk holds at least one whole block of ``kernels.CHUNK`` tokens
+    the simulator takes every chunk's block terms from one chunkwise kernel
+    call over the whole sequence, and each rank carries the state it
+    received through its own chunks' blocks (``kernels._carry``). A plan
+    with a shorter chunk runs one ``ssm_forward`` per chunk from the
+    handed-on state, which perfbench's tracer test counts.
   * USP gather-compute-slice: reconstruct the full sequence per rank, run
     the unmodified layer, keep the local slice. Works for any layer,
     including GKA; the simulator runs the layer once and slices it for
@@ -40,8 +35,7 @@ import numpy as np
 
 from . import kernels
 from .ssm_core import (GateTrack, NonFiniteOutput, SsmKind, _as_kind, _check_layer_shapes,
-                       _finite_output, _require_finite, chunk_forward)
-from .ssm_core import ssm_forward  # noqa: F401  (perfbench's tracer test reads seqpar.ssm_forward)
+                       _finite_output, _require_finite, ssm_forward)
 
 DEFAULT_ELEM_BYTES = 2  # BF16 accounting; simulation arithmetic stays float64
 
@@ -197,8 +191,8 @@ def _padded_to_blocks(plan, k, v, q, gates):
     """The sequence with every chunk padded to whole blocks of L = CHUNK
     tokens, and the index of each chunk's first block. Padding tokens have
     k = v = q = 0, gamma = 1 and beta = 0, so they neither decay nor write:
-    a chunk of at least L tokens is cut into the blocks its own zero-start
-    pass would take."""
+    a chunk of at least L tokens is cut into the blocks a forward over the
+    chunk alone would take."""
     L = kernels.CHUNK
     lengths = np.diff(plan.bounds)
     n_blocks = -(-lengths // L)
@@ -215,83 +209,30 @@ def _padded_to_blocks(plan, k, v, q, gates):
     return padded, first
 
 
-def _local_pass(aq, a_end, y0, e, n):
-    """A chunk's pass from the zero state, from its blocks' terms
-    (kernels.chunk_terms): (y, s_end, aq, a_end) as chunk_forward returns
-    them, n rows, not yet checked for finiteness (_check_local_pass).
-
-    Dense (d_k, d_k) transitions (GDN) fold the start state [0; I]: the
-    first block reads [y0 | aq] and ends in [e; a_end] with no product
-    against it, and the other blocks fold from there (kernels._carry).
-    Scalar (1, 1) decays (Mamba-2) carry only the d_v value rows from the
-    zero state: the identity rows would only ever hold exact scalings, so
-    the chunk's aq rows are each block's aq times the product of the
-    chunk's earlier block decays, and its transition is the product of all
-    of them, a (1, 1) decay. Both give chunk_forward's values bit for bit."""
-    d_v = e.shape[1]
-    if a_end.shape[-1] == 1:
-        decay = np.cumprod(a_end[:, 0, 0])
-        y, s = y0[0], e[0]
-        if len(aq) > 1:
-            if np.count_nonzero(s.any(axis=1)) < 2:
-                # numpy takes a product with one row by GEMV, which can round
-                # unlike the tall fold's GEMM: the transition's first row
-                # rides along
-                s = np.vstack([s, decay[0] * np.eye(1, s.shape[1])])
-            rest, s = kernels._carry(aq[1:], a_end[1:], y0[1:], e[1:], s, n - len(y))
-            y, s = np.concatenate([y, rest[:, :d_v]]), s[:d_v]
-        aq = aq.copy()
-        aq[1:] *= decay[:-1, None, None]
-        return y[:n], s, aq.reshape(-1, aq.shape[2])[:n], decay[-1:, None]
-    y, s = np.concatenate([y0[0], aq[0]], axis=1), np.concatenate([e[0], a_end[0]])
-    if len(aq) > 1:
-        rest, s = kernels._carry(aq[1:], a_end[1:], y0[1:], e[1:], s, n - len(y))
-        y = np.concatenate([y, rest])
-    return y[:n, :d_v], s[:d_v], y[:n, d_v:], s[d_v:]
-
-
-def _check_local_pass(kind, y, s_end, aq, a_end):
-    """Raise NonFiniteOutput naming the first non-finite row of y or aq (a
-    chunk row), or FloatingPointError if only s_end or a_end is non-finite."""
-    rows = [r for r in map(kernels.first_non_finite_row, (y, aq)) if r is not None]
-    if rows:
-        raise NonFiniteOutput(kind, min(rows))
-    if not (np.isfinite(s_end).all() and np.isfinite(a_end).all()):
-        raise FloatingPointError(f"{kind.value} final state is non-finite")
-
-
 def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
                 gates: GateTrack, plan: ShardPlan, bus: MessageBus | None = None,
                 elem_bytes: int = DEFAULT_ELEM_BYTES):
     """P2P sequence-parallel forward for linear-readout recurrences.
 
-    Each chunk runs from the zero state; the incoming state S_0 from the
-    previous chunk enters as the corrections
-
-        S_n = S_n|_{S_0=0} + S_0 A_{1:n},    y_n += (S_0 A_{1:n}) q_n,
-
-    and the corrected final state is relayed onward. The chunks' zero-start
-    passes do not depend on one another. When every chunk has at least
-    CHUNK tokens, their per-block terms come from one kernels.chunk_terms
-    call over the sequence, each chunk padded to whole blocks of CHUNK
-    tokens, and each rank folds only its own chunks' blocks: those blocks
-    are the ones chunk_forward cuts the chunk into, so the local outputs
-    are chunk_forward's, bit for bit. A Mamba-2 chunk's transition is then
-    its scalar decay a (see _local_pass), and the handoff is the scaling
-    state <- s_end + state a; a dense one is state <- s_end + state A_{1:n}.
-    A plan with a chunk shorter than CHUNK runs chunk_forward on every
-    chunk: perfbench's tracer test
+    Each chunk runs from the state S_0 that the previous chunk hands on and
+    relays its end state onward. Every block of a chunk entered from S
+    reads y0 + aq S^T and ends in e + S a_end, where the block terms
+    (aq, a_end, y0, e) do not depend on S. When every chunk has at least
+    CHUNK tokens, the terms come from one kernels.chunk_terms call over the
+    sequence, each chunk padded to whole blocks of CHUNK tokens (the blocks
+    a forward over the chunk alone takes), and each rank carries the state
+    it received through its own chunks' blocks (kernels._carry). A plan
+    with a chunk shorter than CHUNK runs ssm_forward on each chunk from the
+    handed-on state: perfbench's tracer test
     (test_instrument_traces_imported_names_and_restores_them) counts one
-    traced ssm_forward per chunk on a plan of 2-token chunks. Blocks of
-    min(CHUNK, chunk length) would serve such plans too, since shard()
-    cuts equal chunks.
+    traced ssm_forward per chunk on a plan of 2-token chunks.
 
     Returns (y, final state). Raises ValueError for kinds without a linear
     readout (GKA reads through a matrix solve over the whole key history),
     for shapes that do not match the plan and the gates, and for a
     non-finite k, v or q, naming its sequence row; FloatingPointError
-    (NonFiniteOutput) naming the first non-finite row of the sequence, of a
-    chunk's local pass or of the corrected output."""
+    (NonFiniteOutput) naming the first non-finite output row of the
+    sequence."""
     kind = _as_kind(kind)
     if kind is SsmKind.GKA:
         raise ValueError("p2p_forward needs a linear readout; GKA's solve-based "
@@ -313,21 +254,18 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     state_bytes = d_v * d_k * elem_bytes
     for c in range(plan.n_chunks):
         sl = plan.chunk_slice(c)
-        try:
-            if batched:
-                b = slice(first[c], first[c + 1])
-                y_zero, s_end, aq, a_end = _local_pass(*(x[b] for x in terms), sl.stop - sl.start)
-                _check_local_pass(kind, y_zero, s_end, aq, a_end)
-            else:
-                sub = GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl],
-                                lam=None if gates.lam is None else gates.lam[sl])
-                y_zero, s_end, aq, a_end = chunk_forward(kind, k[sl], v[sl], q[sl], sub)
-        except NonFiniteOutput as err:  # name a sequence row, not a chunk row
-            raise NonFiniteOutput(kind, sl.start + err.row) from None
-        y[sl] = y_zero + aq @ state.T
-        state = s_end + kernels._transition(state, a_end)
+        if batched:
+            b = slice(first[c], first[c + 1])
+            y[sl], state = kernels._carry(*(x[b] for x in terms), state, sl.stop - sl.start)
+        else:
+            sub = GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl],
+                            lam=None if gates.lam is None else gates.lam[sl])
+            try:
+                y[sl], state = ssm_forward(kind, k[sl], v[sl], q[sl], sub, state)
+            except NonFiniteOutput as err:  # name a sequence row, not a chunk row
+                raise NonFiniteOutput(kind, sl.start + err.row) from None
         state = _relay(bus, plan, c, "ssm_state", state, state_bytes)
-    return _finite_output(kind, y, state)  # corrections can overflow where no chunk did
+    return _finite_output(kind, y, state)
 
 
 def usp_forward(layer_fn, x: np.ndarray, plan: ShardPlan,

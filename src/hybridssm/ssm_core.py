@@ -1,5 +1,6 @@
 """The three SSM recurrences (Mamba-2, GDN, GKA), GKA's information form,
-exact and Chebyshev output solves, and input-output matrix probing.
+exact and Chebyshev output solves, the chunk records that ``composition``
+merges (``run_chunk``), and input-output matrix probing.
 
 All three layers share S_t = S_{t-1} A_t + v_t B_t with y_t = S_t q_t and
 differ in the transition/write operators:
@@ -358,14 +359,11 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     information form in blocks of ``kernels.CHUNK`` tokens, with a dense
     solve per token or Chebyshev solves for all tokens at once;
     gates.lam supplies fixed per-step regularizers, otherwise
-    lam_t = alpha ||H_t||_F. Mamba-2 and GDN also take an s0 with more rows
-    than d_v: nothing is written to the rows past d_v, so they carry the
-    transitions only, and y has one column and the state one row per row
-    of s0 (chunk_forward reads a chunk's transitions so).
+    lam_t = alpha ||H_t||_F. s0 is a (d_v, d_k) start state, zero for GKA.
 
     Raises ValueError on a k, v or q that is not 2-D with one row per gate
-    step, a q shaped unlike k or an s0 of any other shape than these,
-    naming the argument; on a non-finite k, v, q or s0, naming the argument
+    step, a q shaped unlike k or an s0 of any other shape, naming the
+    argument; on a non-finite k, v, q or s0, naming the argument
     and its first bad row; on an unknown solver or
     a Chebyshev r that is not an integer >= 1; on an alpha that is not positive
     and finite when the adaptive rule reads it; or on a complex GKA
@@ -382,11 +380,8 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     _check_layer_shapes(k, v, q, gates)
     d_v, d_k = v.shape[1], k.shape[1]
     s0 = np.zeros((d_v, d_k)) if s0 is None else _real_or_complex(s0)
-    # Mamba-2 and GDN carry the rows of a taller s0 as transitions (kernels._carry)
-    rows = s0.shape[0] if kind is not SsmKind.GKA and s0.ndim == 2 and s0.shape[0] > d_v else d_v
-    if s0.shape != (rows, d_k):
-        raise ValueError(f"s0 must be (d_v, d_k) = {(d_v, d_k)}, or taller for Mamba-2 "
-                         f"and GDN, got shape {s0.shape}")
+    if s0.shape != (d_v, d_k):
+        raise ValueError(f"s0 must be (d_v, d_k) = {(d_v, d_k)}, got shape {s0.shape}")
     _require_finite(k=k, v=v, q=q, s0=s0)
     if kind is SsmKind.MAMBA2:
         return _finite_output(kind, *kernels.mamba2_scan(k, v, q, gates.gamma, s0))
@@ -410,19 +405,48 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     return y, GkaInfoState._derived(h, u)
 
 
-def chunk_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
-                  gates: GateTrack):
-    """A Mamba-2/GDN chunk from the zero state: returns (y, s_end, aq, a_end),
-    its zero-start outputs and end state, aq[t] = A_{1:t} q_t and
-    a_end = A_{1:n}. The state is linear in the values and in S_0, so one
-    forward from S_0 = [0; I] gives (y, s_end) in its first d_v output
-    columns and state rows and (aq, a_end) in the rest: the rows of I take
-    no values and carry the transitions only. ssm_forward checks the inputs."""
-    if _as_kind(kind) is SsmKind.GKA:
-        raise ValueError("chunk_forward needs a linear transition (Mamba-2 or GDN), not GKA")
-    d_v, d_k = (np.shape(x)[1] if np.ndim(x) == 2 else 0 for x in (v, k))  # else ssm_forward raises
-    y, s = ssm_forward(kind, k, v, q, gates, np.vstack([np.zeros((d_v, d_k)), np.eye(d_k)]))
-    return y[:, :d_v], s[:d_v], y[:, d_v:], s[d_v:]
+def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrack) -> ChunkRecord:
+    """Process one chunk from the zero state and record (state, A_acc). For
+    GDN, kernels.gdn_chunk_states gives each block of kernels.CHUNK tokens
+    its zero-start end state e_c and transition a_end_c from the keys,
+    values and gates alone (no queries), and the blocks fold in order,
+    state <- state a_end_c + e_c and A_acc <- A_acc a_end_c. For Mamba-2
+    and GKA A_acc = prod(gamma) and the state is the writes decayed to the
+    chunk's end, U = (V w)^T K and GKA's H = (K w)^T K, symmetrised, with
+    w_i = gamma_{i+1} ... gamma_n (times beta_i for GKA). Raises ValueError
+    naming a k or v that is not 2-D with one row per gate step or is
+    non-finite, and FloatingPointError on an overflowed state (or, for
+    GDN, transition)."""
+    kind = _as_kind(kind)
+    k, v = _real_or_complex(k), _real_or_complex(v)
+    for name, x in (("k", k), ("v", v)):
+        if x.ndim != 2 or x.shape[0] != gates.T:
+            raise ValueError(f"{name} must be 2-D with one row per gate step "
+                             f"(T = {gates.T}), got shape {x.shape}")
+    _require_finite(k=k, v=v)
+    d_v, d_k = v.shape[1], k.shape[1]
+    if kind is SsmKind.GDN:
+        e, a_end = kernels.gdn_chunk_states(k, v, gates.gamma, gates.beta)
+        if not len(e):  # no tokens: the zero state and the identity
+            return ChunkRecord(state=np.zeros((d_v, d_k)), a_acc=np.eye(d_k))
+        s, a_acc = e[0], a_end[0]
+        for c in range(1, len(e)):
+            s, a_acc = s @ a_end[c] + e[c], a_acc @ a_end[c]
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(a_acc))):
+            raise FloatingPointError("gdn chunk state is non-finite")
+        return ChunkRecord(state=s, a_acc=a_acc)
+    a_acc = float(np.prod(gates.gamma))
+    w = np.ones_like(gates.gamma)
+    w[:-1] = np.cumprod(gates.gamma[:0:-1])[::-1]  # w_i = gamma_{i+1} ... gamma_n
+    if kind is SsmKind.GKA:  # H rides along as d_k more value columns
+        w, v = w * gates.beta, np.hstack([v, k])
+    s = (v * w[:, None]).T @ k
+    if not np.all(np.isfinite(s)):
+        raise FloatingPointError(f"{kind.value} chunk state is non-finite")
+    if kind is SsmKind.MAMBA2:
+        return ChunkRecord(state=s, a_acc=a_acc)
+    h = s[d_v:]
+    return ChunkRecord(state=GkaInfoState._derived(0.5 * (h + h.T), s[:d_v]), a_acc=a_acc)
 
 
 def gka_recurrence_equivalence(k: np.ndarray, v: np.ndarray, q: np.ndarray,

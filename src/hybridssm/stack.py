@@ -12,8 +12,9 @@ gate parameters by the complex step.
 A forward that collects caches gives each attention layer a ``KvCache``
 (keys, values, position ids) and each SSM layer the ``ssm_core.ChunkRecord``
 that ``composition`` merges: its final state and accumulated transition,
-prod(gamma) for Mamba-2 and GKA and, for GDN, the dense transition that
-``chunk_forward`` reads with the state.
+prod(gamma) for Mamba-2 and GKA and, for GDN, the state and dense
+transition that ``ssm_core.run_chunk`` folds from the layer's keys, values
+and gates.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .mixing import causal_softmax_rows
-from .ssm_core import ChunkRecord, GateTrack, _require_finite, chunk_forward, ssm_forward
+from .ssm_core import ChunkRecord, GateTrack, _require_finite, run_chunk, ssm_forward
 
 ATTENTION_KINDS = ("attn", "swa")
 SSM_KINDS = ("mamba2", "gdn", "gka")
@@ -155,13 +156,12 @@ class ToyHybridStack:
         With collect_cache the layer's ChunkRecord comes back beside y."""
         lam = np.full(len(gamma), self.gka_lam) if kind == "gka" else None
         gates = GateTrack(gamma, beta, lam)
+        y, s = ssm_forward(kind, k, v, q, gates)
         if not collect_cache:
-            return ssm_forward(kind, k, v, q, gates)[0], None
-        if kind == "gdn":  # a dense transition, read with the state
-            y, s, _, a_acc = chunk_forward(kind, k, v, q, gates)
-        else:
-            (y, s), a_acc = ssm_forward(kind, k, v, q, gates), float(np.prod(gamma.real))
-        return y, ChunkRecord(state=s, a_acc=a_acc)
+            return y, None
+        if kind == "gdn":  # a dense transition, folded with the state
+            return y, run_chunk(kind, k, v, gates)
+        return y, ChunkRecord(state=s, a_acc=float(np.prod(gamma.real)))
 
     def forward(self, x: np.ndarray, params: dict | None = None,
                 pos_offset: int = 0, collect_caches: bool = False) -> StackTrace:

@@ -124,7 +124,7 @@ def tiled_update_and_norm(tiles: LowerTiles, k: np.ndarray, gamma: float, beta: 
     if counters is not None:
         counters.loads += out.n_lower()
         counters.stores += out.n_lower()
-    return out, float(np.linalg.norm(out._operand))
+    return out, kernels.frobenius_norm(out._operand)
 
 
 def tiled_matvec(tiles: LowerTiles, x: np.ndarray,
@@ -183,7 +183,9 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     also the heights of the strips in which the rank-one writes are added
     (kernels.decayed_rank_one): b_k rows for H' and b_v rows for U', whose
     traffic is not modeled. An updated H whose Frobenius norm is not
-    finite raises FloatingPointError naming it, before any solve. The input
+    finite (kernels.frobenius_norm, which is finite wherever H is and the
+    norm fits the range) raises FloatingPointError naming it, before any
+    solve. The input
     state's H is symmetric and the returned state is
     derived from it by a PSD-preserving update, so neither its symmetry nor
     its spectrum is checked again."""
@@ -201,7 +203,7 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
 
     if variant == "reference":
         h = kernels.decayed_rank_one(state.h, k, k, gamma, beta, b_k)
-        fro = float(np.linalg.norm(h))
+        fro = kernels.frobenius_norm(h)
         n_tiles = (d_k // b_k) ** 2
         counters.loads += n_tiles  # whole-matrix update traversal
         counters.stores += n_tiles
@@ -217,7 +219,7 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
         # loop; the large-batch one reloads them every iteration
         reloads = counters if variant == "tiled_large_batch" else None
         apply_h = lambda p: tiled_matvec(tiles, p, reloads)
-    if not fro < np.inf:  # a key of norm ~1e160 overflows beta k k^T
+    if not fro < np.inf:  # a key of norm ~1e160 overflows beta k k^T; 1e80 does not
         raise FloatingPointError(f"the updated state H' = gamma H + beta k k^T is non-finite "
                                  f"(||H'||_F = {fro})")
     lam = alpha * fro

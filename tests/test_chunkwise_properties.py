@@ -1,12 +1,12 @@
 """Properties of the chunkwise Mamba-2 and GDN scans over generated inputs:
 they replay the per-step oracle ``ssm_step`` (``tests/oracles.py``), GDN's
-blocked UT solve replays row-by-row forward substitution, ``chunk_forward`` equals a
-forward with zero value columns for the transitions, a GDN chunk record
-equals ``chunk_forward``'s end state and transition, the P2P and CASO
-paths built on them reproduce the single-device forward, and P2P's
-batched local passes equal one ``chunk_forward`` per chunk bit for bit;
-the carry applies Mamba-2's scalar block decays with the bits of the dense
-G_L I; P2P on one extreme row returns finite output or names the row
+blocked UT solve replays row-by-row forward substitution, a GDN chunk
+record equals the end state and transition of the padded forward
+(``tests/oracles.py``), the P2P and CASO paths built on them reproduce the
+single-device forward (P2P bit for bit on plans of whole blocks), and
+P2P's batched chunks equal one ``ssm_forward`` per chunk from the
+handed-on state bit for bit; the carry applies Mamba-2's scalar block
+decays with the bits of the dense G_L I; P2P on one extreme row returns finite output or names the row
 (ValueError, NonFiniteOutput); PICASO-R over
 Mamba-2, GDN and GKA chunk records does not depend on where the cycle
 starts; the SSD decay matrix is exponentiated only on and below its
@@ -16,13 +16,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridssm.composition import caso_compose, picaso_r, run_chunk, state_deviation
 from hybridssm.kernels import CHUNK, _carry, _ssd_terms, _transposed, _ut_solve, chunk_terms
 from hybridssm.seqpar import MessageBus, p2p_forward, shard
-from hybridssm.ssm_core import GateTrack, NonFiniteOutput, SsmKind, chunk_forward, ssm_forward
-from oracles import ssm_step
+from hybridssm.ssm_core import GateTrack, NonFiniteOutput, SsmKind, ssm_forward
+from oracles import padded_forward, ssm_step
 
 LINEAR_KINDS = st.sampled_from([SsmKind.MAMBA2, SsmKind.GDN])
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)  # same inputs every run
@@ -131,43 +131,28 @@ def test_blocked_ut_solve_replays_forward_substitution(L, n_chunks, d_k, width, 
 
 
 @PROPERTY_SETTINGS
-@given(kind=LINEAR_KINDS,
-       T=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]),
-       d_k=st.integers(1, 6), d_v=st.integers(0, 6),
-       gamma_floor=st.sampled_from([1e-3, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_chunk_forward_equals_the_padded_forward(kind, T, d_k, d_v, gamma_floor, seed):
-    # the oracle appends d_k zero value columns for the transitions, so
-    # (aq, a_end) come from the same arithmetic on other columns: 1e-12
-    rng = np.random.default_rng(seed)
-    k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, gamma_floor, 0.1)
-    y, s = ssm_forward(kind, k, np.hstack([v, np.zeros((T, d_k))]), q, gates,
-                       np.vstack([np.zeros((d_v, d_k)), np.eye(d_k)]))
-    oracle = y[:, :d_v], s[:d_v], y[:, d_v:], s[d_v:]
-    for got, ref in zip(chunk_forward(kind, k, v, q, gates), oracle):
-        assert got.shape == ref.shape
-        assert relative_error(got, ref) <= 1e-12
-
-
-@PROPERTY_SETTINGS
 @given(T=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]),
        d_k=st.integers(1, 6), d_v=st.integers(0, 6),
        gamma_floor=st.sampled_from([1e-3, 0.5, 1.0]),
-       start=st.sampled_from(["zero", "tall", "zero_rows"]), seed=st.integers(0, 2**32 - 1))
+       start=st.sampled_from(["zero", "transitions", "zero_rows"]),
+       seed=st.integers(0, 2**32 - 1))
 def test_scalar_carry_equals_the_dense_carry(T, d_k, d_v, gamma_floor, start, seed):
     # Mamba-2's block transitions are the decays G_L as (C, 1, 1), which
     # _carry applies by scaling; the dense G_L I multiplies by GEMM, whose
-    # off-diagonal terms add exact zeros: the same bits
+    # off-diagonal terms add exact zeros: the same bits. "transitions" is
+    # the padded forward's start: d_k zero value columns from [0; I]
     rng = np.random.default_rng(seed)
     k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, gamma_floor, 0.1)
+    if start == "transitions":
+        v = np.hstack([v, np.zeros((T, d_k))])
+        s0 = np.vstack([np.zeros((d_v, d_k)), np.eye(d_k)])
+    elif start == "zero":
+        s0 = np.zeros((d_v, d_k))
+    else:
+        s0 = rng.standard_normal((d_v, d_k))
+        s0[rng.uniform(size=d_v) < 0.5] = 0.0
     aq, a_end, y0, e = chunk_terms("mamba2", k, v, q, gates.gamma, gates.beta)
     assert a_end.shape == (-(-T // min(CHUNK, T)), 1, 1)
-    if start == "zero":
-        s0 = np.zeros((d_v, d_k))
-    elif start == "tall":
-        s0 = np.vstack([np.zeros((d_v, d_k)), np.eye(d_k)])
-    else:
-        s0 = rng.standard_normal((d_v + d_k, d_k))
-        s0[rng.uniform(size=d_v + d_k) < 0.5] = 0.0
     scaled = _carry(aq, a_end, y0, e, s0, T)
     dense = _carry(aq, a_end * np.eye(d_k), y0, e, s0, T)
     for got, ref in zip(scaled, dense):
@@ -179,8 +164,20 @@ def test_scalar_carry_equals_the_dense_carry(T, d_k, d_v, gamma_floor, start, se
        n_ranks=st.integers(1, 8), chunk_len=st.integers(1, 2 * CHUNK + 3),
        d=st.integers(1, 6), gamma_floor=st.sampled_from([1e-3, 0.5, 0.9, 1.0]),
        seed=st.integers(0, 2**32 - 1))
+@example(kind=SsmKind.MAMBA2, pattern="zigzag", n_ranks=2, chunk_len=CHUNK, d=3,
+         gamma_floor=0.5, seed=0)
+@example(kind=SsmKind.MAMBA2, pattern="simple", n_ranks=3, chunk_len=2 * CHUNK, d=1,
+         gamma_floor=0.9, seed=1)
+@example(kind=SsmKind.GDN, pattern="zigzag", n_ranks=2, chunk_len=CHUNK, d=3,
+         gamma_floor=0.5, seed=0)
+@example(kind=SsmKind.GDN, pattern="simple", n_ranks=3, chunk_len=2 * CHUNK, d=1,
+         gamma_floor=0.9, seed=1)
 def test_p2p_equals_single_device_forward(kind, pattern, n_ranks, chunk_len, d,
                                           gamma_floor, seed):
+    # on a plan of whole blocks each chunk carries the state it receives
+    # through the blocks the single forward takes, by the same operations:
+    # bit for bit. The values have no all-zero column, whose zero state row
+    # a chunk's first block would multiply apart from the others
     n_chunks = n_ranks if pattern == "simple" else 2 * n_ranks
     T = n_chunks * chunk_len
     rng = np.random.default_rng(seed)
@@ -189,19 +186,19 @@ def test_p2p_equals_single_device_forward(kind, pattern, n_ranks, chunk_len, d,
     y_ref, s_ref = ssm_forward(kind, k, v, q, gates)
     assert relative_error(y, y_ref) <= 1e-10
     assert relative_error(s, s_ref) <= 1e-10
+    if chunk_len % CHUNK == 0:
+        assert np.array_equal(y, y_ref) and np.array_equal(s, s_ref)
 
 
 def p2p_by_chunk_forward(kind, k, v, q, gates, plan):
-    """The P2P forward with one chunk_forward call per chunk: each chunk's
-    zero-start pass on its own, then the S_0 A_{1:n} corrections in order."""
+    """The P2P forward with one ssm_forward call per chunk, each from the
+    state the chunk before it hands on."""
     y = np.zeros((plan.length, v.shape[1]))
     state = np.zeros((v.shape[1], k.shape[1]))
     for c in range(plan.n_chunks):
         sl = plan.chunk_slice(c)
-        y0, s_end, aq, a_end = chunk_forward(kind, k[sl], v[sl], q[sl],
-                                             GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl]))
-        y[sl] = y0 + aq @ state.T
-        state = s_end + state @ a_end
+        y[sl], state = ssm_forward(kind, k[sl], v[sl], q[sl],
+                                   GateTrack(gamma=gates.gamma[sl], beta=gates.beta[sl]), state)
     return y, state
 
 
@@ -215,9 +212,9 @@ def p2p_by_chunk_forward(kind, k, v, q, gates, plan):
        filtered_frac=st.sampled_from([0.0, 0.2, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_p2p_equals_the_per_chunk_passes(kind, pattern, n_ranks, chunk_len, d_k, d_v,
                                          gamma_floor, filtered_frac, seed):
-    # the batched terms of a chunk are the blocks its own pass takes (a
-    # short last block padded the same way), folded by the same operations
-    # in the same order: bit for bit
+    # the batched terms of a chunk are the blocks its own forward takes (a
+    # short last block padded the same way), carried from the same state by
+    # the same operations in the same order: bit for bit
     n_chunks = n_ranks if pattern == "simple" else 2 * n_ranks
     T = n_chunks * chunk_len
     rng = np.random.default_rng(seed)
@@ -234,9 +231,10 @@ def test_p2p_equals_the_per_chunk_passes(kind, pattern, n_ranks, chunk_len, d_k,
 @pytest.mark.parametrize("seed", range(2))
 def test_p2p_with_one_live_value_row_keeps_the_per_chunk_bits(d_v, zero_column, d_k, pattern,
                                                               seed):
-    # a Mamba-2 shard whose first block has one non-zero value row: numpy
-    # would take that row's products by GEMV, which rounds unlike the tall
-    # fold's GEMM, so _local_pass carries one transition row along
+    # Mamba-2 values with one column, or one zero column: the state a
+    # chunk receives has one non-zero row, whose products numpy takes by
+    # GEMV where the rows were once folded by GEMM, which rounds otherwise;
+    # P2P carries the same state through the same blocks as the forward
     rng = np.random.default_rng(seed)
     T = 4 * (2 * CHUNK + 3)
     k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, 0.5, 0.0)
@@ -306,14 +304,14 @@ def test_caso_equals_single_pass(kind, lengths, d_k, d_v, gamma_floor, seed):
 @given(T=st.integers(1, 2 * CHUNK + 3), d_k=st.integers(1, 6), d_v=st.integers(1, 6),
        gamma_floor=st.sampled_from([1e-3, 0.5, 0.9, 1.0]),
        filtered_frac=st.sampled_from([0.0, 0.2, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_gdn_record_equals_chunk_forward(T, d_k, d_v, gamma_floor, filtered_frac, seed):
-    # run_chunk folds gdn_chunk_states' blocks as _carry folds chunk_forward's
-    # state rows, so the two agree to rounding (bit for bit under OpenBLAS
-    # with one thread)
+def test_gdn_record_equals_the_padded_forward(T, d_k, d_v, gamma_floor, filtered_frac, seed):
+    # run_chunk folds gdn_chunk_states' blocks as _carry folds the padded
+    # forward's state rows, so the two agree to rounding (bit for bit under
+    # OpenBLAS with one thread)
     rng = np.random.default_rng(seed)
     k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, gamma_floor, filtered_frac)
     record = run_chunk(SsmKind.GDN, k, v, gates)
-    _, s_end, _, a_end = chunk_forward(SsmKind.GDN, k, v, q, gates)
+    _, s_end, _, a_end = padded_forward(SsmKind.GDN, k, v, q, gates)
     assert relative_error(record.state, s_end) <= 1e-13
     assert relative_error(record.a_acc, a_end) <= 1e-13
 

@@ -96,7 +96,7 @@ class TestCaso:
         # the record comes from gdn_chunk_states' keys, values and gates alone
         def forbidden(*args, **kwargs):
             raise AssertionError("run_chunk(GDN) must not run a forward")
-        monkeypatch.setattr(ssm_core, "chunk_forward", forbidden)
+        monkeypatch.setattr(ssm_core, "ssm_forward", forbidden)
         monkeypatch.setattr(kernels, "gdn_scan", forbidden)
         monkeypatch.setattr(kernels, "_carry", forbidden)
         k, v, gates = random_run(SsmKind.GDN, 2 * kernels.CHUNK + 3, 3, 2, seed=3)
@@ -116,7 +116,7 @@ class TestCaso:
     @pytest.mark.parametrize("rows", [1, 9, 11])
     def test_run_chunk_names_a_mis_shaped_v(self, kind, rows):
         # a one-row v must not be broadcast over the chunk's ten tokens, and
-        # GDN names the caller's v, not one with chunk_forward's columns
+        # GDN names the caller's v
         k, v, gates = random_run(kind, 10, 4, 3, seed=6)
         bad = np.resize(v, (rows, 3))
         with pytest.raises(ValueError, match=re.escape(f"v must be 2-D with one row per gate "

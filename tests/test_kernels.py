@@ -7,8 +7,8 @@ import pytest
 
 from hybridssm import kernels as K
 from hybridssm import seqpar
-from hybridssm.ssm_core import GateTrack, chunk_forward, ssm_forward
-from oracles import ssm_step
+from hybridssm.ssm_core import GateTrack, ssm_forward
+from oracles import padded_forward, ssm_step
 
 
 def rand_inputs(T=16, d_k=5, d_v=4, seed=0):
@@ -29,8 +29,8 @@ class TestAgainstVectorizedReference:
         assert np.allclose(s, expected, atol=1e-12)
 
     def test_gdn_transition_prefixes_match_explicit_products(self):
-        # gdn_transition_prefixes and chunk_forward's (aq, a_end), for both
-        # kinds, against P_t = A_1 ... A_t multiplied out token by token
+        # gdn_transition_prefixes and the padded forward's (aq, a_end), for
+        # both kinds, against P_t = A_1 ... A_t multiplied out token by token
         T, d_k, d_v = 150, 4, 3  # crosses two chunk boundaries
         rng = np.random.default_rng(7)
         k = rng.standard_normal((T, d_k))
@@ -44,7 +44,7 @@ class TestAgainstVectorizedReference:
             "mamba2": lambda t: g[t] * np.eye(d_k),
         }
         for kind, A in transitions.items():
-            y, s_end, aq, a_end = chunk_forward(kind, k, v, q, gates)
+            y, s_end, aq, a_end = padded_forward(kind, k, v, q, gates)
             y_ref, s_ref = ssm_forward(kind, k, v, q, gates)
             assert np.allclose(y, y_ref, atol=1e-12) and np.allclose(s_end, s_ref, atol=1e-12)
             results = [(aq, a_end)]
@@ -145,18 +145,19 @@ class TestZeroStartRows:
         assert np.max(np.abs(state - s)) <= 1e-13 * np.max(np.abs(s))
 
     def test_start_state_with_zero_rows_matches_the_step_oracle(self):
-        # a taller start state, some of its value and transition rows zero:
-        # the first chunk multiplies only the others, and every row still
-        # matches the token-by-token replay (the rows past d_v take no values)
+        # a start state some of whose rows are zero, over values with d_k
+        # zero columns beside them (the padded forward's transition rows):
+        # the first chunk multiplies only the non-zero rows, and every row
+        # still matches the token-by-token replay
         T, d_k, d_v = 150, 4, 3
         k, v, q, g, b = rand_inputs(T, d_k, d_v, seed=13)
+        v = np.hstack([v, np.zeros((T, d_k))])
         s0 = np.random.default_rng(14).standard_normal((d_v + d_k, d_k))
         s0[[1, 4]] = 0.0
         y, s_end = ssm_forward("gdn", k, v, q, GateTrack(gamma=g, beta=b), s0=s0)
         s = s0
         for t in range(T):
-            s = ssm_step("gdn", s, k[t], np.concatenate([v[t], np.zeros(d_k)]),
-                         gamma=g[t], beta=b[t])
+            s = ssm_step("gdn", s, k[t], v[t], gamma=g[t], beta=b[t])
             assert np.allclose(y[t], s @ q[t], rtol=0.0, atol=1e-12)
         assert np.allclose(s_end, s, rtol=0.0, atol=1e-12)
 

@@ -631,20 +631,23 @@ class TestForwardAndGates:
         assert y.shape == (T, 0)
         assert (state.u if kind is SsmKind.GKA else state).shape == (0, d_k)
 
-    def test_only_linear_kinds_take_a_taller_s0(self):
-        # the rows of s0 past d_v carry transitions only (see chunk_forward):
-        # the forward splits into one from the first d_v rows with the values
-        # and one from the rest with none; GKA takes no such rows
+    def test_every_kind_takes_only_a_d_v_by_d_k_s0(self):
+        # a taller s0 is refused by every kind, naming its shape; the rows
+        # that once carried transitions are rows of zero value columns: the
+        # forward splits into one from the first d_v rows with the values
+        # and one from the rest with none
         T, d_k, d_v = 10, 4, 3
         k, v, q = rand_kvq(T, d_k, d_v, seed=28)
         gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.5), lam=np.full(T, 0.5))
         s0 = np.random.default_rng(29).standard_normal((d_v + 2, d_k))
-        with pytest.raises(ValueError, match=re.escape(f"got shape {s0.shape}")):
-            ssm_forward(SsmKind.GKA, k, v, q, gates, s0=np.zeros_like(s0))
+        for kind in SsmKind:
+            with pytest.raises(ValueError, match=re.escape(f"s0 must be (d_v, d_k) = "
+                                                           f"{(d_v, d_k)}, got shape {s0.shape}")):
+                ssm_forward(kind, k, v, q, gates, s0=np.zeros_like(s0))
         for kind in (SsmKind.MAMBA2, SsmKind.GDN):
-            y, s = ssm_forward(kind, k, v, q, gates, s0=s0)
+            y, s = ssm_forward(kind, k, np.hstack([v, np.zeros((T, 2))]), q, gates, s0=s0)
             y_v, s_v = ssm_forward(kind, k, v, q, gates, s0=s0[:d_v])
-            y_t, s_t = ssm_forward(kind, k, np.zeros((T, 0)), q, gates, s0=s0[d_v:])
+            y_t, s_t = ssm_forward(kind, k, np.zeros((T, 2)), q, gates, s0=s0[d_v:])
             assert np.allclose(y, np.hstack([y_v, y_t]), rtol=0.0, atol=1e-12)
             assert np.allclose(s, np.vstack([s_v, s_t]), rtol=0.0, atol=1e-12)
 
@@ -661,6 +664,26 @@ class TestForwardAndGates:
         y_im, s_im = ssm_forward(kind, k, np.zeros_like(v), q, gates, s0=im_s0)
         assert np.allclose(y.imag, y_im, rtol=0.0, atol=1e-12)
         assert np.allclose(s.imag, s_im, rtol=0.0, atol=1e-12)
+
+    def test_gka_chebyshev_query_past_1e154_returns_finite_output(self):
+        # the Chebyshev residual norms square the residuals, so they overflow
+        # for a query row past about 1e154 while every iterate is finite;
+        # the forward discards them, and with warnings raised as errors it
+        # must still return. Chebyshev is linear in q and the rows solve
+        # apart, so row 5 is 1e160 times the unscaled row, to rounding
+        T, d = 20, 4
+        rng = np.random.default_rng(0)
+        k, v, q = (rng.standard_normal((T, d)) for _ in range(3))
+        gates = GateTrack(gamma=np.full(T, 0.9), beta=np.full(T, 0.5))
+        y_ref, _ = ssm_forward(SsmKind.GKA, k, v, q, gates, solver="chebyshev", r=8)
+        y_ref[5] *= 1e160
+        q[5] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, _ = ssm_forward(SsmKind.GKA, k, v, q, gates, solver="chebyshev", r=8)
+        assert np.all(np.isfinite(y))
+        row_err = np.max(np.abs(y - y_ref), axis=1) / np.max(np.abs(y_ref), axis=1)
+        assert np.max(row_err) <= 1e-12
 
     @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
     def test_gka_overflow_names_first_non_finite_row(self, solver):

