@@ -25,7 +25,7 @@ import numpy as np
 
 from . import composition, kernels, perf_model, seqpar, tiled_decode
 from .mixing import (DEFAULT_RANK_TOL, build_attention_mixer, build_swa_mixer, hankel_profile,
-                     random_token_sequence)
+                     max_hankel_rank, random_token_sequence)
 from .priming import importance_scores, make_recall_evaluator, select_layers
 from .realization import io_matrix, realize, save_realization, verify_minimality
 from .ssm_core import (GateTrack, GkaInfoState, ShermanMorrisonGain, SsmKind,
@@ -214,7 +214,7 @@ def _run_hankel(cfg, rng, out, bundle):
         for trial in range(p["swa_trials"]):
             seq = random_token_sequence(p["T"], p["d_k"], scale=1.0, rng=rng)
             for w in p["swa_windows"]:
-                n_min = hankel_profile(build_swa_mixer(seq, int(w)), p["rank_tol"]).n_min
+                n_min = max_hankel_rank(build_swa_mixer(seq, int(w)), p["rank_tol"])
                 cap_rows.append((trial, int(w), n_min, n_min <= int(w)))
                 if n_min > int(w):
                     bundle.violations.append(f"SWA rank cap broken: trial={trial} w={w} n_min={n_min}")

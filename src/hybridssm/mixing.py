@@ -4,8 +4,9 @@ A single attention head applies a T x T lower-triangular, row-stochastic
 mixing matrix to its value sequence. The rank of the past-to-future block
 at each time cut bounds the state dimension any recurrent model needs to
 reproduce the head's input-output map; ``hankel_profile`` computes that
-bound. Sliding-window variants are banded, which caps the profile at the
-window size.
+bound at every cut, and ``max_hankel_rank`` only its maximum, from the
+cuts that can still raise it. Sliding-window variants are banded, which
+caps the profile at the window size.
 """
 
 from __future__ import annotations
@@ -174,6 +175,13 @@ def _checked_causal(m: MixingMatrix | np.ndarray, rank_tol: float) -> np.ndarray
     return mat
 
 
+def _cut_pair(mat: np.ndarray, k: int) -> np.ndarray:
+    """Cut k's block and, unless k is the middle cut, cut T-k's block
+    transposed, stacked as one (2 or 1, T-k, k) array for one SVD call."""
+    j = mat.shape[0] - k
+    return np.stack([hankel_block(mat, k)] + ([hankel_block(mat, j).T] if j != k else []))
+
+
 def _cut_svds(mat: np.ndarray, rank_tol: float, bases: bool):
     """Yield (k, s, r, q) for every cut k of the square mat, in the order
     k = 1, T-1, 2, T-2, ...: the singular values s of H_k = M[k:, :k], its
@@ -201,7 +209,7 @@ def _cut_svds(mat: np.ndarray, rank_tol: float, bases: bool):
     deficient = False  # some pair so far holds a rank-deficient cut
     for k in range(1, T // 2 + 1):
         j = T - k
-        blocks = np.stack([hankel_block(mat, k)] + ([hankel_block(mat, j).T] if j != k else []))
+        blocks = _cut_pair(mat, k)
         if deficient:
             u, s, vh = np.linalg.svd(blocks, full_matrices=False)
         else:
@@ -235,3 +243,27 @@ def hankel_profile(m: MixingMatrix | np.ndarray,
         ranks[k - 1] = r
     n_min = int(ranks.max()) if ranks.size else 0
     return HankelProfile(ranks=ranks, n_min=n_min, singular_values=svs)
+
+
+def _max_cut_rank(mat: np.ndarray, rank_tol: float) -> int:
+    """``max_hankel_rank`` of a mixer that ``_checked_causal`` has passed."""
+    best, k = 0, mat.shape[0] // 2
+    while k > best:  # pairs k and below have rank at most k
+        s = np.linalg.svd(_cut_pair(mat, k), compute_uv=False)
+        best = max(best, *(numerical_rank(sv, rank_tol) for sv in s))
+        k -= 1
+    return best
+
+
+def max_hankel_rank(m: MixingMatrix | np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """``hankel_profile(m, rank_tol).n_min`` from only the cuts that can
+    still raise it.
+
+    Cut k's block is (T-k) x k, so cuts k and T-k have rank at most
+    min(k, T-k). The search visits the cut pairs from the middle outward,
+    k = T//2 down to 1, each through the same stacked values-only SVD as
+    ``_cut_svds`` (so each cut's rank is the profile's), and stops once the
+    largest rank found is at least k. A mixer of full rank at its middle
+    cut takes one SVD call where the profile takes ceil((T-1)/2).
+    """
+    return _max_cut_rank(_checked_causal(m, rank_tol), rank_tol)

@@ -38,6 +38,14 @@ past a cut's rank are never reached and stay 0. On a mixer of full rank at
 every cut, Q_t = I for t >= T/2, so there A_t is an exact 0/1 shift, B_t
 the column M[t+1:, t] and C_t = e_1: the state holds the pending future
 contributions of the past inputs, one coordinate per future step.
+
+``verify_minimality`` checks r against the mixer's own SVDs, none of
+those ``realize`` took: its n_min is the largest cut rank, found by
+``mixing.max_hankel_rank``. Cut k's block is (T - k) x k, so cuts k and
+T - k have rank at most min(k, T - k); the search visits the cut pairs
+from the middle outward (k = T/2 down to 1) and stops once the largest
+rank found is at least k, so a mixer of full rank at its middle cut takes
+one SVD call.
 """
 
 from __future__ import annotations
@@ -47,8 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import (DEFAULT_RANK_TOL, MixingMatrix, _checked_causal, _cut_svds,
-                     hankel_profile, numerical_rank)
+from .mixing import DEFAULT_RANK_TOL, MixingMatrix, _checked_causal, _cut_svds, _max_cut_rank
 from .tensorio import obj_to_tensor, tensor_to_obj
 
 CONVENTION = "past-only-state"
@@ -151,11 +158,19 @@ class MinimalityReport:
 def verify_minimality(r: TimeVaryingRealization, m: MixingMatrix | np.ndarray,
                       rank_tol: float = DEFAULT_RANK_TOL) -> MinimalityReport:
     """Max-abs reconstruction error of r against m, and whether r's state
-    dimension matches m's Hankel-rank lower bound."""
-    mat = m.m if isinstance(m, MixingMatrix) else np.asarray(m, dtype=np.float64)
+    dimension matches m's Hankel-rank lower bound n_min.
+
+    m is checked as ``realize`` checks it, and then its horizon is compared
+    with r's. n_min comes from the mixer's own SVDs, not from r or from the
+    bases ``realize`` took, by ``mixing.max_hankel_rank``'s search: cut k's
+    rank is at most min(k, T-k), so the cut pairs are visited from the
+    middle outward, k = T//2 down to 1, and the search stops once the
+    largest rank found is at least k (one SVD call at full rank).
+    """
+    mat = _checked_causal(m, rank_tol)
     if mat.shape[0] != r.T:
         raise ValueError(f"realization has horizon {r.T}, mixer has horizon {mat.shape[0]}")
-    n_min = hankel_profile(mat, rank_tol).n_min
+    n_min = _max_cut_rank(mat, rank_tol)
     err = float(np.max(np.abs(io_matrix(r) - mat), initial=0.0))
     return MinimalityReport(reconstruction_error=err, n=r.n, n_min=n_min,
                             is_minimal=(r.n == n_min))

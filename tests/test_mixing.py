@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridssm.mixing import (
     MixingMatrix,
@@ -9,6 +9,7 @@ from hybridssm.mixing import (
     build_swa_mixer,
     hankel_block,
     hankel_profile,
+    max_hankel_rank,
     numerical_rank,
     random_token_sequence,
 )
@@ -205,3 +206,98 @@ class TestHankelProfile:
         assert numerical_rank(s, 1e-9) == 2
         assert numerical_rank(np.zeros(3)) == 0
         assert numerical_rank(np.zeros(0)) == 0
+
+
+def full_rank_attention(T=64, seed=64):
+    """A softmax mixer of full rank min(k, T - k) at every cut k."""
+    return build_attention_mixer(random_token_sequence(T, 8, rng=np.random.default_rng(seed))).m
+
+
+@st.composite
+def generated_mixers(draw):
+    """Attention at scale 0, 0.1, 1 or 10, SWA with w in 1..T, or
+    tril(U V^T) with U, V of rank 0..8, at T = 0..70."""
+    T = draw(st.integers(0, 70))
+    family = draw(st.sampled_from(["attention", "swa", "low_rank"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "low_rank" or T == 0:
+        rank = draw(st.integers(0, 8))
+        return np.tril(rng.standard_normal((T, rank)) @ rng.standard_normal((T, rank)).T)
+    seq = random_token_sequence(T, 4, scale=draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])), rng=rng)
+    if family == "swa":
+        return build_swa_mixer(seq, draw(st.integers(1, T))).m
+    return build_attention_mixer(seq).m
+
+
+ZERO_MIXER = np.zeros((9, 9))
+FULL_RANK_T64 = full_rank_attention()
+SWA_W1 = build_swa_mixer(random_token_sequence(17, 4, rng=np.random.default_rng(1)), 1).m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)  # same inputs every run
+@given(m=generated_mixers(), rank_tol=st.sampled_from([1e-10, 1e-6, 1e-3]))
+@example(m=np.zeros((0, 0)), rank_tol=1e-10)
+@example(m=np.array([[0.3]]), rank_tol=1e-10)
+@example(m=np.array([[1.0, 0.0], [0.4, 0.6]]), rank_tol=1e-10)
+@example(m=ZERO_MIXER, rank_tol=1e-10)
+@example(m=FULL_RANK_T64, rank_tol=1e-10)
+@example(m=SWA_W1, rank_tol=1e-6)  # n_min = 0: no pair is pruned
+def test_max_hankel_rank_equals_the_profiles_n_min(m, rank_tol):
+    assert max_hankel_rank(m, rank_tol) == hankel_profile(m, rank_tol).n_min
+
+
+def counted_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def search_cases():
+    seq16 = random_token_sequence(16, 4, rng=np.random.default_rng(16))
+    rng = np.random.default_rng(7)
+    cases = [np.zeros((0, 0)), np.eye(1), np.tril(np.ones((2, 2))), ZERO_MIXER, SWA_W1,
+             full_rank_attention(33, 33)]
+    cases += [build_swa_mixer(seq16, w).m for w in (1, 2, 4, 8)]
+    cases += [np.tril(rng.standard_normal((T, r)) @ rng.standard_normal((T, r)).T)
+              for T, r in ((20, 3), (31, 5), (40, 0))]
+    return cases
+
+
+@pytest.mark.parametrize("m", search_cases())
+def test_max_hankel_rank_visits_only_the_pairs_that_can_raise_it(monkeypatch, m):
+    # pairs k = T//2 .. n_min + 1 can hold a rank above n_min; the search
+    # stops at the first pair k <= its best rank so far, at most one later
+    n_min, half = hankel_profile(m).n_min, m.shape[0] // 2
+    calls = counted_svd_calls(monkeypatch)
+    assert max_hankel_rank(m) == n_min
+    assert half - n_min <= len(calls) <= half - n_min + 1
+
+
+def test_max_hankel_rank_of_a_full_rank_mixer_takes_one_svd(monkeypatch):
+    calls = counted_svd_calls(monkeypatch)
+    assert max_hankel_rank(FULL_RANK_T64) == 32
+    assert calls == [(1, 32, 32)]  # the square middle cut alone
+
+
+def bad_mixers():
+    upper = np.eye(4)
+    upper[1, 3] = 0.5
+    nan = np.tril(np.ones((4, 4)))
+    nan[2, 1] = np.nan
+    return [(np.zeros((3, 4)), 1e-10), (nan, 1e-10), (upper, 1e-10), (np.eye(3), 0.0),
+            (np.eye(3), 1.0)]
+
+
+@pytest.mark.parametrize("m, rank_tol", bad_mixers())
+def test_max_hankel_rank_rejects_what_the_profile_rejects(m, rank_tol):
+    with pytest.raises(ValueError) as want:
+        hankel_profile(m, rank_tol)
+    with pytest.raises(ValueError) as got:
+        max_hankel_rank(m, rank_tol)
+    assert str(got.value) == str(want.value)

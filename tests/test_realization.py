@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridssm import realization
 from hybridssm.mixing import (DEFAULT_RANK_TOL, _cut_svds, build_attention_mixer, build_swa_mixer,
-                              hankel_block, hankel_profile, numerical_rank, random_token_sequence)
+                              hankel_block, hankel_profile, max_hankel_rank, numerical_rank,
+                              random_token_sequence)
 from hybridssm.realization import (
     TimeVaryingRealization,
     io_matrix,
@@ -184,10 +187,42 @@ class TestVerifyMinimality:
 
     def test_horizon_mismatch_names_both_horizons(self, monkeypatch):
         r = realize(np.eye(4))
-        # rejected before the mixer's T - 1 Hankel SVDs are run
-        monkeypatch.setattr(realization, "hankel_profile", None)
+        calls = recorded_svd_calls(monkeypatch)
         with pytest.raises(ValueError, match="horizon 4.*horizon 5"):
             verify_minimality(r, np.eye(5))
+        assert calls == []  # rejected before any of the mixer's Hankel SVDs
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 5, 5)])
+    def test_mixer_of_the_wrong_dimension_named_before_the_horizons(self, shape):
+        with pytest.raises(ValueError, match=rf"square matrix, got shape {re.escape(str(shape))}"):
+            verify_minimality(realize(np.eye(5)), np.ones(shape))
+
+    def test_mixer_checked_once(self, monkeypatch):
+        mix = np.tril(np.ones((6, 6)))
+        r = realize(mix)
+        checked = []
+        check = realization._checked_causal
+
+        def counted(*args):
+            checked.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(realization, "_checked_causal", counted)
+        assert verify_minimality(r, mix).is_minimal
+        assert len(checked) == 1
+
+    def test_bad_mixer_messages_match_hankel_profile(self):
+        r = realize(np.eye(4))
+        upper = np.eye(4)
+        upper[0, 2] = 1.0
+        bad_entry = np.eye(4)
+        bad_entry[2, 1] = np.nan
+        for mix, rank_tol in ((upper, DEFAULT_RANK_TOL), (bad_entry, DEFAULT_RANK_TOL),
+                              (np.eye(4), 0.0), (np.eye(4), 1.0)):
+            with pytest.raises(ValueError) as want:
+                hankel_profile(mix, rank_tol)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                verify_minimality(r, mix, rank_tol)
 
     def test_identity_feedthrough_is_minimal(self):
         m = np.eye(4)
@@ -352,6 +387,55 @@ def test_swa_mixer_takes_paired_left_vectors_from_its_first_deficient_pair(monke
     monkeypatch.undo()
     rep = verify_minimality(r, mix)
     assert rep.is_minimal and rep.reconstruction_error < 1e-9
+
+
+def all_finite(out):
+    """Whether every array or number in the entry point's output is finite."""
+    if isinstance(out, TimeVaryingRealization):
+        return all(all_finite(getattr(out, name)) for name in "abcd")
+    if hasattr(out, "singular_values"):  # a HankelProfile
+        return all(all_finite(s) for s in out.singular_values) and all_finite(out.ranks)
+    if hasattr(out, "reconstruction_error"):  # a MinimalityReport
+        return all_finite(out.reconstruction_error)
+    return bool(np.isfinite(out).all())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)  # same inputs every run
+@given(family=st.sampled_from(["low_rank", "swa", "softmax"]), T=st.integers(1, 24),
+       rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       how=st.sampled_from(["row", "entry", "set"]),
+       factor=st.sampled_from([1e160, 1e-160, 1e300, 1e-300]),
+       value=st.sampled_from([np.nan, np.inf, -np.inf]),
+       row=st.integers(0, 23), col=st.integers(0, 23))
+def test_extreme_entries_give_finite_outputs_or_name_the_entry(family, T, rank, seed, how, factor,
+                                                               value, row, col):
+    # one row or one entry on or below the diagonal scaled by 1e+-160 or
+    # 1e+-300 gives finite outputs; a NaN or inf entry is named by every
+    # entry point, and nothing else is raised
+    base = generated_mixer(family, T, rank, 1.0, seed)
+    m = base.copy()
+    i = row % T
+    j = col % (i + 1)
+    if how == "row":
+        m[i] *= factor
+    elif how == "entry":
+        m[i, j] *= factor
+    else:
+        m[i, j] = value
+    entry_points = {
+        "hankel_profile": lambda: hankel_profile(m),
+        "max_hankel_rank": lambda: max_hankel_rank(m),
+        "realize": lambda: realize(m),
+        "io_matrix": lambda: io_matrix(realize(m)),
+        "verify_minimality": lambda: verify_minimality(realize(base if how == "set" else m), m),
+    }
+    for name, call in entry_points.items():
+        if how == "set":
+            with pytest.raises(ValueError, match=re.escape(f"(row, col) = ({i}, {j})")):
+                call()
+        else:
+            assert all_finite(call()), name
 
 
 class TestSerialization:
