@@ -58,13 +58,23 @@ def _scalar_records(chunks: Sequence[ChunkRecord]) -> bool:
     return not dense
 
 
-def _by_part(chunks: Sequence[ChunkRecord], merge):
+def _check_composed(composer: str, *parts):
+    """FloatingPointError naming the composer unless every part of the
+    composed state is finite: finite records can still overflow."""
+    if not all(np.isfinite(part).all() for part in parts):
+        raise FloatingPointError(f"{composer}: the composed state is non-finite (overflow)")
+
+
+def _by_part(chunks: Sequence[ChunkRecord], merge, composer: str):
     """merge applied to the records' states, or to their H and their U
-    apart, which then form one GkaInfoState."""
+    apart, which then form one GkaInfoState; checked by _check_composed."""
     if isinstance(chunks[0].state, GkaInfoState):
-        return GkaInfoState(h=merge([c.state.h for c in chunks]),
-                            u=merge([c.state.u for c in chunks]))
-    return merge([c.state for c in chunks])
+        h, u = merge([c.state.h for c in chunks]), merge([c.state.u for c in chunks])
+        _check_composed(composer, h, u)
+        return GkaInfoState(h=h, u=u)
+    state = merge([c.state for c in chunks])
+    _check_composed(composer, state)
+    return state
 
 
 def caso_compose(chunks: Sequence[ChunkRecord]):
@@ -76,9 +86,12 @@ def caso_compose(chunks: Sequence[ChunkRecord]):
     the weights u_c = a_{c+1} ... a_{K-1} (0-based), and a GKA pair folds
     its H and its U into one GkaInfoState; dense transitions (GDN) take one
     GEMM a chunk. Raises ValueError on an empty list or one that mixes
-    transition kinds or state types."""
+    transition kinds or state types, and FloatingPointError naming
+    caso_compose on a non-finite composed state."""
     if not _scalar_records(chunks):
-        return reduce(lambda s, c: s @ c.a_acc + c.state, chunks[1:], chunks[0].state)
+        state = reduce(lambda s, c: s @ c.a_acc + c.state, chunks[1:], chunks[0].state)
+        _check_composed("caso_compose", state)
+        return state
     if len(chunks) == 1:
         return chunks[0].state
 
@@ -89,7 +102,7 @@ def caso_compose(chunks: Sequence[ChunkRecord]):
             acc += state
         return acc
 
-    return _by_part(chunks, fold)
+    return _by_part(chunks, fold, "caso_compose")
 
 
 def picaso_r(chunks: Sequence[ChunkRecord]):
@@ -106,7 +119,8 @@ def picaso_r(chunks: Sequence[ChunkRecord]):
     with B_{K-1} = 0 and B_c = 1 + a_{c+1} B_{c+1}. Every term is >= 0, so
     nothing cancels. Dense transitions (GDN) take running prefix/suffix
     products, O(K) transition multiplies in all. Raises ValueError on an
-    empty list or one that mixes transition kinds or state types."""
+    empty list or one that mixes transition kinds or state types, and
+    FloatingPointError naming picaso_r on a non-finite composed state."""
     scalar = _scalar_records(chunks)
     K = len(chunks)
     if K == 1:
@@ -129,7 +143,7 @@ def picaso_r(chunks: Sequence[ChunkRecord]):
                 acc += np.multiply(state, weight, out=term)
             return acc
 
-        return _by_part(chunks, weighted_sum)
+        return _by_part(chunks, weighted_sum, "picaso_r")
 
     eye = np.eye(chunks[0].a_acc.shape[0])
     zero = chunks[0].state * 0.0
@@ -152,7 +166,9 @@ def picaso_r(chunks: Sequence[ChunkRecord]):
 
     # cyclic order starting at chunk s+1
     total = reduce(np.add, (suffix_caso[s] @ prefix_prod[s] + prefix_caso[s] for s in range(K)))
-    return total * (1.0 / K)
+    total *= 1.0 / K
+    _check_composed("picaso_r", total)
+    return total
 
 
 def gka_compose(infos: Sequence[GkaInfoState], mode: str = "sum") -> GkaInfoState:

@@ -30,7 +30,8 @@ whole array first; the row-wise mask that locates the first bad row
 overflow mask) is built only once that test fails.
 GKA's Woodbury blocks invert no triangular factor and no zero state: a
 block takes one triangular solve, and one inverse only when it is entered
-from a non-zero state. The recurrence-form scan takes one product with Phi
+from a non-zero state; a block entered from the zero state takes no
+product with it at all. The recurrence-form scan takes one product with Phi
 per token and reads all its outputs in one GEMM after the loop.
 
 The kernels also keep their working set small. Each chunk-sized term
@@ -47,7 +48,11 @@ benchmark's request order (scripts/fault_profile.py) the Mamba-2 forward
 takes 0 minor faults a request, but in a loop of 1,000 forwards on one
 input it takes 352-608 a call. GKA's rank-one write (decayed_rank_one)
 adds its outer product one strip of rows at a time, so its only array of
-the state's size is the one it returns.
+the state's size is the one it returns. The Chebyshev iteration and GKA's
+Chebyshev operator allocate their arrays once and update them in place:
+in a loop of T = 1024 forwards, fresh 0.5 MiB temporaries in every
+iteration were handed back to the OS when freed and faulted in again,
+8,000-11,000 pages a call.
 """
 
 from __future__ import annotations
@@ -369,25 +374,43 @@ def chebyshev_dense(matvec, lam, rhs, iters, a, b):
     iteration. Returns (x, residual_history), residual_history of shape
     (iters,) + batch with residual_history[i] the 2-norms of the
     maintained residuals after iteration i+1.
+
+    The recurrence runs in place: x, r, p and one scratch array are
+    allocated once, and every update is an out= ufunc in the operand order
+    of p = r + beta p, x = x + alpha p and r = r - alpha (H p + lam p), so
+    x keeps those expressions' bits (the first x is alpha rhs, which
+    0 + alpha p equals). matvec's result is only read, never written: an
+    operator may return p itself or a view of it. matvec must return
+    rhs's dtype.
     """
     lam, a, b = (np.asarray(z)[..., None] if np.ndim(z) else z for z in (lam, a, b))
     theta = 0.5 * (b + a)
     delta = 0.5 * (b - a)
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    p = r
+    p = rhs.copy()
+    tmp = np.empty_like(rhs)
     alpha = 1.0 / theta
     hist = np.empty((iters,) + rhs.shape[:-1])
     # a single vector keeps the plain norm: on the decode path the axis
-    # form costs more than the iteration's arithmetic
-    norm = np.linalg.norm if rhs.ndim == 1 else lambda res: np.linalg.norm(res, axis=-1)
+    # form costs more than the iteration's arithmetic. A batch's row norms
+    # take one einsum, about half the time of np.linalg.norm's axis form at
+    # prefill sizes (conj returns a real array itself)
+    if rhs.ndim == 1:
+        norm = np.linalg.norm
+    else:
+        norm = lambda res: np.sqrt(np.einsum('...i,...i->...', res.conj(), res).real)
     for it in range(iters):
         if it > 0:
             beta = 0.5 * (delta * alpha) ** 2 if it == 1 else (0.5 * delta * alpha) ** 2
             alpha = 1.0 / (theta - beta / alpha)
-            p = r + beta * p
-        x = x + alpha * p
-        r = r - alpha * (matvec(p) + lam * p)
+            np.add(r, np.multiply(beta, p, out=p), out=p)
+            np.add(x, np.multiply(alpha, p, out=tmp), out=x)
+        else:
+            np.multiply(alpha, p, out=x)
+        np.multiply(lam, p, out=tmp)
+        np.add(matvec(p), tmp, out=tmp)
+        np.subtract(r, np.multiply(alpha, tmp, out=tmp), out=r)
         hist[it] = norm(r)
     return x, hist
 
@@ -421,9 +444,17 @@ def _woodbury_block(h0, k, beta, q, lam):
             and np.max(np.abs(kb), initial=0.0) <= WOODBURY_TAU * np.sqrt(lam)
             and 1.0 + np.linalg.norm(h0 / lam) <= WOODBURY_TAU):
         return None
-    eye = np.eye(h0.shape[0])
-    a_inv = np.linalg.inv(h0 + lam * eye) if h0.any() else eye / lam
-    p = kb @ a_inv
+    if h0.any():
+        a_inv = np.linalg.inv(h0 + lam * np.eye(h0.shape[0]))
+        times_a_inv = lambda b: b @ a_inv
+        times_a = lambda b: b @ h0 + lam * b
+    else:
+        # b (I / lam) is b (1 / lam) entry by entry: the other terms of the
+        # product are exact zeros; b / lam would round differently
+        inv_lam = 1.0 / lam
+        times_a_inv = lambda b: b * inv_lam
+        times_a = lambda b: lam * b
+    p = times_a_inv(kb)
     if not 1.0 + np.sum(p * kb) <= WOODBURY_TAU:
         return None
     r = np.linalg.cholesky(p @ kb.T + np.eye(k.shape[0]))
@@ -431,13 +462,31 @@ def _woodbury_block(h0, k, beta, q, lam):
     y = _ut_solve((r / d)[None], (p / d)[None])[0]
 
     def solve(b):
-        return b @ a_inv - np.tril(b @ y.T) @ y
+        return times_a_inv(b) - np.tril(b @ y.T) @ y
 
     x = solve(q)
     # the two terms of X can be up to lambda_max(C) times larger than x,
     # and cancel; one step of refinement on the residual
     # q_t - (H_t + lam I) x_t, formed in two GEMMs, wins those digits back
-    return x + solve(q - (x @ h0 + lam * x + np.tril(x @ kb.T) @ kb))
+    return x + solve(q - (times_a(x) + np.tril(x @ kb.T) @ kb))
+
+
+def _block_products(x, st, m, Kt, W, G, bufs=(None, None, None)):
+    """((x K^T) o W) m + G (x st) for every block of rows x of GKA's forward,
+    st the blocks' start states transposed: H_t p_t (st = H_0, which is
+    symmetric, and m = K) or the readout U_t x_t (st = U_0^T, m = V). The
+    product with st is added last, in place (a + b is b + a bit for bit),
+    and skipped for block 0 when its start state is exactly zero, as every
+    forward's is: it would be exactly 0. bufs, if given, are buffers for
+    x K^T, the result and x st, shaped as they are, written over by every
+    call, so that the Chebyshev iteration's products allocate nothing."""
+    first = 0 if st[0].any() else 1
+    xk, out, xs = bufs
+    xk = np.matmul(x, Kt, out=xk)
+    out = np.matmul(_into(xk, np.multiply, xk, W), m, out=out)
+    xs = np.matmul(x[first:], st[first:], out=None if xs is None else xs[first:])
+    out[first:] += _into(xs, np.multiply, G[first:], xs)
+    return out
 
 
 def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
@@ -458,8 +507,9 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
 
     so U_t is never formed: y_t = G_t U_0 x_t + sum_i W_ti (k_i . x_t) v_i
     for a whole block of rows in two GEMMs. The exact solver takes a whole
-    block by Woodbury (_woodbury_block: one inverse of H_0 + lam I, none
-    for a zero H_0, one Cholesky, one triangular solve and masked GEMMs)
+    block by Woodbury (_woodbury_block: one inverse of H_0 + lam I, or for
+    a zero H_0 a scaling by 1 / lam and no product with H_0; one Cholesky,
+    one triangular solve and masked GEMMs)
     when the block does not decay (gamma = 1),
     every row it solves has the same fixed lam, the system is real and the
     guard on cond(H_0 + lam I) and on the capacitance matrix holds (see
@@ -467,12 +517,16 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     within it, the adaptive lam, a complex system, a failed guard) forms
     each token's H_t from the block's H_0 in one GEMM and solves it
     densely. The Chebyshev solve never forms H_t: H_t p_t = G_t H_0 p_t +
-    sum_i W_ti (k_i . p_t) k_i in two GEMMs per block of rows, and
+    sum_i W_ti (k_i . p_t) k_i in two GEMMs per block of rows
+    (_block_products, written into three buffers allocated once), and
     ||H_t||_F^2 expands into G_t^2 ||H_0||^2 + 2 G_t sum_i W_ti k_i^T H_0 k_i
     + sum_ij W_ti W_tj (k_i . k_j)^2 (all terms >= 0, so no cancellation).
     The norm is computed only when lam_t or the Chebyshev interval reads
     it. The block states are carried one GEMM per block and kept exactly
-    symmetric.
+    symmetric. A block entered from the zero state, as every forward's
+    first block is, takes no product with H_0 or U_0 in the Chebyshev
+    operator, the readout or Woodbury: each would be exactly 0, and every
+    output keeps the bits of the form that takes them.
 
     Returns (y, H, U). The pass stops at the first row whose ||H_t||_F
     (when read) is non-finite or whose dense system is singular, and that
@@ -529,10 +583,12 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         # (Chebyshev on the unit interval [1, 1]): their right-hand side is 0
         lam_s = np.where(solve, lam_b, 1.0)
         rhs = np.where(solve[..., None], Q[:nb], 0.0)
-        Gb, Hb, Kb, Ktb, Wb = G[:nb, :, None], H0[:nb], K[:nb], Kt[:nb], W[:nb]
+        Gb, Kb, Ktb, Wb = G[:nb, :, None], K[:nb], Kt[:nb], W[:nb]
         if solver_r > 0:
             fro_s = np.where(solve, _blocks(fro, L)[:nb], 0.0)
-            apply_h = lambda p: Gb * (p @ Hb) + ((p @ Ktb) * Wb) @ Kb  # H_0 is symmetric
+            # all solver_r products are written into the same three buffers
+            bufs = [np.empty((nb, L, n), dtype=rhs.dtype) for n in (L, d_k, d_k)]
+            apply_h = lambda p: _block_products(p, H0[:nb], Kb, Ktb, Wb, Gb, bufs)
             # the discarded residual norms square the residuals, so they
             # overflow for a query row past about 1e154 while every iterate
             # is finite; an overflowing iterate reaches y, which is checked
@@ -562,7 +618,7 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
                         break
                 if stop < (c + 1) * L:
                     break
-        y_b = Gb * (x @ U0[:nb].transpose(0, 2, 1)) + ((x @ Ktb) * Wb) @ V[:nb]
+        y_b = _block_products(x, U0[:nb].transpose(0, 2, 1), V[:nb], Ktb, Wb, Gb)
         y[:stop] = y_b.reshape(nb * L, d_v)[:stop]
     # copied: a view would keep every block's state alive with the returned one
     return y, H0[C].copy(), U0[C].copy()
@@ -601,7 +657,7 @@ def sherman_morrison_downdate(phi, k, beta):
     with Phi'; then Phi' = Phi - g (Phi k)^T."""
     pk = phi @ k
     g = (beta / (1.0 + beta * (k @ pk))) * pk
-    phi -= np.outer(g, pk)
+    phi -= np.multiply.outer(g, pk)
     return phi, g
 
 
@@ -621,10 +677,11 @@ def gka_recurrent_scan(k, v, q, beta, lam):
     S = np.zeros((v.shape[1], d_k))
     e = np.empty((T, v.shape[1]))
     g = np.empty((T, d_k))
+    write = np.empty_like(S)  # each token's e_t g_t^T, formed in one buffer
     for t in range(T):
         phi, g[t] = sherman_morrison_downdate(phi, k[t], beta[t])
         e[t] = v[t] - S @ k[t]
-        S += np.outer(e[t], g[t])
+        S += np.multiply.outer(e[t], g[t], out=write)
     return np.tril(q @ g.T) @ e, S, phi
 
 

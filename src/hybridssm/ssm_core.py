@@ -326,13 +326,18 @@ class NonFiniteOutput(FloatingPointError):
         self.row = row
 
 
+def _finite_rows(kind: SsmKind, y: np.ndarray) -> None:
+    """Raise NonFiniteOutput naming the first non-finite row of y, if any."""
+    row = kernels.first_non_finite_row(y)
+    if row is not None:
+        raise NonFiniteOutput(kind, row)
+
+
 def _finite_output(kind: SsmKind, y: np.ndarray, s: np.ndarray):
     """Return (y, s) if both are finite; otherwise raise NonFiniteOutput
     naming the first non-finite output row (or FloatingPointError naming
     the state, if only it is)."""
-    row = kernels.first_non_finite_row(y)
-    if row is not None:
-        raise NonFiniteOutput(kind, row)
+    _finite_rows(kind, y)
     if not np.isfinite(s).all():
         raise FloatingPointError(f"{kind.value} final state is non-finite")
     return y, s
@@ -400,9 +405,13 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
         check_alpha(alpha)
     y, h, u = kernels.gka_info_forward(k, v, q, gates.gamma, gates.beta, gates.lam,
                                        float(alpha), solver_r)
-    # ||H_t||_F can overflow while H_t stays finite, and U_t while y_t does
-    _finite_output(kind, y, np.vstack([h, u]))
-    return y, GkaInfoState._derived(h, u)
+    _finite_rows(kind, y)
+    # ||H_t||_F can overflow while H_t stays finite, and U_t while y_t does;
+    # _derived tests them, and the kernel shapes them, so only that can fail
+    try:
+        return y, GkaInfoState._derived(h, u)
+    except ValueError:
+        raise FloatingPointError(f"{kind.value} final state is non-finite") from None
 
 
 def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrack) -> ChunkRecord:

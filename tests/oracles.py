@@ -1,11 +1,15 @@
 """The oracles the tests replay: one Mamba-2 or GDN recurrence step on a
 plain (d_v, d_k) state, written token by token as the recurrences are
-defined, beside the chunkwise scans of ``kernels`` that it checks; and the
+defined, beside the chunkwise scans of ``kernels`` that it checks; the
 padded forward, which reads a forward's transitions from d_k zero value
-columns started from the identity."""
+columns started from the identity; and GKA's solves in the allocating form
+that takes every product, even with a zero state, whose bits the in-place
+kernels keep: the Chebyshev recurrence, the blocks' products with their
+start states, and the Woodbury block with A^-1 = I / lam."""
 
 import numpy as np
 
+from hybridssm.kernels import WOODBURY_TAU, _ut_solve
 from hybridssm.ssm_core import SsmKind, ssm_forward
 
 
@@ -40,3 +44,57 @@ def padded_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndar
     y, s = ssm_forward(kind, k, np.hstack([v, np.zeros((T, d_k))]), q, gates,
                        np.vstack([np.zeros((d_v, d_k)), np.eye(d_k)]))
     return y[:, :d_v], s[:d_v], y[:, d_v:], s[d_v:]
+
+
+def chebyshev_allocating(matvec, lam, rhs, iters, a, b):
+    """kernels.chebyshev_dense with a fresh array for every update, and the
+    residual norms by np.linalg.norm."""
+    lam, a, b = (np.asarray(z)[..., None] if np.ndim(z) else z for z in (lam, a, b))
+    theta = 0.5 * (b + a)
+    delta = 0.5 * (b - a)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = r
+    alpha = 1.0 / theta
+    hist = np.empty((iters,) + rhs.shape[:-1])
+    norm = np.linalg.norm if rhs.ndim == 1 else lambda res: np.linalg.norm(res, axis=-1)
+    for it in range(iters):
+        if it > 0:
+            beta = 0.5 * (delta * alpha) ** 2 if it == 1 else (0.5 * delta * alpha) ** 2
+            alpha = 1.0 / (theta - beta / alpha)
+            p = r + beta * p
+        x = x + alpha * p
+        r = r - alpha * (matvec(p) + lam * p)
+        hist[it] = norm(r)
+    return x, hist
+
+
+def block_products_full(x, st, m, Kt, W, G, bufs=None):
+    """kernels._block_products with the product G (x st) taken for every
+    block, a zero start state's too, as the full operator
+    G (x st) + ((x K^T) o W) m in fresh arrays; bufs is ignored."""
+    return G * (x @ st) + ((x @ Kt) * W) @ m
+
+
+def woodbury_with_inverse(h0, k, beta, q, lam):
+    """kernels._woodbury_block with A^-1 = I / lam formed for a zero state and
+    multiplied as a matrix, and H_0 x in the refinement residual."""
+    kb = k * np.sqrt(beta)[:, None]
+    if not (np.max(np.abs(h0), initial=0.0) <= WOODBURY_TAU * lam
+            and np.max(np.abs(kb), initial=0.0) <= WOODBURY_TAU * np.sqrt(lam)
+            and 1.0 + np.linalg.norm(h0 / lam) <= WOODBURY_TAU):
+        return None
+    eye = np.eye(h0.shape[0])
+    a_inv = np.linalg.inv(h0 + lam * eye) if h0.any() else eye / lam
+    p = kb @ a_inv
+    if not 1.0 + np.sum(p * kb) <= WOODBURY_TAU:
+        return None
+    r = np.linalg.cholesky(p @ kb.T + np.eye(k.shape[0]))
+    d = np.diagonal(r)[:, None]
+    y = _ut_solve((r / d)[None], (p / d)[None])[0]
+
+    def solve(b):
+        return b @ a_inv - np.tril(b @ y.T) @ y
+
+    x = solve(q)
+    return x + solve(q - (x @ h0 + lam * x + np.tril(x @ kb.T) @ kb))

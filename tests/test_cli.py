@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from hybridssm import cli
 from hybridssm.cli import main, run, validate
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -115,6 +116,25 @@ class TestRun:
             run(c)
         for name in os.listdir(out_a):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_realize_profiles_the_reconstruction_only_when_a_cut_may_exceed_n(
+            self, tmp_path, monkeypatch):
+        # the largest reconstruction cut rank settles the count at 0; the
+        # full profile runs only when it exceeds n, and counts the same 0
+        cfg = fixture("realize.json")
+        cfg["params"] = dict(cfg["params"], T_values=[4, 9, 16], trials_per_T=2)
+        profiles = []
+        profile = cli.hankel_profile
+        monkeypatch.setattr(cli, "hankel_profile", lambda *a: profiles.append(1) or profile(*a))
+        reports = []
+        for out in ("searched", "profiled"):
+            if out == "profiled":
+                monkeypatch.setattr(cli, "max_hankel_rank", lambda m, tol: m.shape[0] + 1)
+            bundle = run(dict(cfg, out=str(tmp_path / out)))
+            assert bundle.violations == []
+            reports.append((tmp_path / out / "realize_report.csv").read_bytes())
+            assert len(profiles) == (0 if out == "searched" else 6)
+        assert reports[0] == reports[1]
 
     def test_different_seed_changes_reports(self, tmp_path):
         cfg = fixture("compose_gdn.json")

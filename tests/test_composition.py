@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridssm import kernels, ssm_core
 from hybridssm.composition import (
@@ -217,6 +217,60 @@ def test_scalar_weighted_sums_equal_the_cyclic_enumeration(decays, info, d_k, d_
         got = (got.h, got.u) if info else (got,)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("compose", [caso_compose, picaso_r])
+    @pytest.mark.parametrize("kind", ["scalar", "dense", "info"])
+    def test_finite_records_whose_composition_overflows_name_the_composer(self, compose, kind):
+        # three finite states of 1e308 sum past the largest float
+        big = np.full((3, 4), 1e308)
+        state = GkaInfoState(h=1e308 * np.eye(4), u=big) if kind == "info" else big
+        a_acc = np.eye(4) if kind == "dense" else 1.0
+        records = [ChunkRecord(state=state, a_acc=a_acc)] * 3
+        with pytest.raises(FloatingPointError, match=compose.__name__):
+            compose(records)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None, derandomize=True)  # same inputs every run
+@given(kind=st.sampled_from(["mamba2", "gdn", "gka"]), n_chunks=st.integers(1, 4),
+       T=st.integers(1, 70), d_k=st.integers(1, 4), d_v=st.integers(1, 4),
+       arg=st.sampled_from(["k", "v"]),
+       value=st.sampled_from([1e160, 1e-160, 1e300, 1e-300, np.nan, np.inf, -np.inf]),
+       where=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+@example(kind="mamba2", n_chunks=3, T=8, d_k=2, d_v=2, arg="v", value=1e300, where=0, seed=0)
+@example(kind="gka", n_chunks=3, T=8, d_k=2, d_v=2, arg="k", value=1e160, where=0, seed=0)
+def test_records_with_an_extreme_row_compose_finite_or_raise(kind, n_chunks, T, d_k, d_v, arg,
+                                                            value, where, seed):
+    # one row of k or v, in one chunk, scaled by 1e+-160 or 1e+-300, or one
+    # entry set to NaN or inf: run_chunk and both composers return finite
+    # states or raise ValueError or FloatingPointError, and nothing else
+    rng = np.random.default_rng(seed)
+    n = n_chunks * T
+    k, v = rng.standard_normal((n, d_k)), rng.standard_normal((n, d_v))
+    x = {"k": k, "v": v}[arg]
+    row = where % n
+    if np.isfinite(value):
+        x[row] *= value
+    else:
+        x[row, where % x.shape[1]] = value
+    gates = GateTrack(gamma=rng.uniform(0.5, 1.0, n), beta=rng.uniform(0.0, 1.0, n))
+
+    def finite(state):
+        parts = (state.h, state.u) if isinstance(state, GkaInfoState) else (state,)
+        return all(np.isfinite(part).all() for part in parts)
+
+    try:
+        records = chunk_records(kind, k, v, gates, T)
+    except (ValueError, FloatingPointError):
+        return
+    for compose in (caso_compose, picaso_r):
+        try:
+            assert finite(compose(records)), compose.__name__
+        except (ValueError, FloatingPointError):
+            pass
 
 
 class TestMixedRecords:

@@ -1,14 +1,17 @@
 """The numpy kernels against vectorized reference formulations."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hybridssm import kernels as K
 from hybridssm import seqpar
 from hybridssm.ssm_core import GateTrack, ssm_forward
-from oracles import padded_forward, ssm_step
+from oracles import (block_products_full, chebyshev_allocating, padded_forward, ssm_step,
+                     woodbury_with_inverse)
 
 
 def rand_inputs(T=16, d_k=5, d_v=4, seed=0):
@@ -116,6 +119,108 @@ class TestChebyshevBatch:
         rhs = rng.standard_normal((3, 4))
         x, _ = K.chebyshev_dense(lambda p: p @ h, 2.0, rhs, 60, 2.0, 2.0 + np.linalg.norm(h))
         assert np.allclose(x, np.linalg.solve(h + 2.0 * np.eye(4), rhs.T).T, atol=1e-10)
+
+
+class TestChebyshevInPlace:
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("view", [False, True])
+    def test_an_operator_returning_p_or_a_view_of_it_is_only_read(self, batch, view):
+        # H = I: x solves (1 + lam) x = rhs. An iteration that wrote into
+        # the operator's result would write into p, its own search direction
+        rhs = np.random.default_rng(21).standard_normal(batch + (5,))
+        lam = 0.75
+        matvec = (lambda p: p[...]) if view else (lambda p: p)
+        x, _ = K.chebyshev_dense(matvec, lam, rhs, 40, 0.5, 3.0)
+        assert np.allclose((1.0 + lam) * x, rhs, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)  # same inputs every run
+@given(d=st.integers(1, 8), batch=st.sampled_from([(), (1,), (4,), (2, 3)]),
+       iters=st.integers(1, 40), per_row=st.booleans(), imag=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=64, batch=(2, 64), iters=30, per_row=True, imag=False, seed=0)  # prefill_gka's shape
+@example(d=256, batch=(), iters=30, per_row=False, imag=False, seed=0)  # a decode_gka solve's
+def test_chebyshev_in_place_keeps_the_allocating_bits(d, batch, iters, per_row, imag, seed):
+    # the same x bit for bit as the allocating recurrence; a single
+    # vector's residual norms too (decode's history), a batch's to rounding.
+    # A complex rhs is a complex-step query through the GKA forward
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d))
+    h = g @ g.T
+    rhs = rng.standard_normal(batch + (d,))
+    if imag:
+        rhs = rhs + 1j * rng.standard_normal(batch + (d,))
+    lam = rng.uniform(0.1, 1.0, batch) if per_row and batch else 0.5
+    b = lam + np.linalg.norm(h)
+    x, hist = K.chebyshev_dense(lambda p: p @ h, lam, rhs, iters, lam, b)
+    x_ref, hist_ref = chebyshev_allocating(lambda p: p @ h, lam, rhs, iters, lam, b)
+    assert np.array_equal(x, x_ref)
+    if batch:
+        assert np.allclose(hist, hist_ref, rtol=1e-14, atol=0.0)
+    else:
+        assert np.array_equal(hist, hist_ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=st.integers(1, 64), d=st.integers(1, 8), zero=st.booleans(),
+       lam=st.sampled_from([0.05, 0.3, 0.5, 0.7, 2.0]), seed=st.integers(0, 2**32 - 1))
+@example(L=64, d=64, zero=True, lam=0.5, seed=0)  # prefill_gka's first block
+@example(L=64, d=8, zero=True, lam=0.3, seed=1)
+def test_woodbury_on_a_zero_state_keeps_the_bits_of_the_inverse(L, d, zero, lam, seed):
+    # a zero H_0 scales by 1 / lam and drops H_0 x; a non-zero one inverts.
+    # lam 0.5 and 2.0 are powers of two, which b / lam would also match
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d))
+    h0 = np.zeros((d, d)) if zero else g @ g.T / d
+    k, q = rng.standard_normal((L, d)), rng.standard_normal((L, d))
+    beta = rng.uniform(0.0, 1.0, L)
+    x = K._woodbury_block(h0, k, beta, q, lam)
+    x_ref = woodbury_with_inverse(h0, k, beta, q, lam)
+    assert (x is None) == (x_ref is None)
+    assert x is None or np.array_equal(x, x_ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(C=st.integers(1, 3), L=st.integers(1, 9), d_k=st.integers(1, 6), d_m=st.integers(1, 6),
+       zero=st.booleans(), buffered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_products_skip_only_a_zero_start_product(C, L, d_k, d_m, zero, buffered, seed):
+    rng = np.random.default_rng(seed)
+    x, k = rng.standard_normal((C, L, d_k)), rng.standard_normal((C, L, d_k))
+    m, st_ = rng.standard_normal((C, L, d_m)), rng.standard_normal((C, d_k, d_m))
+    if zero:
+        st_[0] = 0.0
+    w = np.tril(rng.uniform(0.0, 1.0, (C, L, L)))
+    g = rng.uniform(0.5, 1.0, (C, L, 1))
+    kt = K._transposed(k)
+    bufs = [np.empty((C, L, n)) for n in (L, d_m, d_m)] if buffered else (None, None, None)
+    out = K._block_products(x, st_, m, kt, w, g, bufs)
+    assert np.array_equal(out, block_products_full(x, st_, m, kt, w, g))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(T=st.one_of(st.sampled_from([1, 63, 64, 65, 128, 130]), st.integers(1, 200)),
+       d_k=st.integers(1, 6), d_v=st.integers(1, 6),
+       solver=st.sampled_from(["exact", "chebyshev"]), decay=st.booleans(),
+       lam=st.sampled_from([None, 0.3, 0.5]), seed=st.integers(0, 2**32 - 1))
+@example(T=128, d_k=64, d_v=64, solver="exact", decay=False, lam=0.5, seed=0)
+@example(T=128, d_k=64, d_v=64, solver="chebyshev", decay=True, lam=None, seed=0)
+@example(T=100, d_k=4, d_v=3, solver="exact", decay=False, lam=0.3, seed=0)
+def test_gka_forward_keeps_the_bits_of_the_allocating_solves(T, d_k, d_v, solver, decay, lam,
+                                                             seed):
+    # the forward against itself with the in-place Chebyshev recurrence,
+    # the zero-start skips and the Woodbury scaling replaced by the
+    # allocating forms that take every product
+    rng = np.random.default_rng(seed)
+    k, v, q = (rng.standard_normal((T, d)) for d in (d_k, d_v, d_k))
+    gamma = rng.uniform(0.5, 1.0, T) if decay else np.ones(T)
+    gates = GateTrack(gamma, rng.uniform(0.0, 1.0, T), None if lam is None else np.full(T, lam))
+    y, state = ssm_forward("gka", k, v, q, gates, solver=solver, r=12)
+    with mock.patch.object(K, "chebyshev_dense", chebyshev_allocating), \
+            mock.patch.object(K, "_block_products", block_products_full), \
+            mock.patch.object(K, "_woodbury_block", woodbury_with_inverse):
+        y_ref, state_ref = ssm_forward("gka", k, v, q, gates, solver=solver, r=12)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(state.h, state_ref.h) and np.array_equal(state.u, state_ref.u)
 
 
 class TestZeroStartRows:

@@ -697,6 +697,19 @@ class TestForwardAndGates:
                 ssm_forward(SsmKind.GKA, k * 1e80, v, q, gates, solver=solver)
         assert err.value.row == 0
 
+    @pytest.mark.parametrize("solver", ["exact", "chebyshev"])
+    def test_gka_state_overflow_with_finite_outputs_names_the_state(self, solver):
+        # zero queries read y = 0 while the last write, v k^T of about
+        # 1e309, overflows U: the forward names the final state, not a row
+        T, d = 70, 4
+        k, v, _ = rand_kvq(T, d, d, seed=26)
+        k[-1], v[-1] = 10.0, 1e308
+        gates = GateTrack(gamma=np.ones(T), beta=np.full(T, 0.5), lam=np.full(T, 0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="gka final state is non-finite") as err:
+                ssm_forward(SsmKind.GKA, k, v, np.zeros((T, d)), gates, solver=solver)
+        assert not isinstance(err.value, NonFiniteOutput)
+
     def test_gka_fixed_lam_exact_forward_reads_no_norm(self):
         # a fixed lam with the dense solve never reads ||H_t||_F, so keys
         # whose H_t is finite but whose norm overflows (1e80 here) must not
