@@ -32,7 +32,7 @@ from .ssm_core import (GateTrack, GkaInfoState, ShermanMorrisonGain, SsmKind,
                        chebyshev_residual_bound, chebyshev_solve, default_spectral_bounds,
                        gka_gain, gka_info_update, gka_recurrence_equivalence, ssm_forward,
                        zero_info_state)
-from .tensorio import config_hash, ensure_dir, save_tensor, write_csv
+from .tensorio import config_hash, ensure_dir, save_tensor, write_csv, write_json
 
 # params schema: name -> (type, default); cross-field checks live in the
 # per-command validators below
@@ -67,9 +67,25 @@ _TOP_LEVEL = {"command", "seed", "out", "params"}
 
 @dataclass
 class ReportBundle:
+    """A run's reports and the violations found while running. Every report
+    is written through path, csv or json, which place it in the output
+    directory and list it in files, in the order written."""
+    out: str
+    cfg: dict
     files: list = field(default_factory=list)
     violations: list = field(default_factory=list)
     elapsed: float = 0.0
+
+    def path(self, name: str) -> str:
+        path = os.path.join(self.out, name)
+        self.files.append(path)
+        return path
+
+    def csv(self, name: str, header, rows) -> None:
+        write_csv(self.path(name), header, rows, self.cfg)
+
+    def json(self, name: str, obj: dict) -> None:
+        write_json(self.path(name), {"config": config_hash(self.cfg), **obj})
 
 
 def validate(config: dict) -> list[str]:
@@ -161,7 +177,7 @@ def _resolved(config: dict) -> dict:
 # -- command implementations -------------------------------------------
 
 
-def _run_realize(cfg, rng, out, bundle):
+def _run_realize(cfg, rng, bundle):
     p = cfg["params"]
     rows = []
     worst_err = 0.0
@@ -189,29 +205,21 @@ def _run_realize(cfg, rng, out, bundle):
             if rank_violations:
                 bundle.violations.append(f"Hankel rank above n at T={T} trial={trial}")
             last = r
-    path = os.path.join(out, "realize_report.csv")
-    write_csv(path, ["T", "trial", "n", "n_min", "max_abs_error", "is_minimal",
-                     "hankel_rank_violations"], rows, cfg)
-    bundle.files.append(path)
+    bundle.csv("realize_report.csv", ["T", "trial", "n", "n_min", "max_abs_error", "is_minimal",
+                                      "hankel_rank_violations"], rows)
     if last is not None:
-        rpath = os.path.join(out, "realization.json")
-        save_realization(rpath, last)
-        bundle.files.append(rpath)
+        save_realization(bundle.path("realization.json"), last)
 
 
-def _run_hankel(cfg, rng, out, bundle):
+def _run_hankel(cfg, rng, bundle):
     p = cfg["params"]
     seq = random_token_sequence(p["T"], p["d_k"], scale=p["scale"], rng=rng)
     mix = build_swa_mixer(seq, p["window"]) if p["window"] else build_attention_mixer(seq)
     profile = hankel_profile(mix, p["rank_tol"])
-    mpath = os.path.join(out, "mixer.json")
-    save_tensor(mpath, mix.m, extra={"kind": mix.kind, "n_min": profile.n_min})
-    bundle.files.append(mpath)
+    save_tensor(bundle.path("mixer.json"), mix.m, extra={"kind": mix.kind, "n_min": profile.n_min})
     tops = profile.top_singular_values()
     rows = [(k + 1, int(profile.ranks[k]), tops[k]) for k in range(len(profile.ranks))]
-    cpath = os.path.join(out, "hankel_ranks.csv")
-    write_csv(cpath, ["cut", "rank", "top_singular_value"], rows, cfg)
-    bundle.files.append(cpath)
+    bundle.csv("hankel_ranks.csv", ["cut", "rank", "top_singular_value"], rows)
 
     if p["swa_trials"] and p["swa_windows"]:
         cap_rows = []
@@ -222,12 +230,10 @@ def _run_hankel(cfg, rng, out, bundle):
                 cap_rows.append((trial, int(w), n_min, n_min <= int(w)))
                 if n_min > int(w):
                     bundle.violations.append(f"SWA rank cap broken: trial={trial} w={w} n_min={n_min}")
-        spath = os.path.join(out, "swa_rank_cap.csv")
-        write_csv(spath, ["trial", "window", "n_min", "within_cap"], cap_rows, cfg)
-        bundle.files.append(spath)
+        bundle.csv("swa_rank_cap.csv", ["trial", "window", "n_min", "within_cap"], cap_rows)
 
 
-def _run_ssm_equiv(cfg, rng, out, bundle):
+def _run_ssm_equiv(cfg, rng, bundle):
     p = cfg["params"]
     rows = []
     for trial in range(p["trials"]):
@@ -251,9 +257,8 @@ def _run_ssm_equiv(cfg, rng, out, bundle):
             bundle.violations.append(f"form equivalence gap {diff:g} at trial {trial}")
         if sm_err > 1e-10:
             bundle.violations.append(f"Sherman-Morrison gap {sm_err:g} at trial {trial}")
-    epath = os.path.join(out, "ssm_equiv.csv")
-    write_csv(epath, ["trial", "T", "recurrence_vs_info", "sherman_morrison_vs_dense"], rows, cfg)
-    bundle.files.append(epath)
+    bundle.csv("ssm_equiv.csv", ["trial", "T", "recurrence_vs_info", "sherman_morrison_vs_dense"],
+               rows)
 
     d = p["chebyshev_d"]
     g = rng.standard_normal((d, d))
@@ -264,14 +269,12 @@ def _run_ssm_equiv(cfg, rng, out, bundle):
     _, hist = chebyshev_solve(h, lam, q, p["chebyshev_r"], spectral_bounds=(a, b))
     bound = chebyshev_residual_bound(a, b, p["chebyshev_r"]) * float(np.linalg.norm(q))
     res_rows = [(i + 1, hist[i], bound[i]) for i in range(len(hist))]
-    rpath = os.path.join(out, "chebyshev_residuals.csv")
-    write_csv(rpath, ["iteration", "residual", "classical_bound"], res_rows, cfg)
-    bundle.files.append(rpath)
+    bundle.csv("chebyshev_residuals.csv", ["iteration", "residual", "classical_bound"], res_rows)
     if np.any(hist > 1.1 * bound + 1e-12):
         bundle.violations.append("Chebyshev residual above classical bound")
 
 
-def _run_compose(cfg, rng, out, bundle):
+def _run_compose(cfg, rng, bundle):
     p = cfg["params"]
     kind = SsmKind(p["kind"])
     K, L = p["chunks"], p["chunk_len"]
@@ -313,12 +316,10 @@ def _run_compose(cfg, rng, out, bundle):
     soup = composition.soup_states([r.state for r in records])
     rows.append((p["kind"], "soup_vs_single_pass", K, composition.state_deviation(soup, full)))
 
-    path = os.path.join(out, "compose_report.csv")
-    write_csv(path, ["kind", "merge_mode", "chunks", "max_abs_deviation"], rows, cfg)
-    bundle.files.append(path)
+    bundle.csv("compose_report.csv", ["kind", "merge_mode", "chunks", "max_abs_deviation"], rows)
 
 
-def _run_spsim(cfg, rng, out, bundle):
+def _run_spsim(cfg, rng, bundle):
     p = cfg["params"]
     vol_rows = []
     for l in p["l_values"]:
@@ -327,9 +328,7 @@ def _run_spsim(cfg, rng, out, bundle):
                                           state_bytes=p["state_bytes"], d_conv=p["d_conv"],
                                           elem_bytes=p["elem_bytes"], n_heads=p["n_heads"])
             vol_rows.append((method, int(l), per_rank, per_rank * p["n_sp"]))
-    vpath = os.path.join(out, "comm_volume.csv")
-    write_csv(vpath, ["method", "l", "bytes_per_rank", "bytes_total"], vol_rows, cfg)
-    bundle.files.append(vpath)
+    bundle.csv("comm_volume.csv", ["method", "l", "bytes_per_rank", "bytes_total"], vol_rows)
 
     p2p_vols = [r[2] for r in vol_rows if r[0] == "p2p"]
     if len(set(p2p_vols)) != 1:
@@ -380,20 +379,14 @@ def _run_spsim(cfg, rng, out, bundle):
         if err != 0.0:
             bundle.violations.append(f"conv1d_sp mismatch {err:g} pattern={pattern}")
 
-    spath = os.path.join(out, "spsim_equiv.csv")
-    write_csv(spath, ["method", "kind", "pattern", "n_ranks", "max_abs_err"], sim_rows, cfg)
-    bundle.files.append(spath)
+    bundle.csv("spsim_equiv.csv", ["method", "kind", "pattern", "n_ranks", "max_abs_err"], sim_rows)
 
     plans = {pattern: seqpar.plan_to_obj(seqpar.shard(T, p["sim_ranks"][-1], pattern))
              for pattern in ("simple", "zigzag")}
-    ppath = os.path.join(out, "shard_plans.json")
-    with open(ppath, "w") as f:
-        json.dump({"config": config_hash(cfg), "plans": plans}, f, sort_keys=True)
-        f.write("\n")
-    bundle.files.append(ppath)
+    bundle.json("shard_plans.json", {"plans": plans})
 
 
-def _run_tile_bench(cfg, rng, out, bundle):
+def _run_tile_bench(cfg, rng, bundle):
     p = cfg["params"]
     traffic_rows = []
     for g in p["g_values"]:
@@ -402,10 +395,8 @@ def _run_tile_bench(cfg, rng, out, bundle):
             rep = tiled_decode.traffic_model(d_k, p["b_k"], variant, p["r"])
             traffic_rows.append((variant, rep.g, rep.r, rep.tiles_loaded,
                                  rep.tiles_stored, rep.skipped_fraction))
-    tpath = os.path.join(out, "traffic.csv")
-    write_csv(tpath, ["variant", "g", "r", "loads", "stores", "skipped_fraction"],
-              traffic_rows, cfg)
-    bundle.files.append(tpath)
+    bundle.csv("traffic.csv", ["variant", "g", "r", "loads", "stores", "skipped_fraction"],
+               traffic_rows)
 
     d_k, d_v = p["d_k"], p["d_v"]
     gmat = rng.standard_normal((d_k, d_k))
@@ -427,33 +418,24 @@ def _run_tile_bench(cfg, rng, out, bundle):
             if diff > 1e-9:
                 bundle.violations.append(f"variant {variant} differs by {diff:g} at step {step}")
         state = ref.state
-    epath = os.path.join(out, "tile_equiv.csv")
-    write_csv(epath, ["step", "variant", "max_abs_diff_vs_reference"], equiv_rows, cfg)
-    bundle.files.append(epath)
+    bundle.csv("tile_equiv.csv", ["step", "variant", "max_abs_diff_vs_reference"], equiv_rows)
 
 
-def _run_select_layers(cfg, rng, out, bundle):
+def _run_select_layers(cfg, rng, bundle):
     p = cfg["params"]
     evaluator = make_recall_evaluator(T=p["T"], d=p["d"], seed=int(rng.integers(0, 2 ** 31)))
     table = importance_scores(evaluator, 3, p["window"])
     selected = select_layers(table, p["M"])
     rows = [(i, table.scores[i], table.importances[i]) for i in range(3)]
-    ipath = os.path.join(out, "importance.csv")
-    write_csv(ipath, ["layer", "score", "importance"], rows, cfg)
-    bundle.files.append(ipath)
-    spath = os.path.join(out, "selection.json")
-    with open(spath, "w") as f:
-        json.dump({"config": config_hash(cfg), "window": p["window"],
-                   "selected": selected}, f, sort_keys=True)
-        f.write("\n")
-    bundle.files.append(spath)
+    bundle.csv("importance.csv", ["layer", "score", "importance"], rows)
+    bundle.json("selection.json", {"window": p["window"], "selected": selected})
     expected = sorted(int(i) for i in np.argsort(table.importances, kind="stable")[:p["M"]])
     if selected != expected:
         bundle.violations.append("selection does not follow smallest-importance order")
-    _priming_init_checks(cfg, rng, out, bundle)
+    _priming_init_checks(cfg, rng, bundle)
 
 
-def _priming_init_checks(cfg, rng, out, bundle):
+def _priming_init_checks(cfg, rng, bundle):
     """Initialization identities and gradient checks for the priming module,
     emitted alongside the layer-selection report."""
     from . import autodiff as ad
@@ -490,15 +472,13 @@ def _priming_init_checks(cfg, rng, out, bundle):
             ("gate_init_entrywise", int(gate_exact), gate_exact),
             ("grad_rel_err_e2e", rel_errs["e2e"], rel_errs["e2e"] < 1e-5),
             ("grad_rel_err_layerwise", rel_errs["layerwise"], rel_errs["layerwise"] < 1e-5)]
-    path = os.path.join(out, "priming_checks.csv")
-    write_csv(path, ["check", "value", "ok"], rows, cfg)
-    bundle.files.append(path)
+    bundle.csv("priming_checks.csv", ["check", "value", "ok"], rows)
     for name, _, ok in rows:
         if not ok:
             bundle.violations.append(f"priming check failed: {name}")
 
 
-def _run_perf_model(cfg, rng, out, bundle):
+def _run_perf_model(cfg, rng, bundle):
     p = cfg["params"]
     profile = perf_model.make_profile(p["preset"], hybrid_ratio=p["hybrid_ratio"],
                                       ssm_equiv_tokens=p["ssm_equiv_tokens"],
@@ -510,10 +490,8 @@ def _run_perf_model(cfg, rng, out, bundle):
         rows.append((int(l), ratio, limit, t_traffic, h_traffic))
         if abs(h_traffic - t_traffic) > 1e-9 * t_traffic:
             bundle.violations.append(f"KV traffic conservation broken at l={l}")
-    path = os.path.join(out, "throughput.csv")
-    write_csv(path, ["l", "R", "R_limit", "kv_traffic_transformer", "kv_traffic_hybrid"],
-              rows, cfg)
-    bundle.files.append(path)
+    bundle.csv("throughput.csv", ["l", "R", "R_limit", "kv_traffic_transformer",
+                                  "kv_traffic_hybrid"], rows)
 
 
 _RUNNERS = {
@@ -535,11 +513,10 @@ def run(config: dict, out_dir: str = "reports") -> ReportBundle:
     if diags:
         raise ValueError("invalid config: " + "; ".join(diags))
     cfg = _resolved(config)
-    out = ensure_dir(config.get("out", out_dir))
     rng = np.random.default_rng(cfg["seed"])
-    bundle = ReportBundle()
+    bundle = ReportBundle(ensure_dir(config.get("out", out_dir)), cfg)
     start = time.perf_counter()
-    _RUNNERS[cfg["command"]](cfg, rng, out, bundle)
+    _RUNNERS[cfg["command"]](cfg, rng, bundle)
     bundle.elapsed = time.perf_counter() - start
     return bundle
 

@@ -82,10 +82,15 @@ def frobenius_norm(a):
     a power of two near 1 / max|a|, which scales every entry exactly, is
     scaled back. Wherever the plain norm is finite it is returned as is."""
     with np.errstate(over="ignore"):  # taken again below; a norm past the range stays inf
-        norm = float(np.linalg.norm(a))
-        if norm == np.inf and np.isfinite(a).all():
-            e = int(np.frexp(np.max(np.abs(a)))[1])
-            norm = float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+        return float(_scaled_norm(a))
+
+
+def _scaled_norm(a):
+    """frobenius_norm's rule, for callers already under np.errstate(over=...)."""
+    norm = np.linalg.norm(a)
+    if norm == np.inf and np.isfinite(a).all():
+        e = int(np.frexp(np.max(np.abs(a)))[1])
+        norm = np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e)
     return norm
 
 
@@ -392,12 +397,13 @@ def chebyshev_dense(matvec, lam, rhs, iters, a, b):
     tmp = np.empty_like(rhs)
     alpha = 1.0 / theta
     hist = np.empty((iters,) + rhs.shape[:-1])
-    # a single vector keeps the plain norm: on the decode path the axis
-    # form costs more than the iteration's arithmetic. A batch's row norms
-    # take one einsum, about half the time of np.linalg.norm's axis form at
-    # prefill sizes (conj returns a real array itself)
+    # a single vector keeps the plain norm, by frobenius_norm's rule where
+    # only its squares overflow: on the decode path the axis form costs
+    # more than the iteration's arithmetic. A batch's row norms take one
+    # einsum, about half the time of np.linalg.norm's axis form at prefill
+    # sizes (conj returns a real array itself)
     if rhs.ndim == 1:
-        norm = np.linalg.norm
+        norm = _scaled_norm
     else:
         norm = lambda res: np.sqrt(np.einsum('...i,...i->...', res.conj(), res).real)
     for it in range(iters):

@@ -84,16 +84,16 @@ def kv_traffic_hybrid(b, n, l, r):
 
 def make_profile(preset: str, n_layers: int = 32, hybrid_ratio: float = 0.5,
                  ssm_equiv_tokens: int = DEFAULT_SSM_EQUIV_TOKENS,
-                 c_attn: float = 1.0, c_mlp: float = 1.0) -> CostProfile:
+                 c_mlp: float = 1.0) -> CostProfile:
     """Preset cost shapes for sensitivity sweeps: attention cost linear,
     square-root, or quadratic in batch (always linear in context); the SSM
     state read is attention cost at a fixed equivalent context."""
     if preset == "linear":
-        t_attn = lambda b, l: c_attn * b * l
+        t_attn = lambda b, l: b * l
     elif preset == "sqrt":
-        t_attn = lambda b, l: c_attn * b ** 0.5 * l
+        t_attn = lambda b, l: b ** 0.5 * l
     elif preset == "quadratic":
-        t_attn = lambda b, l: c_attn * b * b * l
+        t_attn = lambda b, l: b * b * l
     else:
         raise ValueError(f"preset must be one of {PRESETS}, got {preset!r}")
     return CostProfile(

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixing import DEFAULT_RANK_TOL, MixingMatrix, _checked_causal, _cut_svds, _max_cut_rank
-from .tensorio import obj_to_tensor, tensor_to_obj
+from .tensorio import obj_to_tensor, tensor_to_obj, write_json
 
 CONVENTION = "past-only-state"
 
@@ -177,16 +177,13 @@ def verify_minimality(r: TimeVaryingRealization, m: MixingMatrix | np.ndarray,
 
 
 def save_realization(path: str, r: TimeVaryingRealization) -> None:
-    obj = {
+    write_json(path, {
         "manifest": {"n": r.n, "T": r.T, "convention": r.convention},
         "a": tensor_to_obj(r.a),
         "b": tensor_to_obj(r.b),
         "c": tensor_to_obj(r.c),
         "d": tensor_to_obj(r.d),
-    }
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True)
-        f.write("\n")
+    })
 
 
 def load_realization(path: str) -> TimeVaryingRealization:

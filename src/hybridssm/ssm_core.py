@@ -242,7 +242,7 @@ class ShermanMorrisonGain:
 def default_spectral_bounds(h: np.ndarray, lam: float) -> tuple[float, float]:
     """[lam, lam + ||H||_F]: the Frobenius norm upper-bounds the spectral
     radius of the PSD information matrix."""
-    return lam, lam + float(np.linalg.norm(h))
+    return lam, lam + kernels.frobenius_norm(h)
 
 
 def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
@@ -254,11 +254,9 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
 
     Both forms run the one recurrence in kernels.chebyshev_dense, a dense H
     as its product H @ p, so they agree bit for bit on the same products.
-    The residual norms square the residual's entries, so they overflow once
-    an entry passes about 1e154 although every iterate is finite; a run
-    whose norms did so is repeated once on q scaled by a power of two near
-    1 / max|q|, which scales every iterate exactly, and its x and norms are
-    scaled back (its products count again in any traffic apply_h records).
+    The residual norms stay finite where only their squares overflow (an
+    entry past about 1e154), by kernels.frobenius_norm's rule, so a solve
+    whose iterates are finite runs once and apply_h counts r products.
     Returns (x_r, residual_history). Raises ValueError on a non-finite lam
     or spectral bound, naming it, and FloatingPointError on a non-finite
     iterate, naming the iteration."""
@@ -276,14 +274,9 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
         raise ValueError(f"invalid spectral interval [{a}, {b}]")
 
     matvec = apply_h.__matmul__ if isinstance(apply_h, np.ndarray) else apply_h
-    with np.errstate(over="ignore"):  # an overflow is named below, or the run repeated
+    with np.errstate(over="ignore"):  # an overflow is named below
         x, hist = kernels.chebyshev_dense(matvec, float(lam), q, r, a, b)
     bad = np.flatnonzero(~np.isfinite(hist))
-    if bad.size and np.isfinite(x).all():
-        e = np.frexp(np.max(np.abs(q)))[1]
-        x, hist = kernels.chebyshev_dense(matvec, float(lam), np.ldexp(q, -e), r, a, b)
-        x, hist = np.ldexp(x, e), np.ldexp(hist, e)
-        bad = np.flatnonzero(~np.isfinite(hist))
     if bad.size or not np.all(np.isfinite(x)):
         idx = int(bad[0]) + 1 if bad.size else r
         raise FloatingPointError(f"Chebyshev iterate non-finite at iteration {idx}")

@@ -45,7 +45,8 @@ def parse_mixer(spec: str | tuple) -> tuple[str, int | None]:
 
 @dataclass(frozen=True)
 class KvCache:
-    """An attention layer's keys (T, d_k), values (T, d_v) and position ids."""
+    """An attention layer's keys (T, d_k), values (T, d_v) and position ids
+    0..T-1: chunked prefill starts every chunk's ids from 0."""
 
     keys: np.ndarray
     values: np.ndarray
@@ -126,7 +127,7 @@ class ToyHybridStack:
     # -- forward -------------------------------------------------------
 
     def _mixer_forward(self, i: int, kind: str, window: int | None, x, params,
-                       pos_offset: int, collect_cache: bool):
+                       collect_cache: bool):
         w = self.weights
         q = x @ w[f"{i}.wq"].T
         k = x @ w[f"{i}.wk"].T
@@ -137,7 +138,7 @@ class ToyHybridStack:
             mix = causal_softmax_rows(q @ k.T, None if kind == "attn" else window)
             y = mix @ v
             if collect_cache:
-                cache = KvCache(keys=k, values=v, pos_ids=np.arange(pos_offset, pos_offset + T))
+                cache = KvCache(keys=k, values=v, pos_ids=np.arange(T))
         else:
             if i in self.fixed_gates:
                 g0, b0 = self.fixed_gates[i]
@@ -164,7 +165,7 @@ class ToyHybridStack:
         return y, ChunkRecord(state=s, a_acc=float(np.prod(gamma.real)))
 
     def forward(self, x: np.ndarray, params: dict | None = None,
-                pos_offset: int = 0, collect_caches: bool = False) -> StackTrace:
+                collect_caches: bool = False) -> StackTrace:
         """Run the stack on x (T, d_model). params overrides named gate
         parameters; a complex x or params (a complex step) stays complex.
         Raises ValueError naming the first row of x that is non-finite."""
@@ -174,7 +175,7 @@ class ToyHybridStack:
         hidden = [x]
         caches = []
         for i, (kind, window) in enumerate(self.mixers):
-            x, cache = self._mixer_forward(i, kind, window, x, params, pos_offset, collect_caches)
+            x, cache = self._mixer_forward(i, kind, window, x, params, collect_caches)
             x = x + np.tanh(x @ self.weights[f"{i}.mlp1"].T) @ self.weights[f"{i}.mlp2"].T
             hidden.append(x)
             if collect_caches:

@@ -35,6 +35,12 @@ def save_tensor(path: str, arr: np.ndarray, extra: dict | None = None) -> None:
             if key in ("shape", "data"):
                 raise ValueError(f"reserved key: {key}")
             obj[key] = val
+    write_json(path, obj)
+
+
+def write_json(path: str, obj: dict) -> None:
+    """The one JSON writer: sorted keys and a closing newline, so equal
+    objects give equal bytes."""
     with open(path, "w") as f:
         json.dump(obj, f, sort_keys=True)
         f.write("\n")

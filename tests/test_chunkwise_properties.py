@@ -6,7 +6,8 @@ record equals the end state and transition of the padded forward
 single-device forward (P2P bit for bit on plans of whole blocks), and
 P2P's batched chunks equal one ``ssm_forward`` per chunk from the
 handed-on state bit for bit; the carry applies Mamba-2's scalar block
-decays with the bits of the dense G_L I; P2P on one extreme row returns finite output or names the row
+decays with the bits of the dense G_L I; P2P, ``ssm_forward`` and
+``usp_forward`` on one extreme row return finite output or name the row
 (ValueError, NonFiniteOutput); PICASO-R over
 Mamba-2, GDN and GKA chunk records does not depend on where the cycle
 starts; the SSD decay matrix is exponentiated only on and below its
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hybridssm.composition import caso_compose, picaso_r, run_chunk, state_deviation
 from hybridssm.kernels import CHUNK, _carry, _ssd_terms, _transposed, _ut_solve, chunk_terms
-from hybridssm.seqpar import MessageBus, p2p_forward, shard
+from hybridssm.seqpar import MessageBus, p2p_forward, shard, usp_forward
 from hybridssm.ssm_core import GateTrack, NonFiniteOutput, SsmKind, ssm_forward
 from oracles import padded_forward, ssm_step
 
@@ -282,6 +283,71 @@ def test_p2p_forward_on_an_extreme_row_is_finite_or_names_the_row(kind, pattern,
             assert str(err) == f"{arg} is non-finite at row {row}"
             return
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(s))
+
+
+def outcome(forward):
+    """forward()'s output, or the type and message of the ValueError or
+    FloatingPointError it raised; any other exception propagates."""
+    try:
+        return forward()
+    except (ValueError, FloatingPointError) as err:
+        return err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None, derandomize=True)  # same inputs every run
+@given(kind=LINEAR_KINDS, pattern=st.sampled_from(["simple", "zigzag"]),
+       n_ranks=st.integers(1, 4), chunk_len=st.integers(1, 2 * CHUNK + 3),
+       d_k=st.integers(1, 6), d_v=st.integers(1, 6), arg=st.sampled_from(["k", "v", "q"]),
+       value=st.sampled_from([1e160, 1e-160, np.nan, np.inf, -np.inf]),
+       where=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+# a row on a block boundary, the last row of a block, and a row past the
+# first block: the rows before it keep their bits and USP equals the forward
+@example(kind=SsmKind.GDN, pattern="simple", n_ranks=2, chunk_len=CHUNK, d_k=3, d_v=2,
+         arg="k", value=1e-160, where=CHUNK, seed=0)
+@example(kind=SsmKind.MAMBA2, pattern="zigzag", n_ranks=2, chunk_len=CHUNK // 2, d_k=3, d_v=2,
+         arg="k", value=1e160, where=CHUNK - 1, seed=1)
+@example(kind=SsmKind.GDN, pattern="simple", n_ranks=3, chunk_len=CHUNK + 1, d_k=4, d_v=3,
+         arg="q", value=1e160, where=CHUNK + 5, seed=2)
+@example(kind=SsmKind.MAMBA2, pattern="simple", n_ranks=1, chunk_len=2 * CHUNK, d_k=2, d_v=4,
+         arg="v", value=1e160, where=CHUNK, seed=3)
+def test_forward_and_usp_on_an_extreme_row_are_finite_or_name_the_row(kind, pattern, n_ranks,
+                                                                      chunk_len, d_k, d_v, arg,
+                                                                      value, where, seed):
+    # one row of k, v or q scaled by value, or set to it if it is NaN or
+    # inf: ssm_forward returns finite output and state whose rows before it
+    # keep the unperturbed forward's bits, or raises ValueError naming the
+    # argument and row, NonFiniteOutput naming a row at or after it, or
+    # FloatingPointError naming the final state; usp_forward over that
+    # forward returns its output bit for bit or raises the same error
+    n_chunks = n_ranks if pattern == "simple" else 2 * n_ranks
+    T = n_chunks * chunk_len
+    rng = np.random.default_rng(seed)
+    k, v, q, gates = layer_inputs(rng, T, d_k, d_v, 1.0, False, 0.5, 0.1)
+    y_clean, _ = ssm_forward(kind, k, v, q, gates)
+    inputs = {"k": k, "v": v, "q": q}
+    row = where % T
+    if np.isfinite(value):
+        inputs[arg][row] *= value
+    else:
+        inputs[arg][row] = value
+    got = outcome(lambda: ssm_forward(kind, **inputs, gates=gates))
+    layer = lambda x: ssm_forward(kind, inputs["k"], x, inputs["q"], gates)[0]
+    usp = outcome(lambda: usp_forward(layer, inputs["v"], shard(T, n_ranks, pattern),
+                                      MessageBus(n_ranks)))
+    if isinstance(got, NonFiniteOutput):
+        assert row <= got.row < T, (got.row, row)
+    elif isinstance(got, ValueError):
+        assert str(got) == f"{arg} is non-finite at row {row}"
+    elif isinstance(got, FloatingPointError):
+        assert str(got) == f"{kind.value} final state is non-finite"
+    else:
+        y, s = got
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(s))
+        assert np.array_equal(y[:row], y_clean[:row])
+        assert np.array_equal(usp, y)
+        return
+    assert (type(usp), str(usp)) == (type(got), str(got))
 
 
 @PROPERTY_SETTINGS

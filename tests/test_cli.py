@@ -158,6 +158,10 @@ class TestRun:
         bundle = run(cfg)
         assert bundle.violations == [], name
         assert bundle.files
+        # the bundle lists exactly the files the run wrote, each once
+        written = sorted(str(p) for p in tmp_path.rglob("*") if p.is_file())
+        assert sorted(bundle.files) == written, name
+        assert len(set(bundle.files)) == len(bundle.files), name
 
 
 class TestMain:

@@ -296,11 +296,21 @@ class TestChebyshev:
             with np.errstate(over="ignore", invalid="ignore"):
                 chebyshev_solve(h, 1.0, q, r=400, spectral_bounds=(1e-300, 2e-300))
 
+    def test_spectral_bounds_of_a_finite_h_past_1e154_are_finite(self):
+        # the sum of squares overflows although H and its norm are finite
+        g = np.random.default_rng(22).standard_normal((4, 4))
+        h = 1e160 * (g @ g.T)
+        lam, upper = default_spectral_bounds(h, 0.5)
+        assert lam == 0.5
+        assert upper == kernels.frobenius_norm(h)
+        assert upper == pytest.approx(1e160 * np.linalg.norm(g @ g.T), rel=1e-15)
+
     @pytest.mark.parametrize("scale", [600, 1000])
     def test_residual_norm_overflow_does_not_fail_a_finite_solve(self, scale):
         # entries of q past 1e154 overflow the residual norms' squares while
-        # every iterate is finite; the rerun on q scaled by a power of two
-        # gives the unscaled run's bits, scaled
+        # every iterate is finite; the norms are then taken by
+        # frobenius_norm's power-of-two rule, so the one run gives the
+        # unscaled run's bits, scaled
         rng = np.random.default_rng(21)
         g = rng.standard_normal((6, 6))
         h = g @ g.T

@@ -356,6 +356,18 @@ class TestDecodeStep:
             assert out.counters.loads == model.tiles_loaded
             assert out.counters.stores == model.tiles_stored
 
+    def test_a_query_past_1e154_keeps_the_modelled_traffic(self):
+        # the residual norms' squares overflow on such a query while every
+        # iterate is finite; the solve still runs its r products once
+        state, rng = self.setup_state(seed=14)
+        k, v, q = rng.standard_normal((3, 8))
+        for var in VARIANTS:
+            out = decode_step(state, k, v, q * 1e160, 0.9, 0.8, var, r=10, b_k=4, b_v=4)
+            model = traffic_model(8, 4, var, 10)
+            assert (out.counters.loads, out.counters.stores) == (model.tiles_loaded,
+                                                                 model.tiles_stored), var
+            assert np.isfinite(out.y).all()
+
     def test_bad_variant_rejected(self):
         state, rng = self.setup_state()
         with pytest.raises(ValueError):
