@@ -67,11 +67,13 @@ def _check_composed(composer: str, *parts):
 
 def _by_part(chunks: Sequence[ChunkRecord], merge, composer: str):
     """merge applied to the records' states, or to their H and their U
-    apart, which then form one GkaInfoState; checked by _check_composed."""
+    apart, which then form one GkaInfoState; checked by _check_composed.
+    merge is a combination with weights >= 0 (the records' decays are), so
+    the pair is built by GkaInfoState._derived, without the spectrum check."""
     if isinstance(chunks[0].state, GkaInfoState):
         h, u = merge([c.state.h for c in chunks]), merge([c.state.u for c in chunks])
         _check_composed(composer, h, u)
-        return GkaInfoState(h=h, u=u)
+        return GkaInfoState._derived(h, u)
     state = merge([c.state for c in chunks])
     _check_composed(composer, state)
     return state
@@ -173,15 +175,18 @@ def picaso_r(chunks: Sequence[ChunkRecord]):
 
 def gka_compose(infos: Sequence[GkaInfoState], mode: str = "sum") -> GkaInfoState:
     """Merge GKA information states: additive fusion ("sum", exact when
-    decay is off) or souping ("soup", each chunk contributes equally)."""
+    decay is off) or souping ("soup", each chunk contributes equally).
+    Either is a combination of GkaInfoStates with weights >= 0, so the
+    result is built by GkaInfoState._derived, without the spectrum check;
+    a sum that overflows still raises ValueError."""
     if not infos:
         raise ValueError("need at least one info state")
     h = sum(i.h for i in infos)
     u = sum(i.u for i in infos)
     if mode == "sum":
-        return GkaInfoState(h=h, u=u)
+        return GkaInfoState._derived(h, u)
     if mode == "soup":
-        return GkaInfoState(h=h / len(infos), u=u / len(infos))
+        return GkaInfoState._derived(h / len(infos), u / len(infos))
     raise ValueError(f"unknown mode: {mode!r}")
 
 

@@ -24,7 +24,11 @@ blocked keys transposed reads a C-contiguous copy (``_transposed``), so
 the chunk GEMMs Q K^T and K K^T are NN products.
 
 The kernels pay only for what the result reads. The decay matrix D is
-exponentiated only on and below its diagonal. A finiteness check tests a
+exponentiated only on and below its diagonal, through the two (L, L)
+triangle masks, which are built once per block length and shared
+read-only (_triangles). The blocked UT solve's first doubling level takes
+no product, since its inverses are 1 x 1 ones, and every later level
+builds only the four strided views it reads. A finiteness check tests a
 whole array first; the row-wise mask that locates the first bad row
 (``first_non_finite_row``, which ``ssm_core``'s checks call, and GDN's
 overflow mask) is built only once that test fails.
@@ -56,6 +60,8 @@ iteration were handed back to the OS when freed and faulted in again,
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,10 +132,21 @@ def _ssd_terms(k, gamma):
     K = _blocks(k, L)
     cs = np.cumsum(np.log(_blocks(gamma, L, fill=1.0)), axis=1)
     D = np.subtract(cs[:, :, None], cs[:, None, :])
-    tri = np.tri(L, dtype=bool)
-    np.exp(D, out=D, where=tri)
-    np.copyto(D, 0.0, where=~tri)
+    lower, upper = _triangles(L)
+    np.exp(D, out=D, where=lower)
+    np.copyto(D, 0.0, where=upper)
     return K, np.exp(cs), D
+
+
+@lru_cache(maxsize=CHUNK)  # one entry per block length L <= CHUNK
+def _triangles(L):
+    """The (L, L) boolean masks of the entries on and below the diagonal
+    and of those above it, built once per block length and read-only,
+    since every caller shares them."""
+    lower = np.tri(L, dtype=bool)
+    upper = ~lower
+    lower.flags.writeable = upper.flags.writeable = False
+    return lower, upper
 
 
 def _transposed(K):
@@ -157,7 +174,8 @@ def _carry(aq, a_end, y0, e, s0, T):
     are the chunks' zero-start outputs and end states (chunk_terms). a_end
     is (C, 1, 1), Mamba-2's scalar decays, which scale S, or (C, d_k, d_k),
     GDN's dense transitions, which multiply it (_transition). s0 is
-    (d_v, d_k), as e_c is.
+    (d_v, d_k), as e_c is. Each chunk's outputs are written straight into
+    its rows of y.
 
     When s0 has rows that are exactly zero, the first chunk multiplies only
     the others: a zero row's products are exactly zero, except where a row
@@ -174,7 +192,7 @@ def _carry(aq, a_end, y0, e, s0, T):
             S = np.zeros_like(S)
             S[live] = s_live
         else:
-            y[c] = aq[c] @ S.T
+            np.matmul(aq[c], S.T, out=y[c])
             S = _transition(S, a_end[c])
         y[c] += y0[c]
         S += e[c]
@@ -202,14 +220,15 @@ def mamba2_scan(k, v, q, gamma, s0):
     return _carry(*_ssd_chunks(k, v, q, gamma), s0, k.shape[0])
 
 
-def _diagonal_quarters(x, s):
-    """Views of the quarters of the diagonal (2s x 2s) blocks of each matrix
-    in x (C, P, P), a C-contiguous array: (upper-left, lower-left,
-    lower-right), each (C, P / 2s, s, s). Writing to a view writes to x."""
+def _quarter(x, s, row, col):
+    """A view of one quarter of the diagonal (2s x 2s) blocks of each matrix
+    in x (C, P, P), a C-contiguous array, as (C, P / 2s, s, s): row and col
+    are 0 or 1, so (1, 0) is the lower-left quarter. Writing to the view
+    writes to x."""
     c, p = x.shape[:2]
     s0, s1, s2 = x.strides
-    shape, strides = (c, p // (2 * s), s, s), (s0, 2 * s * (s1 + s2), s1, s2)
-    return [np.ndarray(shape, x.dtype, x, offset, strides) for offset in (0, s * s1, s * (s1 + s2))]
+    return np.ndarray((c, p // (2 * s), s, s), x.dtype, x, s * (row * s1 + col * s2),
+                      (s0, 2 * s * (s1 + s2), s1, s2))
 
 
 def _ut_solve(n, rhs):
@@ -219,20 +238,26 @@ def _ut_solve(n, rhs):
     The inverse of the unit lower-triangular matrix is built by doubling its
     diagonal blocks, [A 0; B C]^-1 = [A^-1 0; -(C^-1 B) A^-1 C^-1], from 1 x 1
     blocks to one block of L padded to a power of two P with identity rows:
-    log2 P levels of two batched GEMMs, then x is one more GEMM. C^-1 B is
-    formed before the product with A^-1, so a row of a new block reads its
-    own row of C^-1, rows of n and the earlier rows of A^-1: the exact zeros
-    above the diagonal meet later rows of n and rhs only, which the inputs
-    keep finite, and a row that overflows makes no row before it NaN."""
+    log2 P levels, then x is one GEMM. The first level takes no product: its
+    inverses A^-1 and C^-1 are 1 x 1 ones, so its new blocks are -B exactly.
+    Every later level takes two batched GEMMs over strided views of the
+    three quarters of the inverse it reads and of n's lower-left quarter.
+    C^-1 B is formed before the product with A^-1, so a row of a new block
+    reads its own row of C^-1, rows of n and the earlier rows of A^-1: the
+    exact zeros above the diagonal meet later rows of n and rhs only, which
+    the inputs keep finite, and a row that overflows makes no row before it
+    NaN."""
     C, L = n.shape[:2]
     P = 1 << (L - 1).bit_length()
     n = np.pad(n, ((0, 0), (0, P - L), (0, P - L))) if P > L else np.ascontiguousarray(n)
     t = np.zeros((C, P, P), dtype=n.dtype)
     t.reshape(C, P * P)[:, ::P + 1] = 1.0  # the identity: the inverse of every 1 x 1 block
-    s = 1
+    if P > 1:
+        np.negative(_quarter(n, 1, 1, 0), out=_quarter(t, 1, 1, 0))
+    s = 2
     while s < P:
-        a_inv, t_lower, c_inv = _diagonal_quarters(t, s)
-        t_lower[...] = -(c_inv @ _diagonal_quarters(n, s)[1]) @ a_inv
+        t_lower = _quarter(t, s, 1, 0)
+        t_lower[...] = -(_quarter(t, s, 1, 1) @ _quarter(n, s, 1, 0)) @ _quarter(t, s, 0, 0)
         s *= 2
     del n  # a system passed without a name is freed before the last GEMM
     return t[:, :L, :L] @ rhs
@@ -705,11 +730,12 @@ def conv1d_with_left_context(u, w, left):
     left is ((d_conv-1), channels); rows beyond the true history are zero.
     One shifted axpy per filter tap, taps in ascending order, so every
     output accumulates its terms in the same order however the sequence is
-    chunked.
+    chunked. Every tap's product is formed in the same buffer.
     """
     l = u.shape[0]
     x = np.concatenate([left, u])
     y = np.zeros(u.shape)
+    tap = np.empty(u.shape)
     for i in range(w.shape[0]):
-        y += w[i] * x[i:i + l]
+        y += np.multiply(w[i], x[i:i + l], out=tap)
     return y

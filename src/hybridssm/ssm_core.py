@@ -53,15 +53,17 @@ class GkaInfoState:
     The two ways to build one check different things:
 
     - ``GkaInfoState(h=..., u=...)`` is for states from outside the library:
-      user code, the CLI, ``composition``'s decays and sums. It checks the
-      shapes, finiteness, symmetry within SYMMETRY_TOL and, by an O(d^3)
-      ``eigvalsh``, that no eigenvalue of H is below -PSD_TOL.
+      user code and the CLI. It checks the shapes, finiteness, symmetry
+      within SYMMETRY_TOL and, by an O(d^3) ``eigvalsh``, that no
+      eigenvalue of H is below -PSD_TOL.
     - ``GkaInfoState._derived(h, u)`` is for the states the library itself
-      derives from a validated state by H' = gamma H + beta k k^T (the
-      decode step and the GKA forward). It checks the shapes and
-      finiteness only: such an update keeps H symmetric and PSD, so only
-      an overflow can break it, and at d = 256 the spectrum check would
-      cost more than the decode step's maths.
+      derives from validated states: by H' = gamma H + beta k k^T (the
+      decode step, the GKA forward and ``run_chunk``), or as a combination
+      of them with weights >= 0 (``composition``'s decays, sums and soups).
+      It checks the shapes and finiteness only: such an update or
+      combination keeps H symmetric and PSD (within its parts' summed
+      tolerances), so only an overflow can break it, and at d = 256 the
+      spectrum check would cost more than the decode step's maths.
     """
 
     h: np.ndarray
@@ -79,9 +81,10 @@ class GkaInfoState:
     def _derived(cls, h: np.ndarray, u: np.ndarray) -> "GkaInfoState":
         """A state whose H is gamma H_0 + beta k k^T and whose U is
         gamma U_0 + beta v k^T, for a validated state (H_0, U_0) and gamma,
-        beta in [0, 1], or a chain of such updates. Those keep H symmetric
-        and PSD, so only the shapes and finiteness are checked; a non-finite
-        (overflowed) entry still raises."""
+        beta in [0, 1], or a chain of such updates, or the sum of validated
+        states weighted by w_i >= 0. Those keep H symmetric and PSD, so only
+        the shapes and finiteness are checked; a non-finite (overflowed)
+        entry still raises."""
         state = object.__new__(cls)
         state._set_finite(h, u)
         return state
@@ -111,7 +114,9 @@ class ChunkRecord:
     """Final state of one chunk plus its accumulated transition operator.
 
     state: (d_v, d_k) array or GkaInfoState. a_acc: scalar decay product or
-    dense (d_k, d_k) transition product, applied on the state's right.
+    dense (d_k, d_k) transition product, applied on the state's right. A
+    GkaInfoState's decay product must be >= 0, so that composing such
+    records takes weights >= 0 and keeps H PSD.
     """
 
     state: np.ndarray | GkaInfoState
@@ -124,6 +129,8 @@ class ChunkRecord:
                 raise ValueError("dense transition must be a finite matrix")
         elif not np.isfinite(a):
             raise ValueError("transition product must be finite")
+        elif isinstance(self.state, GkaInfoState) and not a >= 0.0:
+            raise ValueError(f"an info state's decay product must be >= 0, got {a}")
 
 
 def check_alpha(alpha: float) -> None:
@@ -439,7 +446,7 @@ def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrac
         return ChunkRecord(state=s, a_acc=a_acc)
     a_acc = float(np.prod(gates.gamma))
     w = np.ones_like(gates.gamma)
-    w[:-1] = np.cumprod(gates.gamma[:0:-1])[::-1]  # w_i = gamma_{i+1} ... gamma_n
+    np.cumprod(gates.gamma[:0:-1], out=w[-2::-1])  # w_i = gamma_{i+1} ... gamma_n
     if kind is SsmKind.GKA:  # H rides along as d_k more value columns
         w, v = w * gates.beta, np.hstack([v, k])
     s = (v * w[:, None]).T @ k

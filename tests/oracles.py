@@ -5,11 +5,14 @@ padded forward, which reads a forward's transitions from d_k zero value
 columns started from the identity; and GKA's solves in the allocating form
 that takes every product, even with a zero state, whose bits the in-place
 kernels keep: the Chebyshev recurrence, the blocks' products with their
-start states, and the Woodbury block with A^-1 = I / lam."""
+start states, and the Woodbury block with A^-1 = I / lam. The UT solve
+and the SSD terms are kept in the form that takes both products at every
+doubling level and builds the triangle masks on every call, whose bits
+the kernels keep as well."""
 
 import numpy as np
 
-from hybridssm.kernels import WOODBURY_TAU, _ut_solve
+from hybridssm.kernels import CHUNK, WOODBURY_TAU, _blocks, _ut_solve
 from hybridssm.ssm_core import SsmKind, ssm_forward
 
 
@@ -98,3 +101,41 @@ def woodbury_with_inverse(h0, k, beta, q, lam):
 
     x = solve(q)
     return x + solve(q - (x @ h0 + lam * x + np.tril(x @ kb.T) @ kb))
+
+
+def _diagonal_quarters(x, s):
+    """Views of the quarters of the diagonal (2s x 2s) blocks of each matrix
+    in x (C, P, P), a C-contiguous array: (upper-left, lower-left,
+    lower-right), each (C, P / 2s, s, s). Writing to a view writes to x."""
+    c, p = x.shape[:2]
+    s0, s1, s2 = x.strides
+    shape, strides = (c, p // (2 * s), s, s), (s0, 2 * s * (s1 + s2), s1, s2)
+    return [np.ndarray(shape, x.dtype, x, offset, strides) for offset in (0, s * s1, s * (s1 + s2))]
+
+
+def ut_solve_every_level(n, rhs):
+    """kernels._ut_solve with both GEMMs taken at every doubling level, the
+    first level's products with its 1 x 1 identity inverses too."""
+    C, L = n.shape[:2]
+    P = 1 << (L - 1).bit_length()
+    n = np.pad(n, ((0, 0), (0, P - L), (0, P - L))) if P > L else np.ascontiguousarray(n)
+    t = np.zeros((C, P, P), dtype=n.dtype)
+    t.reshape(C, P * P)[:, ::P + 1] = 1.0
+    s = 1
+    while s < P:
+        a_inv, t_lower, c_inv = _diagonal_quarters(t, s)
+        t_lower[...] = -(c_inv @ _diagonal_quarters(n, s)[1]) @ a_inv
+        s *= 2
+    return t[:, :L, :L] @ rhs
+
+
+def ssd_terms_fresh_masks(k, gamma):
+    """kernels._ssd_terms with its triangular masks built on every call."""
+    L = max(1, min(CHUNK, k.shape[0]))
+    K = _blocks(k, L)
+    cs = np.cumsum(np.log(_blocks(gamma, L, fill=1.0)), axis=1)
+    D = np.subtract(cs[:, :, None], cs[:, None, :])
+    tri = np.tri(L, dtype=bool)
+    np.exp(D, out=D, where=tri)
+    np.copyto(D, 0.0, where=~tri)
+    return K, np.exp(cs), D

@@ -349,6 +349,46 @@ class TestGkaCompose:
             assert np.isfinite(dev) and dev > 0.0
             assert dev <= np.max(np.abs(infos[0].h)) + np.max(np.abs(infos[0].u))
 
+    @pytest.mark.parametrize("merge", ["sum", "soup", "caso", "picaso"])
+    def test_merges_keep_their_bits_without_the_spectrum_check(self, monkeypatch, merge):
+        # a combination of validated states with weights >= 0 is PSD, so the
+        # merged pair is built by GkaInfoState._derived: no eigvalsh, and
+        # the same H and U as the public constructor would hold
+        rng = np.random.default_rng(14)
+        infos = []
+        for _ in range(3):
+            x = rng.standard_normal((3, 3))
+            infos.append(GkaInfoState(h=x @ x.T, u=rng.standard_normal((2, 3))))
+        records = [ChunkRecord(state=info, a_acc=a) for info, a in zip(infos, (0.9, 0.5, 1.0))]
+        compose = {"sum": lambda: gka_compose(infos, mode="sum"),
+                   "soup": lambda: gka_compose(infos, mode="soup"),
+                   "caso": lambda: caso_compose(records), "picaso": lambda: picaso_r(records)}
+        expected = compose[merge]()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the spectrum check ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        merged = compose[merge]()
+        assert isinstance(merged, GkaInfoState)
+        assert merged.h.tobytes() == expected.h.tobytes()
+        assert merged.u.tobytes() == expected.u.tobytes()
+        monkeypatch.undo()
+        GkaInfoState(h=merged.h, u=merged.u)  # the full public check holds
+
+    def test_a_sum_that_overflows_is_rejected(self):
+        info = GkaInfoState(h=1e308 * np.eye(2), u=np.ones((1, 2)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite info state"):
+                gka_compose([info, info], mode="sum")
+
+    def test_an_info_record_with_a_negative_decay_is_rejected(self):
+        # the composers' weights are products and sums of the decays
+        info = GkaInfoState(h=np.eye(2), u=np.ones((1, 2)))
+        with pytest.raises(ValueError, match="decay product must be >= 0"):
+            ChunkRecord(state=info, a_acc=-0.5)
+        ChunkRecord(state=np.ones((1, 2)), a_acc=-0.5)  # an array state takes any decay
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             gka_compose([])

@@ -13,7 +13,11 @@ TREE = {"tests/shared.py": "flag = False\n",
         "tests/test_b.py": "import shared\n\n\ndef test_reads_the_flag():\n    assert shared.flag\n"}
 
 
-def test_a_file_that_fails_alone_is_named(tmp_path, capsys):
+def test_a_file_that_fails_alone_is_named(tmp_path, capsys, monkeypatch):
+    # the script hands its environment to its pytest processes; the toy
+    # tree needs no plugin, so they skip importing hypothesis' (most of
+    # each process's start-up)
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
     for name, text in TREE.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from hybridssm import kernels as K
 from hybridssm import seqpar
 from hybridssm.ssm_core import GateTrack, ssm_forward
-from oracles import (block_products_full, chebyshev_allocating, padded_forward, ssm_step,
-                     woodbury_with_inverse)
+from oracles import (block_products_full, chebyshev_allocating, padded_forward,
+                     ssd_terms_fresh_masks, ssm_step, ut_solve_every_level, woodbury_with_inverse)
 
 
 def rand_inputs(T=16, d_k=5, d_v=4, seed=0):
@@ -221,6 +221,56 @@ def test_gka_forward_keeps_the_bits_of_the_allocating_solves(T, d_k, d_v, solver
         y_ref, state_ref = ssm_forward("gka", k, v, q, gates, solver=solver, r=12)
     assert np.array_equal(y, y_ref)
     assert np.array_equal(state.h, state_ref.h) and np.array_equal(state.u, state_ref.u)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=st.one_of(st.sampled_from([1, 2, 3, 5, 33, 63, 64]), st.integers(1, K.CHUNK)),
+       C=st.integers(1, 3), width=st.integers(0, 6), complex_=st.booleans(),
+       scale=st.sampled_from([0.1, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+@example(L=64, C=16, width=128, complex_=False, scale=0.1, seed=0)  # a GDN forward's systems
+def test_ut_solve_keeps_the_bits_of_every_level_products(L, C, width, complex_, scale, seed):
+    # the first doubling level's -B against -(C^-1 B) A^-1 with 1 x 1 ones,
+    # over powers of two and lengths padded to one. NaN on and above the
+    # diagonal shows that neither reads the upper triangle
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.standard_normal(shape) + (1j * rng.standard_normal(shape)
+                                                        if complex_ else 0.0)
+    n = scale * draw(C, L, L)
+    n[:, ~np.tri(L, k=-1, dtype=bool)] = np.nan
+    rhs = draw(C, L, width)
+    x = K._ut_solve(n, rhs)
+    x_ref = ut_solve_every_level(n, rhs)
+    assert x.shape == x_ref.shape and x.dtype == x_ref.dtype
+    assert np.array_equal(x, x_ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(T=st.one_of(st.sampled_from([1, 2, 63, 64, 65, 128, 3 * K.CHUNK]),
+                   st.integers(1, 3 * K.CHUNK)),
+       steps=st.lists(st.sampled_from([1e-300, 1e-3, 0.5, 0.9, 1.0]), min_size=1, max_size=4),
+       complex_step=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_ssd_terms_keep_the_bits_of_fresh_masks(T, steps, complex_step, seed):
+    # one to three blocks of L = min(CHUNK, T) tokens; the decays mix steps
+    # whose upper-triangle exp would overflow
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal((T, 3))
+    gamma = rng.choice(steps, T) * rng.uniform(0.5, 1.0, T)
+    if complex_step:
+        gamma = gamma + 1e-20j * gamma * rng.standard_normal(T)
+    for got, ref in zip(K._ssd_terms(k, gamma), ssd_terms_fresh_masks(k, gamma)):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+def test_the_cached_block_masks_are_shared_and_read_only():
+    lower, upper = K._triangles(5)
+    assert K._triangles(5)[0] is lower and K._triangles(5)[1] is upper
+    assert np.array_equal(lower, np.tri(5, dtype=bool)) and np.array_equal(upper, ~lower)
+    for mask in (lower, upper):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = True
+        with pytest.raises(ValueError, match="read-only"):
+            np.logical_not(mask, out=mask)
 
 
 class TestZeroStartRows:
