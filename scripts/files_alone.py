@@ -6,8 +6,9 @@ ROOT (default: the checkout this script lies in) holds tests/test_*.py and,
 where it exists, perfbench/test_perfbench.py. Each file runs in its own
 `python3 -m pytest -q -p no:cacheprovider FILE` process from ROOT, with
 ROOT/src on PYTHONPATH, and then all of them run in one such process. The
-script prints each file's pass count, their sum and the full run's count.
-It exits 1 if a file fails alone, if the full run fails, or if the counts
+script prints each file's pass count and wall seconds, their sums and the
+full run's count and wall seconds, so that a file whose time grows shows
+up. It exits 1 if a file fails alone, if the full run fails, or if the counts
 do not sum to the full run's: a derandomized property whose examples
 depend on which modules were loaded before it shows up as one of these.
 """
@@ -17,6 +18,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -42,6 +44,13 @@ def run_pytest(root, files):
     return done.returncode, int(counts[-1]) if counts else 0
 
 
+def timed(run, *args):
+    """(run(*args), the wall seconds it took)."""
+    start = time.perf_counter()
+    result = run(*args)
+    return result, time.perf_counter() - start
+
+
 def problems(alone, full):
     """One line for each file that failed alone (alone maps a file to its
     (exit code, passed)), for a failed full run, and for per-file counts
@@ -63,13 +72,15 @@ def main(argv=None):
     files = test_files(args.root)
     if not files:
         parser.error(f"no tests/test_*.py under {args.root}")
-    alone = {}
+    alone, seconds = {}, 0.0
     for name in files:
-        alone[name] = run_pytest(args.root, [name])
-        print(f"{name}: {alone[name][1]} passed" + (f", exit {alone[name][0]}" if alone[name][0] else ""))
-    full = run_pytest(args.root, files)
-    print(f"sum of the files alone: {sum(p for _, p in alone.values())} passed; "
-          f"full run: {full[1]} passed")
+        alone[name], secs = timed(run_pytest, args.root, [name])
+        seconds += secs
+        print(f"{name}: {alone[name][1]} passed" + (f", exit {alone[name][0]}" if alone[name][0] else "")
+              + f" in {secs:.2f} s")
+    full, full_secs = timed(run_pytest, args.root, files)
+    print(f"sum of the files alone: {sum(p for _, p in alone.values())} passed in {seconds:.2f} s; "
+          f"full run: {full[1]} passed in {full_secs:.2f} s")
     lines = problems(alone, full)
     for line in lines:
         print(line)

@@ -151,20 +151,21 @@ def picaso_r(chunks: Sequence[ChunkRecord]):
     zero = chunks[0].state * 0.0
 
     # prefix transition products L_s = A^(1..s) and prefix compositions
-    # T_s = caso of the first s chunks
+    # T_s = caso of the first s chunks, for s < K: the total reads no L_K, T_K
     prefix_prod = [eye]
     prefix_caso = [zero]
-    for s in range(1, K + 1):
+    for s in range(1, K):
         prefix_prod.append(prefix_prod[-1] @ chunks[s - 1].a_acc)
         prefix_caso.append(prefix_caso[-1] @ chunks[s - 1].a_acc + chunks[s - 1].state)
 
-    # suffix products R_s = A^(s+1..K) and suffix compositions
-    # W_s = sum_{c>s} S^(c) A^(c+1..K)
+    # suffix products R_s = A^(s+1..K), for s >= 1 (the total reads no R_0),
+    # and suffix compositions W_s = sum_{c>s} S^(c) A^(c+1..K)
     suffix_prod = [eye] * (K + 1)
     suffix_caso = [zero] * (K + 1)
     for s in range(K - 1, -1, -1):
         suffix_caso[s] = chunks[s].state @ suffix_prod[s + 1] + suffix_caso[s + 1]
-        suffix_prod[s] = chunks[s].a_acc @ suffix_prod[s + 1]
+        if s:
+            suffix_prod[s] = chunks[s].a_acc @ suffix_prod[s + 1]
 
     # cyclic order starting at chunk s+1
     total = reduce(np.add, (suffix_caso[s] @ prefix_prod[s] + prefix_caso[s] for s in range(K)))

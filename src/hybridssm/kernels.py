@@ -32,11 +32,15 @@ builds only the four strided views it reads. A finiteness check tests a
 whole array first; the row-wise mask that locates the first bad row
 (``first_non_finite_row``, which ``ssm_core``'s checks call, and GDN's
 overflow mask) is built only once that test fails.
-GKA's Woodbury blocks invert no triangular factor and no zero state: a
-block takes one triangular solve, and one inverse only when it is entered
-from a non-zero state; a block entered from the zero state takes no
-product with it at all. The recurrence-form scan takes one product with Phi
-per token and reads all its outputs in one GEMM after the loop.
+GKA's Woodbury blocks invert no triangular factor, no zero state and no
+A that the block before can hand on: a block takes one triangular solve;
+a block entered from the zero state takes no product with it at all; a
+block after a Woodbury block of the same lam takes its A^-1 from that
+block's factors in one GEMM; so only a block after a per-token one, or
+after one of another lam, takes an inverse. The recurrence-form scan
+takes one product with Phi per token, reads its state once per block of
+tokens, not at every token, and reads all its outputs in one GEMM after
+the loop.
 
 The kernels also keep their working set small. Each chunk-sized term
 takes one buffer, built in place wherever that buffer's dtype holds the
@@ -449,7 +453,7 @@ def chebyshev_dense(matvec, lam, rhs, iters, a, b):
 WOODBURY_TAU = 1e4  # the largest cond(A) and lambda_max(C) a Woodbury block may reach
 
 
-def _woodbury_block(h0, k, beta, q, lam):
+def _woodbury_block(h0, k, beta, q, lam, prev=None):
     """Solve (H_0 + lam I + sum_{i<=t} beta_i k_i k_i^T) x_t = q_t for every
     row t of a block at once, or return None when the guard says the block
     would lose digits.
@@ -461,28 +465,43 @@ def _woodbury_block(h0, k, beta, q, lam):
     Y = R^-1 P, whose row t reads rows <= t of P only, all rows take
     X = Q A^-1 - tril(Q Y^T) Y: two GEMMs. Y comes from one triangular
     solve, (D^-1 R) Y = D^-1 P with D = diag(R), by _ut_solve; R itself is
-    never inverted. A block entered from the zero state (every forward's
-    first) takes A^-1 = I / lam, which is inv(lam I) bit for bit, without an
-    inverse. A row with q_t = 0 gets x_t = 0.
+    never inverted. A row with q_t = 0 gets x_t = 0.
+
+    A^-1 is taken in one of three ways. A block entered from the zero
+    state (every forward's first) scales by 1 / lam, which is
+    inv(lam I) = I / lam bit for bit, and takes no product with H_0. A block
+    handed prev = (A_p^-1, Y_p) by the block before it, whose A_p plus that
+    block's Kb_p^T Kb_p is this block's A, takes
+    A^-1 = A_p^-1 - P_p^T C_p^-1 P_p = A_p^-1 - Y_p^T Y_p (Hager, "Updating
+    the Inverse of a Matrix", 1989): one GEMM and no inverse. Any other
+    block inverts its A. The refinement's residual is formed from H_0
+    itself, so it also corrects the rounding a carried inverse picks up.
 
     The guard: cond(A) <= 1 + ||H_0||_F / lam and lambda_max(C) <= 1 +
     sum_i beta_i k_i^T A^-1 k_i (lambda_min(C) >= 1) must both stay within
     WOODBURY_TAU. Together they imply that no entry of H_0 exceeds TAU lam
     and no entry of Kb exceeds TAU lam^1/2; these are checked first, so no
-    step can overflow."""
+    step can overflow.
+
+    Returns (X, (A^-1, Y)): the solutions and the factors the next block
+    of the same lam takes as prev."""
     kb = k * np.sqrt(beta)[:, None]
     if not (np.max(np.abs(h0), initial=0.0) <= WOODBURY_TAU * lam
             and np.max(np.abs(kb), initial=0.0) <= WOODBURY_TAU * np.sqrt(lam)
             and 1.0 + np.linalg.norm(h0 / lam) <= WOODBURY_TAU):
         return None
     if h0.any():
-        a_inv = np.linalg.inv(h0 + lam * np.eye(h0.shape[0]))
+        if prev is None:
+            a_inv = np.linalg.inv(h0 + lam * np.eye(h0.shape[0]))
+        else:
+            a_inv = prev[0] - prev[1].T @ prev[1]
         times_a_inv = lambda b: b @ a_inv
         times_a = lambda b: b @ h0 + lam * b
     else:
         # b (I / lam) is b (1 / lam) entry by entry: the other terms of the
         # product are exact zeros; b / lam would round differently
         inv_lam = 1.0 / lam
+        a_inv = np.eye(h0.shape[0]) * inv_lam  # handed on only
         times_a_inv = lambda b: b * inv_lam
         times_a = lambda b: lam * b
     p = times_a_inv(kb)
@@ -499,7 +518,7 @@ def _woodbury_block(h0, k, beta, q, lam):
     # the two terms of X can be up to lambda_max(C) times larger than x,
     # and cancel; one step of refinement on the residual
     # q_t - (H_t + lam I) x_t, formed in two GEMMs, wins those digits back
-    return x + solve(q - (times_a(x) + np.tril(x @ kb.T) @ kb))
+    return x + solve(q - (times_a(x) + np.tril(x @ kb.T) @ kb)), (a_inv, y)
 
 
 def _block_products(x, st, m, Kt, W, G, bufs=(None, None, None)):
@@ -538,17 +557,19 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
 
     so U_t is never formed: y_t = G_t U_0 x_t + sum_i W_ti (k_i . x_t) v_i
     for a whole block of rows in two GEMMs. The exact solver takes a whole
-    block by Woodbury (_woodbury_block: one inverse of H_0 + lam I, or for
-    a zero H_0 a scaling by 1 / lam and no product with H_0; one Cholesky,
-    one triangular solve and masked GEMMs)
-    when the block does not decay (gamma = 1),
+    block by Woodbury (_woodbury_block: for a zero H_0 a scaling by 1 / lam
+    and no product with H_0; after a Woodbury block of the same lam, that
+    block's A^-1 updated by its own factor in one GEMM; otherwise one
+    inverse of H_0 + lam I; then one Cholesky, one triangular solve and
+    masked GEMMs) when the block does not decay (gamma = 1),
     every row it solves has the same fixed lam, the system is real and the
     guard on cond(H_0 + lam I) and on the capacitance matrix holds (see
     WOODBURY_TAU). Any other block (decaying gamma, a lam that varies
     within it, the adaptive lam, a complex system, a failed guard) forms
     each token's H_t from the block's H_0 in one GEMM and solves it
-    densely. The Chebyshev solve never forms H_t: H_t p_t = G_t H_0 p_t +
-    sum_i W_ti (k_i . p_t) k_i in two GEMMs per block of rows
+    densely, and the next Woodbury block inverts its own A. The Chebyshev
+    solve never forms H_t: H_t p_t = G_t H_0 p_t + sum_i W_ti (k_i . p_t) k_i
+    in two GEMMs per block of rows
     (_block_products, written into three buffers allocated once), and
     ||H_t||_F^2 expands into G_t^2 ||H_0||^2 + 2 G_t sum_i W_ti k_i^T H_0 k_i
     + sum_ij W_ti W_tj (k_i . k_j)^2 (all terms >= 0, so no cancellation).
@@ -628,15 +649,22 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         else:
             x = np.zeros_like(rhs, dtype=np.result_type(rhs, H0))
             eye = np.eye(d_k)
+            chain = (None, None)  # lam and (A^-1, Y) handed on by a Woodbury block
             for c in range(nb):
                 rows = np.flatnonzero(solve[c])
                 lam_c = lam_s[c, rows]
+                chain_lam, prev = chain
+                chain = (None, None)
                 if (lam is not None and rows.size and lam_c.min() == lam_c.max()
                         and np.all(G[c] == 1.0) and np.isrealobj(x)):
-                    # W[c, -1] is the block's beta when it does not decay
-                    x_c = _woodbury_block(H0[c], K[c], W[c, -1], rhs[c], lam_c[0])
-                    if x_c is not None:
-                        x[c] = x_c
+                    # W[c, -1] is the block's beta when it does not decay,
+                    # so H_0 + lam I plus this block's writes is the next
+                    # block's A
+                    solved = _woodbury_block(H0[c], K[c], W[c, -1], rhs[c], lam_c[0],
+                                             prev if chain_lam == lam_c[0] else None)
+                    if solved is not None:
+                        x[c], factors = solved
+                        chain = (lam_c[0], factors)
                         continue
                 for t in rows:
                     h = G[c, t] * H0[c] + (Kt[c] * W[c, t]) @ K[c]
@@ -696,9 +724,20 @@ def gka_recurrent_scan(k, v, q, beta, lam):
     """GKA state-recurrence form, valid for gamma == 1 and fixed lam.
 
     Maintains Phi_t = (sum_i beta_i k_i k_i^T + lam I)^{-1} incrementally via
-    the Sherman-Morrison identity, computes the gain g_t = beta_t Phi_t k_t,
-    and updates S_t = S_{t-1} (I - k_t g_t^T) + v_t g_t^T, that is
-    S_t = S_{t-1} + e_t g_t^T with the innovation e_t = v_t - S_{t-1} k_t.
+    the Sherman-Morrison identity, one token at a time, computes the gain
+    g_t = beta_t Phi_t k_t, and updates S_t = S_{t-1} (I - k_t g_t^T) + v_t g_t^T,
+    that is S_t = S_{t-1} + e_t g_t^T with the innovation e_t = v_t - S_{t-1} k_t.
+
+    S is formed once per block of CHUNK tokens, not at every token (the
+    intra-/inter-block split of the chunkwise form, Yang et al., NeurIPS
+    2024). Within a block that starts at c0, S_{t-1} is S_{c0} plus the
+    block's own earlier writes, so
+    e_t = (v_t - S_{c0} k_t) - sum_{c0<=i<t} e_i (g_i . k_t): the block-start
+    products S_{c0} k_t take one GEMM for the block (none for the first,
+    whose S is zero), each token then reads the innovations and gains
+    already computed, and S += E_blk^T G_blk folds the block in one GEMM.
+    Nothing is inverted: Phi and every gain keep the bits of the per-token
+    form, and S and the outputs differ from it by rounding only.
     The outputs y_t = S_t q_t = sum_{i<=t} e_i (g_i . q_t) are read after
     the loop from the stored innovations E and gains G, all rows at once:
     Y = tril(Q G^T) E. Returns (y, S, Phi).
@@ -708,11 +747,17 @@ def gka_recurrent_scan(k, v, q, beta, lam):
     S = np.zeros((v.shape[1], d_k))
     e = np.empty((T, v.shape[1]))
     g = np.empty((T, d_k))
-    write = np.empty_like(S)  # each token's e_t g_t^T, formed in one buffer
-    for t in range(T):
-        phi, g[t] = sherman_morrison_downdate(phi, k[t], beta[t])
-        e[t] = v[t] - S @ k[t]
-        S += np.multiply.outer(e[t], g[t], out=write)
+    for c0 in range(0, T, CHUNK):
+        blk = slice(c0, min(c0 + CHUNK, T))
+        if c0:
+            np.subtract(v[blk], k[blk] @ S.T, out=e[blk])
+        else:
+            e[blk] = v[blk]
+        for t in range(blk.start, blk.stop):
+            phi, g[t] = sherman_morrison_downdate(phi, k[t], beta[t])
+            if t > c0:
+                e[t] -= (g[c0:t] @ k[t]) @ e[c0:t]
+        S += e[blk].T @ g[blk]
     return np.tril(q @ g.T) @ e, S, phi
 
 

@@ -231,18 +231,28 @@ class ShermanMorrisonGain:
     """Incremental gain path for the gamma == 1, constant-lam regime:
     maintains Phi = (sum_i beta_i k_i k_i^T + lam I)^{-1} one rank-1
     downdate at a time, in place (self.phi is the gain path's own array).
-    Must agree with the dense-solve path there."""
+    Must agree with the dense-solve path there. Raises ValueError naming
+    lam unless it is positive and finite (lam = inf would make Phi 0), and
+    naming k or beta on a k that is not a finite vector of length d_k or a
+    beta outside [0, 1] (NaN included; a negative beta would turn the
+    downdate into an update)."""
 
     def __init__(self, d_k: int, lam: float):
-        if lam <= 0.0:
-            raise ValueError(f"lam must be > 0, got {lam}")
+        if not 0.0 < lam < np.inf:  # NaN fails both
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         self.lam = float(lam)
         self.phi = np.eye(d_k) / lam
 
     def update(self, k_t: np.ndarray, beta_t: float) -> np.ndarray:
         """Fold in beta_t k_t k_t^T and return the gain g_t = beta_t Phi_t k_t."""
-        self.phi, g = kernels.sherman_morrison_downdate(
-            self.phi, np.asarray(k_t, dtype=np.float64), beta_t)
+        k_t = np.asarray(k_t, dtype=np.float64)
+        if k_t.shape != self.phi.shape[:1]:
+            raise ValueError(f"k must have shape {self.phi.shape[:1]}, got {k_t.shape}")
+        if not np.isfinite(k_t).all():
+            raise ValueError(f"k is non-finite at entry {int(np.argmax(~np.isfinite(k_t)))}")
+        if not 0.0 <= beta_t <= 1.0:  # NaN fails both
+            raise ValueError(f"beta must lie in [0, 1], got {beta_t}")
+        self.phi, g = kernels.sherman_morrison_downdate(self.phi, k_t, beta_t)
         return g
 
 
@@ -466,18 +476,22 @@ def gka_recurrence_equivalence(k: np.ndarray, v: np.ndarray, q: np.ndarray,
     from the Sherman-Morrison recursion (kernels.gka_recurrent_scan), the
     information path runs the blocked (H, U) recursion with its exact solve.
     Raises ValueError for any other gates (the adaptive lam, a decaying
-    gamma or a lam that varies), whose two forms differ.
+    gamma or a lam that varies), whose two forms differ, and on a k, v or
+    q that is mis-shaped or non-finite, naming the argument: the
+    information form runs first, and ssm_forward checks its inputs before
+    the scan reads them.
     """
     if gates.lam is None:
         raise ValueError("equivalence check needs a fixed lam track")
-    lam0 = float(gates.lam[0])
-    if not (np.all(gates.lam == lam0) and np.all(gates.gamma == 1.0)):
+    if not (np.all(gates.lam == gates.lam[:1]) and np.all(gates.gamma == 1.0)):
         raise ValueError("the two GKA forms agree only for gamma == 1 and one fixed lam")
     k = np.ascontiguousarray(k, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
-    y_rec, _, _ = kernels.gka_recurrent_scan(k, v, q, gates.beta, lam0)
     y_info, _ = ssm_forward(SsmKind.GKA, k, v, q, gates)
+    if gates.T == 0:
+        return 0.0  # no outputs, so no gap
+    y_rec, _, _ = kernels.gka_recurrent_scan(k, v, q, gates.beta, float(gates.lam[0]))
     return float(np.max(np.abs(y_rec - y_info)))
 
 

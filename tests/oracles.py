@@ -7,12 +7,18 @@ that takes every product, even with a zero state, whose bits the in-place
 kernels keep: the Chebyshev recurrence, the blocks' products with their
 start states, and the Woodbury block with A^-1 = I / lam. The UT solve
 and the SSD terms are kept in the form that takes both products at every
-doubling level and builds the triangle masks on every call, whose bits
-the kernels keep as well."""
+doubling level and builds the triangle masks on every call, and PICASO-R
+over dense transitions in the form that also takes the three products
+its total never reads; the kernels and the composer keep their bits.
+Two forms are kept that the kernels match to rounding only: the
+recurrence-form GKA scan that updates S at every token, and the Woodbury
+block that inverts its own A instead of taking it from the block before."""
+
+from functools import reduce
 
 import numpy as np
 
-from hybridssm.kernels import CHUNK, WOODBURY_TAU, _blocks, _ut_solve
+from hybridssm.kernels import CHUNK, WOODBURY_TAU, _blocks, _ut_solve, sherman_morrison_downdate
 from hybridssm.ssm_core import SsmKind, ssm_forward
 
 
@@ -79,16 +85,22 @@ def block_products_full(x, st, m, Kt, W, G, bufs=None):
     return G * (x @ st) + ((x @ Kt) * W) @ m
 
 
-def woodbury_with_inverse(h0, k, beta, q, lam):
+def woodbury_with_inverse(h0, k, beta, q, lam, prev=None):
     """kernels._woodbury_block with A^-1 = I / lam formed for a zero state and
-    multiplied as a matrix, and H_0 x in the refinement residual."""
+    multiplied as a matrix, and H_0 x in the refinement residual; a block
+    handed prev takes A^-1 from it as the kernel does."""
     kb = k * np.sqrt(beta)[:, None]
     if not (np.max(np.abs(h0), initial=0.0) <= WOODBURY_TAU * lam
             and np.max(np.abs(kb), initial=0.0) <= WOODBURY_TAU * np.sqrt(lam)
             and 1.0 + np.linalg.norm(h0 / lam) <= WOODBURY_TAU):
         return None
     eye = np.eye(h0.shape[0])
-    a_inv = np.linalg.inv(h0 + lam * eye) if h0.any() else eye / lam
+    if not h0.any():
+        a_inv = eye / lam
+    elif prev is None:
+        a_inv = np.linalg.inv(h0 + lam * eye)
+    else:
+        a_inv = prev[0] - prev[1].T @ prev[1]
     p = kb @ a_inv
     if not 1.0 + np.sum(p * kb) <= WOODBURY_TAU:
         return None
@@ -100,7 +112,50 @@ def woodbury_with_inverse(h0, k, beta, q, lam):
         return b @ a_inv - np.tril(b @ y.T) @ y
 
     x = solve(q)
-    return x + solve(q - (x @ h0 + lam * x + np.tril(x @ kb.T) @ kb))
+    return x + solve(q - (x @ h0 + lam * x + np.tril(x @ kb.T) @ kb)), (a_inv, y)
+
+
+def woodbury_per_block_inverse(h0, k, beta, q, lam, prev=None):
+    """kernels._woodbury_block with prev ignored: every block entered from a
+    non-zero state inverts its own A = H_0 + lam I."""
+    return woodbury_with_inverse(h0, k, beta, q, lam)
+
+
+def recurrent_scan_per_token(k, v, q, beta, lam):
+    """kernels.gka_recurrent_scan with S updated at every token,
+    S_t = S_{t-1} + e_t g_t^T with e_t = v_t - S_{t-1} k_t."""
+    T, d_k = k.shape
+    phi = np.eye(d_k) / lam
+    S = np.zeros((v.shape[1], d_k))
+    e = np.empty((T, v.shape[1]))
+    g = np.empty((T, d_k))
+    write = np.empty_like(S)
+    for t in range(T):
+        phi, g[t] = sherman_morrison_downdate(phi, k[t], beta[t])
+        e[t] = v[t] - S @ k[t]
+        S += np.multiply.outer(e[t], g[t], out=write)
+    return np.tril(q @ g.T) @ e, S, phi
+
+
+def picaso_r_every_product(chunks):
+    """composition.picaso_r over dense transitions, with the prefix loop run
+    to K and the suffix product R_0 taken, which the total never reads."""
+    K = len(chunks)
+    eye = np.eye(chunks[0].a_acc.shape[0])
+    zero = chunks[0].state * 0.0
+    prefix_prod = [eye]
+    prefix_caso = [zero]
+    for s in range(1, K + 1):
+        prefix_prod.append(prefix_prod[-1] @ chunks[s - 1].a_acc)
+        prefix_caso.append(prefix_caso[-1] @ chunks[s - 1].a_acc + chunks[s - 1].state)
+    suffix_prod = [eye] * (K + 1)
+    suffix_caso = [zero] * (K + 1)
+    for s in range(K - 1, -1, -1):
+        suffix_caso[s] = chunks[s].state @ suffix_prod[s + 1] + suffix_caso[s + 1]
+        suffix_prod[s] = chunks[s].a_acc @ suffix_prod[s + 1]
+    total = reduce(np.add, (suffix_caso[s] @ prefix_prod[s] + prefix_caso[s] for s in range(K)))
+    total *= 1.0 / K
+    return total
 
 
 def _diagonal_quarters(x, s):

@@ -18,6 +18,7 @@ from hybridssm.composition import (
 )
 from hybridssm.ssm_core import GateTrack, GkaInfoState, SsmKind, ssm_forward
 from hybridssm.stack import ToyHybridStack
+from oracles import picaso_r_every_product
 
 
 def split_gates(gates, chunk_len):
@@ -217,6 +218,20 @@ def test_scalar_weighted_sums_equal_the_cyclic_enumeration(decays, info, d_k, d_
         got = (got.h, got.u) if info else (got,)
         for g, r in zip(got, ref):
             assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(K=st.integers(2, 8), d_k=st.integers(1, 6), d_v=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(K=8, d_k=64, d_v=64, seed=0)
+def test_dense_picaso_r_keeps_the_bits_of_every_product(K, d_k, d_v, seed):
+    # the prefix loop stops at K - 1 and the suffix loop skips R_0, the
+    # three products the total never reads
+    rng = np.random.default_rng(seed)
+    records = [ChunkRecord(state=rng.standard_normal((d_v, d_k)),
+                           a_acc=rng.standard_normal((d_k, d_k)) / np.sqrt(d_k))
+               for _ in range(K)]
+    assert np.array_equal(picaso_r(records), picaso_r_every_product(records))
 
 
 class TestOverflow:

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -24,11 +25,16 @@ def test_a_file_that_fails_alone_is_named(tmp_path, capsys, monkeypatch):
     assert files_alone.test_files(tmp_path) == ["tests/test_a.py", "tests/test_b.py"]
     assert files_alone.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out == ["tests/test_a.py: 2 passed",
-                   "tests/test_b.py: 0 passed, exit 1",
-                   "sum of the files alone: 2 passed; full run: 3 passed",
-                   "fails alone: tests/test_b.py (exit 1)",
-                   "the files alone pass 2 tests, the full run 3"]
+    # every count as before; the wall seconds vary, so they match a pattern
+    secs = r"in \d+\.\d\d s"
+    expected = [rf"tests/test_a\.py: 2 passed {secs}",
+                rf"tests/test_b\.py: 0 passed, exit 1 {secs}",
+                rf"sum of the files alone: 2 passed {secs}; full run: 3 passed {secs}",
+                r"fails alone: tests/test_b\.py \(exit 1\)",
+                r"the files alone pass 2 tests, the full run 3"]
+    assert len(out) == len(expected)
+    for line, pattern in zip(out, expected):
+        assert re.fullmatch(pattern, line), line
 
 
 def test_counts_that_sum_to_the_full_run_pass():

@@ -11,7 +11,8 @@ from hybridssm import kernels as K
 from hybridssm import seqpar
 from hybridssm.ssm_core import GateTrack, ssm_forward
 from oracles import (block_products_full, chebyshev_allocating, padded_forward,
-                     ssd_terms_fresh_masks, ssm_step, ut_solve_every_level, woodbury_with_inverse)
+                     recurrent_scan_per_token, ssd_terms_fresh_masks, ssm_step,
+                     ut_solve_every_level, woodbury_per_block_inverse, woodbury_with_inverse)
 
 
 def rand_inputs(T=16, d_k=5, d_v=4, seed=0):
@@ -162,22 +163,36 @@ def test_chebyshev_in_place_keeps_the_allocating_bits(d, batch, iters, per_row, 
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(L=st.integers(1, 64), d=st.integers(1, 8), zero=st.booleans(),
+@given(L=st.integers(1, 64), d=st.integers(1, 8), zero=st.booleans(), chained=st.booleans(),
        lam=st.sampled_from([0.05, 0.3, 0.5, 0.7, 2.0]), seed=st.integers(0, 2**32 - 1))
-@example(L=64, d=64, zero=True, lam=0.5, seed=0)  # prefill_gka's first block
-@example(L=64, d=8, zero=True, lam=0.3, seed=1)
-def test_woodbury_on_a_zero_state_keeps_the_bits_of_the_inverse(L, d, zero, lam, seed):
-    # a zero H_0 scales by 1 / lam and drops H_0 x; a non-zero one inverts.
+@example(L=64, d=64, zero=True, chained=False, lam=0.5, seed=0)  # prefill_gka's first block
+@example(L=64, d=64, zero=True, chained=True, lam=0.5, seed=0)  # and its second
+@example(L=64, d=8, zero=True, chained=False, lam=0.3, seed=1)
+def test_woodbury_on_a_zero_state_keeps_the_bits_of_the_inverse(L, d, zero, chained, lam, seed):
+    # a zero H_0 scales by 1 / lam and drops H_0 x; a non-zero one inverts,
+    # or, chained, takes A^-1 from the (A^-1, Y) the block before handed on,
+    # whose writes it adds to H_0. Every block hands on its A^-1 as a matrix.
     # lam 0.5 and 2.0 are powers of two, which b / lam would also match
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d))
     h0 = np.zeros((d, d)) if zero else g @ g.T / d
-    k, q = rng.standard_normal((L, d)), rng.standard_normal((L, d))
-    beta = rng.uniform(0.0, 1.0, L)
-    x = K._woodbury_block(h0, k, beta, q, lam)
-    x_ref = woodbury_with_inverse(h0, k, beta, q, lam)
-    assert (x is None) == (x_ref is None)
-    assert x is None or np.array_equal(x, x_ref)
+    draw = lambda: (rng.standard_normal((L, d)), rng.standard_normal((L, d)),
+                    rng.uniform(0.0, 1.0, L))
+    k, q, beta = draw()
+    prev = None
+    if chained:
+        before = K._woodbury_block(h0, k, beta, q, lam)
+        if before is not None:
+            prev = before[1]
+            h0 = h0 + (k.T * beta) @ k
+            k, q, beta = draw()
+    got = K._woodbury_block(h0, k, beta, q, lam, prev)
+    ref = woodbury_with_inverse(h0, k, beta, q, lam, prev)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        (x, (a_inv, y)), (x_ref, (a_inv_ref, y_ref)) = got, ref
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(a_inv, a_inv_ref) and np.array_equal(y, y_ref)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -221,6 +236,50 @@ def test_gka_forward_keeps_the_bits_of_the_allocating_solves(T, d_k, d_v, solver
         y_ref, state_ref = ssm_forward("gka", k, v, q, gates, solver=solver, r=12)
     assert np.array_equal(y, y_ref)
     assert np.array_equal(state.h, state_ref.h) and np.array_equal(state.u, state_ref.u)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(T=st.one_of(st.sampled_from([65, 128, 4 * K.CHUNK + 1]), st.integers(65, 300)),
+       d_k=st.integers(1, 64), d_v=st.integers(1, 6), lam=st.sampled_from([0.1, 0.5, 2.0]),
+       key_norm=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(T=128, d_k=64, d_v=64, lam=0.5, key_norm=8.0, seed=0)  # prefill_gka's exact forward
+def test_chained_woodbury_matches_the_per_block_inverse(T, d_k, d_v, lam, key_norm, seed):
+    # a Woodbury block after another of the same lam takes A^-1 from it
+    # instead of inverting H_0 + lam I; the forward that inverts every
+    # block's own A differs by rounding only, and the states not at all
+    rng = np.random.default_rng(seed)
+    k = key_norm * rng.standard_normal((T, d_k)) / np.sqrt(d_k)
+    v, q = rng.standard_normal((T, d_v)), rng.standard_normal((T, d_k))
+    gates = GateTrack(np.ones(T), rng.uniform(0.1, 0.9, T), np.full(T, lam))
+    y, state = ssm_forward("gka", k, v, q, gates)
+    with mock.patch.object(K, "_woodbury_block", woodbury_per_block_inverse):
+        y_ref, state_ref = ssm_forward("gka", k, v, q, gates)
+    assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+    assert np.array_equal(state.h, state_ref.h) and np.array_equal(state.u, state_ref.u)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(T=st.one_of(st.sampled_from([1, 63, 64, 65, 129, 4 * K.CHUNK + 1]), st.integers(1, 300)),
+       d_k=st.integers(1, 64), d_v=st.integers(1, 8), key_norm=st.floats(0.1, 32.0),
+       lam=st.floats(0.1, 3.0), filtered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(T=128, d_k=64, d_v=64, key_norm=8.0, lam=0.5, filtered=False, seed=0)  # prefill_gka's
+def test_recurrent_scan_folds_its_state_per_block_within_rounding(T, d_k, d_v, key_norm, lam,
+                                                                  filtered, seed):
+    # S folded once per block of CHUNK tokens against S updated at every
+    # token: the same downdates give Phi bit for bit, and S and the outputs
+    # move by rounding only
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal((T, d_k))
+    k *= rng.uniform(0.0, key_norm, (T, 1)) / np.linalg.norm(k, axis=1, keepdims=True)
+    v, q = rng.standard_normal((T, d_v)), rng.standard_normal((T, d_k))
+    beta = rng.uniform(0.0, 1.0, T)
+    if filtered:
+        beta[rng.uniform(size=T) < 0.5] = 0.0
+    y, s, phi = K.gka_recurrent_scan(k, v, q, beta, lam)
+    y_ref, s_ref, phi_ref = recurrent_scan_per_token(k, v, q, beta, lam)
+    assert np.array_equal(phi, phi_ref)
+    assert np.linalg.norm(s - s_ref) <= 1e-12 * np.linalg.norm(s_ref)
+    assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -192,6 +192,30 @@ class TestGkaGain:
         with pytest.raises(ValueError):
             ShermanMorrisonGain(2, -1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_sherman_morrison_gain_names_a_lam_that_is_not_positive_and_finite(self, lam):
+        # NaN passed lam <= 0, and lam = inf gave Phi = 0
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            ShermanMorrisonGain(2, lam)
+
+    @pytest.mark.parametrize("k, beta, match", [
+        (np.array([1.0, np.nan]), 0.5, "k is non-finite"),
+        (np.array([1.0, np.inf]), 0.5, "k is non-finite"),
+        (np.ones(3), 0.5, r"k must have shape \(2,\)"),
+        (np.ones((2, 1)), 0.5, r"k must have shape \(2,\)"),
+        (np.ones(2), np.nan, r"beta must lie in \[0, 1\]"),
+        (np.ones(2), -0.5, r"beta must lie in \[0, 1\]"),
+        (np.ones(2), 1.5, r"beta must lie in \[0, 1\]"),
+    ])
+    def test_sherman_morrison_gain_names_a_bad_k_or_beta(self, k, beta, match):
+        # each was accepted (a NaN Phi, or an update where beta < 0 turns
+        # the downdate around) or raised numpy's matmul message; Phi is
+        # left as it was
+        sm = ShermanMorrisonGain(2, 0.5)
+        with pytest.raises(ValueError, match=match):
+            sm.update(k, beta)
+        np.testing.assert_array_equal(sm.phi, np.eye(2) / 0.5)
+
 
 class TestChebyshev:
     def test_point_spectrum_exact_in_one_iteration(self):
@@ -392,11 +416,38 @@ class TestRecurrenceEquivalence:
             with pytest.raises(ValueError, match="gamma == 1 and one fixed lam"):
                 gka_recurrence_equivalence(k, v, q, gates)
 
+    def test_no_tokens_give_no_gap(self):
+        # the lam track's first entry raised IndexError
+        gates = GateTrack(gamma=np.ones(0), beta=np.ones(0), lam=np.ones(0))
+        assert gka_recurrence_equivalence(np.zeros((0, 3)), np.zeros((0, 2)),
+                                          np.zeros((0, 3)), gates) == 0.0
+
     def test_requires_fixed_lam_track(self):
         k, v, q = rand_kvq(3, 2, 2, seed=12)
         gates = GateTrack(gamma=np.ones(3), beta=np.ones(3))
         with pytest.raises(ValueError):
             gka_recurrence_equivalence(k, v, q, gates)
+
+    @pytest.mark.parametrize("arg, bad, match", [
+        ("v", lambda v: v[:-1], "v must be 2-D with one row per gate step"),
+        ("q", lambda q: q[:, :-1], r"q shape \(8, 2\) != k shape \(8, 3\)"),
+        ("k", lambda k: k[:, 0], "k must be 2-D with one row per gate step"),
+        ("k", lambda k: np.where(np.arange(8)[:, None] == 5, np.nan, k), "k is non-finite at row 5"),
+        ("v", lambda v: np.where(np.arange(8)[:, None] == 2, np.inf, v), "v is non-finite at row 2"),
+        ("q", lambda q: np.where(np.arange(8)[:, None] == 7, -np.inf, q), "q is non-finite at row 7"),
+    ])
+    def test_names_a_mis_shaped_or_non_finite_input_before_the_scan(self, monkeypatch, arg, bad,
+                                                                     match):
+        # the scan raised IndexError for a short v, numpy's matmul message
+        # for a narrow q and an unpacking error for a 1-D k
+        T = 8
+        k, v, q = rand_kvq(T, 3, 2, seed=13)
+        inputs = {"k": k, "v": v, "q": q}
+        inputs[arg] = bad(inputs[arg])
+        monkeypatch.setattr(kernels, "gka_recurrent_scan", lambda *args: pytest.fail("ran"))
+        gates = GateTrack(gamma=np.ones(T), beta=np.full(T, 0.5), lam=np.full(T, 0.5))
+        with pytest.raises(ValueError, match=match):
+            gka_recurrence_equivalence(gates=gates, **inputs)
 
 
 class TestIoMatrixProbe:
@@ -784,9 +835,9 @@ class TestForwardAndGates:
 
     def test_gka_exact_forward_inverts_only_a_nonzero_block_entry(self, monkeypatch):
         # on the prefill_gka benchmark's inputs both blocks are Woodbury's:
-        # the first enters from the zero state and takes A^-1 = I / lam,
-        # neither inverts its Cholesky factor, so the one inverse is the
-        # second block's A = H_0 + lam I
+        # the first enters from the zero state and takes A^-1 = I / lam, the
+        # second takes A^-1 from the first, and neither inverts its
+        # Cholesky factor, so nothing is inverted at all
         inverted = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.copy()) or inv(a))
@@ -794,16 +845,42 @@ class TestForwardAndGates:
         rng = np.random.default_rng(40)
         k, v, q = (rng.standard_normal((T, d)) for _ in range(3))
         beta = rng.uniform(0.1, 0.9, T)
-        _, state = ssm_forward(SsmKind.GKA, k[:64], v[:64], q[:64],
-                               GateTrack(np.ones(64), beta[:64], np.full(64, 0.5)))
-        inverted.clear()
         ssm_forward(SsmKind.GKA, k, v, q, GateTrack(np.ones(T), beta, np.full(T, 0.5)))
-        assert len(inverted) == 1
-        np.testing.assert_array_equal(inverted[0], state.h + 0.5 * np.eye(d))
+        assert inverted == []
         # inv(lam I) is I / lam bit for bit, which the zero-state block relies on
         for n in (1, 5, 64):
             for lam in (1e-6, 0.5, 3.0, 1e4):
                 np.testing.assert_array_equal(inv(lam * np.eye(n)), np.eye(n) / lam)
+
+    @pytest.mark.parametrize("leaves", ["lam", "decay"])
+    def test_gka_woodbury_chain_resets_after_a_block_that_leaves_it(self, monkeypatch, leaves):
+        # the middle block of three has another lam (Woodbury, which inverts
+        # its own A) or decays (the per-token dense solve): either way the
+        # last block may not take A^-1 from it and inverts exactly its own A
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.copy()) or inv(a))
+        T, d = 3 * kernels.CHUNK, 16
+        rng = np.random.default_rng(44)
+        k, v, q = (rng.standard_normal((T, d)) for _ in range(3))
+        beta = rng.uniform(0.1, 0.9, T)
+        gamma, lam = np.ones(T), np.full(T, 0.5)
+        middle = slice(kernels.CHUNK, 2 * kernels.CHUNK)
+        if leaves == "lam":
+            lam[middle] = 0.6
+        else:
+            gamma[middle] = 0.999
+        entries = [ssm_forward(SsmKind.GKA, k[:n], v[:n], q[:n],
+                               GateTrack(gamma[:n], beta[:n], lam[:n]))[1].h
+                   for n in (kernels.CHUNK, 2 * kernels.CHUNK)]
+        inverted.clear()
+        ssm_forward(SsmKind.GKA, k, v, q, GateTrack(gamma, beta, lam))
+        own = [entries[1] + 0.5 * np.eye(d)]
+        if leaves == "lam":
+            own.insert(0, entries[0] + 0.6 * np.eye(d))
+        assert len(inverted) == len(own)
+        for a, a_ref in zip(inverted, own):
+            np.testing.assert_array_equal(a, a_ref)
 
     def test_gka_exact_complex_step_matches_woodbury_differences(self):
         # the complex step runs the dense solve, the real forward Woodbury in
