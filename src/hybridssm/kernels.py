@@ -85,6 +85,14 @@ def first_non_finite_row(x):
     return int(np.argmax(~np.isfinite(x).all(axis=tuple(range(1, x.ndim)))))
 
 
+def check_finite_entries(x):
+    """Raise ValueError naming the (row, col) of the first non-finite entry
+    of the 2-D x, if it has one."""
+    if not np.isfinite(x).all():
+        bad = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"non-finite entry at (row, col) = {tuple(int(i) for i in bad)}")
+
+
 def frobenius_norm(a):
     """||a||_F as a float, also where only the sum of squares overflows:
     np.linalg.norm squares the entries, so it reads inf once an entry

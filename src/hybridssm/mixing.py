@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
+
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -162,9 +164,7 @@ def _checked_causal(m: MixingMatrix | np.ndarray, rank_tol: float) -> np.ndarray
     mat = m.m if isinstance(m, MixingMatrix) else np.asarray(m, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"need a square matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        bad = np.argwhere(~np.isfinite(mat))[0]
-        raise ValueError(f"non-finite entry at (row, col) = {tuple(int(i) for i in bad)}")
+    kernels.check_finite_entries(mat)
     upper = np.triu(mat, k=1)
     if upper.any():
         bad = np.argwhere(upper)[0]

@@ -316,22 +316,17 @@ def stage1_align(teacher: ToyHybridStack, hybrid: ToyHybridStack,
     teacher_traces = [teacher.forward(x) for x in inputs]
     history = []
 
-    def total_loss(ps):
-        return sum(float(ad.value(alignment_loss(mode, hybrid.forward(x, params=ps), tt)))
-                   for x, tt in zip(inputs, teacher_traces))
+    def loss(ps):
+        total = 0.0
+        for x, tt in zip(inputs, teacher_traces):
+            total = total + alignment_loss(mode, hybrid.forward(x, params=ps), tt)
+        return total
 
     for _ in range(steps):
-        history.append(total_loss(params))
+        history.append(float(ad.value(loss(params))))
         for name in names:
-            def f(p, _name=name):
-                ps = dict(params)
-                ps[_name] = p
-                loss = 0.0
-                for x, tt in zip(inputs, teacher_traces):
-                    loss = loss + alignment_loss(mode, hybrid.forward(x, params=ps), tt)
-                return loss
-            grad = ad.gradient(f, params[name])
+            grad = ad.gradient(lambda p, _name=name: loss({**params, _name: p}), params[name])
             params[name] = params[name] - lr * grad
-    history.append(total_loss(params))
+    history.append(float(ad.value(loss(params))))
     hybrid.params.update(params)
     return history

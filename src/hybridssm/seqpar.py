@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .ssm_core import (GateTrack, NonFiniteOutput, SsmKind, _as_kind, _check_layer_shapes,
-                       _finite_output, _require_finite, ssm_forward)
+from .ssm_core import (GateTrack, NonFiniteOutput, SsmKind, _as_kind, _finite_output,
+                       _layer_inputs, _require_finite, _require_real, ssm_forward)
 
 DEFAULT_ELEM_BYTES = 2  # BF16 accounting; simulation arithmetic stays float64
 
@@ -164,14 +164,19 @@ def conv1d_sp(u: np.ndarray, w: np.ndarray, plan: ShardPlan,
     """Sharded causal conv1d: each chunk receives the previous chunk's last
     d_conv - 1 tokens and computes locally; the first chunk left-pads with
     zeros. The concatenated output equals the single-device convolution
-    exactly (identical accumulation order per output)."""
+    exactly (identical accumulation order per output). Raises ValueError
+    naming a complex u or w (the conv is real-only) and a non-finite u row
+    or w tap."""
+    _require_real("the causal conv", u=u, w=w)
     u = np.ascontiguousarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != plan.length:
-        raise ValueError(f"input must be (length, channels) with length {plan.length}")
+        raise ValueError(f"u must be (length, channels) with length {plan.length}, "
+                         f"got shape {u.shape}")
     w = np.ascontiguousarray(w, dtype=np.float64)
     d_conv = w.shape[0]
     if d_conv < 1:
         raise ValueError("d_conv must be >= 1")
+    _require_finite(u=u, w=w)
     halo = d_conv - 1
     y = np.zeros_like(u)
     channels = u.shape[1]
@@ -229,27 +234,24 @@ def p2p_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
 
     Returns (y, final state). Raises ValueError for kinds without a linear
     readout (GKA reads through a matrix solve over the whole key history),
-    for shapes that do not match the plan and the gates, and for a
-    non-finite k, v or q, naming its sequence row; FloatingPointError
-    (NonFiniteOutput) naming the first non-finite output row of the
-    sequence."""
+    for shapes that do not match the gates (ssm_core._layer_inputs) or the
+    plan, and for a non-finite k, v or q, naming its sequence row;
+    FloatingPointError (NonFiniteOutput) naming the first non-finite output
+    row of the sequence. Complex inputs (a complex-step derivative) stay
+    complex128, as in ssm_forward."""
     kind = _as_kind(kind)
     if kind is SsmKind.GKA:
         raise ValueError("p2p_forward needs a linear readout; GKA's solve-based "
                          "readout is served by usp_forward instead")
-    k = np.ascontiguousarray(k, dtype=np.float64)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    q = np.ascontiguousarray(q, dtype=np.float64)
+    k, v, q = _layer_inputs(gates, k=k, v=v, q=q)  # name a sequence row, not a chunk row
     if k.shape[0] != plan.length:
         raise ValueError(f"sequence length {k.shape[0]} != plan length {plan.length}")
-    _check_layer_shapes(k, v, q, gates)
-    _require_finite(k=k, v=v, q=q)  # name a sequence row, not a chunk row
     d_v, d_k = v.shape[1], k.shape[1]
     batched = min(np.diff(plan.bounds)) >= kernels.CHUNK
     if batched:
         padded, first = _padded_to_blocks(plan, k, v, q, gates)
         terms = kernels.chunk_terms(kind.value, *padded)
-    y = np.zeros((plan.length, d_v))
+    y = np.zeros((plan.length, d_v), dtype=np.result_type(k, v, q, gates.gamma, gates.beta))
     state = np.zeros((d_v, d_k))
     state_bytes = d_v * d_k * elem_bytes
     for c in range(plan.n_chunks):

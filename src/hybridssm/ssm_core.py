@@ -18,6 +18,20 @@ solving (H_t + lam_t I) x = q_t, either densely or with Chebyshev iteration
 GDN's erase factor (I - beta k k^T) is a contraction only for ||k|| <= 1;
 long-horizon runs should feed unit-normalized keys, as the production
 layers these recurrences model do.
+
+Every entry point reads its inputs through one contract. A sequence
+(``ssm_forward``, ``run_chunk``, ``seqpar.p2p_forward``,
+``gka_recurrence_equivalence``) goes through ``_layer_inputs``: each array
+is cast to float64, or kept complex128 if it is complex, must be 2-D with
+one row per gate step (q shaped like k), and must be finite; a bad one
+raises ValueError naming it and, for a non-finite entry, its first bad
+row. A single step (``gka_info_update``, ``gka_gain``,
+``ShermanMorrisonGain.update``, ``chebyshev_solve``'s q and
+``tiled_decode.decode_step``) reads each vector through ``_step_vector``
+(the same cast, the length asked for, finite) and each gate through
+``_step_gate`` (a real number in [0, 1]; NaN fails). A complex input
+keeps its dtype wherever the kernel carries it, and a form that is
+real-only names it (``_require_real``).
 """
 
 from __future__ import annotations
@@ -204,26 +218,22 @@ def gka_info_update(info: GkaInfoState, k_t: np.ndarray, v_t: np.ndarray,
     kernels.decayed_rank_one as one strip of all its rows, the decode
     step's write with a single tile. beta = 0 leaves the state untouched
     (the token is filtered out); beta = 1 recovers the original un-gated
-    update."""
-    if not 0.0 <= gamma_t <= 1.0:
-        raise ValueError(f"gamma out of [0, 1]: {gamma_t}")
-    if not 0.0 <= beta_t <= 1.0:
-        raise ValueError(f"beta out of [0, 1]: {beta_t}")
-    k_t = np.asarray(k_t, dtype=np.float64)
-    v_t = np.asarray(v_t, dtype=np.float64)
-    if k_t.shape != (info.d_k,) or v_t.shape != (info.d_v,):
-        raise ValueError(f"k/v shapes {k_t.shape}/{v_t.shape} incompatible with "
-                         f"info state ({info.d_v}, {info.d_k})")
+    update. Raises ValueError naming a k or v that is not a finite vector
+    of length d_k or d_v, or a gamma or beta outside [0, 1]."""
+    k_t, v_t = _step_vector("k", k_t, info.d_k), _step_vector("v", v_t, info.d_v)
+    gamma_t, beta_t = _step_gate("gamma", gamma_t), _step_gate("beta", beta_t)
     h = kernels.decayed_rank_one(info.h, k_t, k_t, gamma_t, beta_t, max(info.d_k, 1))
     u = kernels.decayed_rank_one(info.u, v_t, k_t, gamma_t, beta_t, max(info.d_v, 1))
     return GkaInfoState._derived(h=h, u=u)
 
 
 def gka_gain(info: GkaInfoState, k_t: np.ndarray, beta_t: float, lam_t: float) -> np.ndarray:
-    """Erase/write direction g = beta (H + lam I)^{-1} k, by dense solve."""
-    if lam_t <= 0.0:
-        raise ValueError(f"lam must be > 0, got {lam_t}")
-    k_t = np.asarray(k_t, dtype=np.float64)
+    """Erase/write direction g = beta (H + lam I)^{-1} k, by dense solve.
+    Raises ValueError naming a k that is not a finite vector of length d_k,
+    a beta outside [0, 1] or a lam that is not positive and finite."""
+    k_t, beta_t = _step_vector("k", k_t, info.d_k), _step_gate("beta", beta_t)
+    if not 0.0 < lam_t < np.inf:  # NaN fails both
+        raise ValueError(f"lam must be positive and finite, got {lam_t}")
     return beta_t * np.linalg.solve(info.h + lam_t * np.eye(info.d_k), k_t)
 
 
@@ -233,8 +243,8 @@ class ShermanMorrisonGain:
     downdate at a time, in place (self.phi is the gain path's own array).
     Must agree with the dense-solve path there. Raises ValueError naming
     lam unless it is positive and finite (lam = inf would make Phi 0), and
-    naming k or beta on a k that is not a finite vector of length d_k or a
-    beta outside [0, 1] (NaN included; a negative beta would turn the
+    naming k or beta on a k that is not a finite real vector of length d_k
+    or a beta outside [0, 1] (NaN included; a negative beta would turn the
     downdate into an update)."""
 
     def __init__(self, d_k: int, lam: float):
@@ -245,13 +255,8 @@ class ShermanMorrisonGain:
 
     def update(self, k_t: np.ndarray, beta_t: float) -> np.ndarray:
         """Fold in beta_t k_t k_t^T and return the gain g_t = beta_t Phi_t k_t."""
-        k_t = np.asarray(k_t, dtype=np.float64)
-        if k_t.shape != self.phi.shape[:1]:
-            raise ValueError(f"k must have shape {self.phi.shape[:1]}, got {k_t.shape}")
-        if not np.isfinite(k_t).all():
-            raise ValueError(f"k is non-finite at entry {int(np.argmax(~np.isfinite(k_t)))}")
-        if not 0.0 <= beta_t <= 1.0:  # NaN fails both
-            raise ValueError(f"beta must lie in [0, 1], got {beta_t}")
+        k_t, beta_t = _step_vector("k", k_t, self.phi.shape[0]), _step_gate("beta", beta_t)
+        _require_real("the in-place Sherman-Morrison downdate", k=k_t)
         self.phi, g = kernels.sherman_morrison_downdate(self.phi, k_t, beta_t)
         return g
 
@@ -275,12 +280,15 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     entry past about 1e154), by kernels.frobenius_norm's rule, so a solve
     whose iterates are finite runs once and apply_h counts r products.
     Returns (x_r, residual_history). Raises ValueError on a non-finite lam
-    or spectral bound, naming it, and FloatingPointError on a non-finite
-    iterate, naming the iteration."""
+    or spectral bound, naming it, or on a q that is not a finite vector (of
+    length d, for a dense H), and FloatingPointError on a non-finite
+    iterate, naming the iteration. A complex q keeps its dtype: x is linear
+    in q for a fixed H, lam and interval."""
     r = check_iterations(r)
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
-    q = np.asarray(q, dtype=np.float64)
+    dense = isinstance(apply_h, np.ndarray)
+    q = _step_vector("q", q, apply_h.shape[0] if dense else np.size(q))
     a, b = float(spectral_bounds[0]), float(spectral_bounds[1])
     for name, bound in (("lower", a), ("upper", b)):
         if not np.isfinite(bound):
@@ -290,7 +298,7 @@ def chebyshev_solve(apply_h: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     if b < a:
         raise ValueError(f"invalid spectral interval [{a}, {b}]")
 
-    matvec = apply_h.__matmul__ if isinstance(apply_h, np.ndarray) else apply_h
+    matvec = apply_h.__matmul__ if dense else apply_h
     with np.errstate(over="ignore"):  # an overflow is named below
         x, hist = kernels.chebyshev_dense(matvec, float(lam), q, r, a, b)
     bad = np.flatnonzero(~np.isfinite(hist))
@@ -327,6 +335,51 @@ def _require_finite(**arrays: np.ndarray) -> None:
             raise ValueError(f"{name} is non-finite at row {row}")
 
 
+def _require_real(form: str, **arrays) -> None:
+    """Raise ValueError naming the first complex argument: form is
+    real-only, and a cast would drop the imaginary part, and with it a
+    complex-step derivative."""
+    for name, arr in arrays.items():
+        if np.iscomplexobj(arr):
+            raise ValueError(f"{name} is complex, but {form} is real-only")
+
+
+def _layer_inputs(gates: GateTrack, **arrays):
+    """The per-step sequences of a layer entry point, in the order given,
+    each cast by _real_or_complex. Raises ValueError naming the first that
+    is not 2-D with one row per gate step, a q shaped unlike k, and then
+    (_require_finite) the first with a non-finite entry and its first bad
+    row."""
+    arrays = {name: _real_or_complex(x) for name, x in arrays.items()}
+    for name, x in arrays.items():
+        if x.ndim != 2 or x.shape[0] != gates.T:
+            raise ValueError(f"{name} must be 2-D with one row per gate step "
+                             f"(T = {gates.T}), got shape {x.shape}")
+    if "q" in arrays and arrays["q"].shape != arrays["k"].shape:
+        raise ValueError(f"q shape {arrays['q'].shape} != k shape {arrays['k'].shape}")
+    _require_finite(**arrays)
+    return tuple(arrays.values())
+
+
+def _step_vector(name: str, x, n: int) -> np.ndarray:
+    """x cast by _real_or_complex, or ValueError naming it unless it is a
+    vector of length n with finite entries."""
+    x = _real_or_complex(x)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must be a vector of length {n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} is non-finite at entry {int(np.argmin(np.isfinite(x)))}")
+    return x
+
+
+def _step_gate(name: str, x) -> float:
+    """x as a float, or ValueError naming it unless it is a real number in
+    [0, 1]; NaN fails the test."""
+    if np.ndim(x) or np.iscomplexobj(x) or not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
+    return float(x)
+
+
 class NonFiniteOutput(FloatingPointError):
     """A Mamba-2, GDN or GKA forward overflowed; row is its first non-finite
     output row."""
@@ -351,17 +404,6 @@ def _finite_output(kind: SsmKind, y: np.ndarray, s: np.ndarray):
     if not np.isfinite(s).all():
         raise FloatingPointError(f"{kind.value} final state is non-finite")
     return y, s
-
-
-def _check_layer_shapes(k: np.ndarray, v: np.ndarray, q: np.ndarray, gates: GateTrack) -> None:
-    """ValueError naming the first of k, v, q that is not 2-D with one row
-    per gate step, or a q shaped unlike k."""
-    for name, x in (("k", k), ("v", v), ("q", q)):
-        if x.ndim != 2 or x.shape[0] != gates.T:
-            raise ValueError(f"{name} must be 2-D with one row per gate step "
-                             f"(T = {gates.T}), got shape {x.shape}")
-    if q.shape != k.shape:
-        raise ValueError(f"q shape {q.shape} != k shape {k.shape}")
 
 
 def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray,
@@ -391,13 +433,12 @@ def ssm_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndarray
     if solver not in ("exact", "chebyshev"):
         raise ValueError(f"unknown solver: {solver!r}")
     solver_r = 0 if solver == "exact" else check_iterations(r)
-    k, v, q = _real_or_complex(k), _real_or_complex(v), _real_or_complex(q)
-    _check_layer_shapes(k, v, q, gates)
+    k, v, q = _layer_inputs(gates, k=k, v=v, q=q)
     d_v, d_k = v.shape[1], k.shape[1]
     s0 = np.zeros((d_v, d_k)) if s0 is None else _real_or_complex(s0)
     if s0.shape != (d_v, d_k):
         raise ValueError(f"s0 must be (d_v, d_k) = {(d_v, d_k)}, got shape {s0.shape}")
-    _require_finite(k=k, v=v, q=q, s0=s0)
+    _require_finite(s0=s0)
     if kind is SsmKind.MAMBA2:
         return _finite_output(kind, *kernels.mamba2_scan(k, v, q, gates.gamma, s0))
     if kind is SsmKind.GDN:
@@ -437,12 +478,7 @@ def run_chunk(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, gates: GateTrac
     non-finite, and FloatingPointError on an overflowed state (or, for
     GDN, transition)."""
     kind = _as_kind(kind)
-    k, v = _real_or_complex(k), _real_or_complex(v)
-    for name, x in (("k", k), ("v", v)):
-        if x.ndim != 2 or x.shape[0] != gates.T:
-            raise ValueError(f"{name} must be 2-D with one row per gate step "
-                             f"(T = {gates.T}), got shape {x.shape}")
-    _require_finite(k=k, v=v)
+    k, v = _layer_inputs(gates, k=k, v=v)
     d_v, d_k = v.shape[1], k.shape[1]
     if kind is SsmKind.GDN:
         e, a_end = kernels.gdn_chunk_states(k, v, gates.gamma, gates.beta)
@@ -476,21 +512,21 @@ def gka_recurrence_equivalence(k: np.ndarray, v: np.ndarray, q: np.ndarray,
     from the Sherman-Morrison recursion (kernels.gka_recurrent_scan), the
     information path runs the blocked (H, U) recursion with its exact solve.
     Raises ValueError for any other gates (the adaptive lam, a decaying
-    gamma or a lam that varies), whose two forms differ, and on a k, v or
-    q that is mis-shaped or non-finite, naming the argument: the
-    information form runs first, and ssm_forward checks its inputs before
-    the scan reads them.
+    gamma or a lam that varies), whose two forms differ, on a complex k, v,
+    q or beta, naming it (the recurrence form is real-only), and on a k, v
+    or q that is mis-shaped or non-finite, naming the argument: the
+    information form runs first, and ssm_forward reads its inputs through
+    _layer_inputs before the scan reads them.
     """
     if gates.lam is None:
         raise ValueError("equivalence check needs a fixed lam track")
     if not (np.all(gates.lam == gates.lam[:1]) and np.all(gates.gamma == 1.0)):
         raise ValueError("the two GKA forms agree only for gamma == 1 and one fixed lam")
-    k = np.ascontiguousarray(k, dtype=np.float64)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    q = np.ascontiguousarray(q, dtype=np.float64)
+    _require_real("the GKA recurrence form", k=k, v=v, q=q, beta=gates.beta)
     y_info, _ = ssm_forward(SsmKind.GKA, k, v, q, gates)
     if gates.T == 0:
         return 0.0  # no outputs, so no gap
+    k, v, q = _real_or_complex(k), _real_or_complex(v), _real_or_complex(q)
     y_rec, _, _ = kernels.gka_recurrent_scan(k, v, q, gates.beta, float(gates.lam[0]))
     return float(np.max(np.abs(y_rec - y_info)))
 

@@ -38,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .ssm_core import (DEFAULT_ALPHA, SYMMETRY_TOL, GkaInfoState, check_alpha,
-                       check_iterations, chebyshev_solve)
+from .ssm_core import (DEFAULT_ALPHA, SYMMETRY_TOL, GkaInfoState, _require_real, _step_gate,
+                       _step_vector, check_alpha, check_iterations, chebyshev_solve)
 
 VARIANTS = ("reference", "tiled_small_batch", "tiled_large_batch")
 DEFAULT_TILE = 64
@@ -83,18 +83,9 @@ class LowerTiles:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("H must be square")
         _check_tile("k", b, h.shape[0])
-        if not np.isfinite(h).all():
-            bad = np.argwhere(~np.isfinite(h))[0]
-            raise ValueError(f"non-finite entry at (row, col) = {tuple(int(i) for i in bad)}")
+        kernels.check_finite_entries(h)
         if np.max(np.abs(h - h.T), initial=0.0) > tol:
             raise ValueError(f"H must be symmetric within {tol}")
-        return cls._split(h, b)
-
-    @classmethod
-    def _split(cls, h: np.ndarray, b: int) -> "LowerTiles":
-        """The lower tiles of h, unchecked: h must be square, finite,
-        symmetric within SYMMETRY_TOL and of a size b divides, as a
-        GkaInfoState's H under decode_step's tile check is."""
         return cls(_zero_upper(h.astype(np.result_type(h, 0.0)), b), b)
 
     def to_dense(self) -> np.ndarray:
@@ -118,7 +109,10 @@ def tiled_update_and_norm(tiles: LowerTiles, k: np.ndarray, gamma: float, beta: 
     (kernels.decayed_rank_one) goes one tile row at a time and forms
     beta k k^T on the lower tiles only; the strict-upper tiles stay 0. On
     an exactly symmetric H this is the reference step's sum, so lam matches
-    it bit for bit. Each lower tile counts as one load and one store."""
+    it bit for bit. The write sets the strict-upper tiles to 0 whatever
+    tiles.lower holds there, so a store over a dense symmetric H (decode's
+    GkaInfoState H, uncopied) gives the same result as one over its lower
+    tiles. Each lower tile counts as one load and one store."""
     b = tiles.b
     out = LowerTiles(kernels.decayed_rank_one(tiles.lower, k, k, gamma, beta, b, lower=True), b)
     if counters is not None:
@@ -148,17 +142,6 @@ def _check_tile(axis: str, b: int, d: int) -> None:
         raise ValueError(f"b_{axis}={b} does not divide d_{axis}={d}")
 
 
-def _step_vector(name: str, x, n: int) -> np.ndarray:
-    """x as a float64 vector of length n, or ValueError naming it if it
-    has another shape or a non-finite entry."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise ValueError(f"{name} must be a vector of length {n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} is non-finite at entry {int(np.argmin(np.isfinite(x)))}")
-    return x
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     y: np.ndarray
@@ -176,8 +159,9 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     differ only in the modeled persisted-tile traffic: on an exactly
     symmetric H the tiled ones form the reference's H', lam and products,
     so y agrees bit for bit (to rounding on an H symmetric only within
-    SYMMETRY_TOL). k, v and q must be finite vectors of length d_k, d_v
-    and d_k; a bad one raises ValueError naming it, as do an r that is not
+    SYMMETRY_TOL). k, v and q must be finite real vectors of length d_k,
+    d_v and d_k, and gamma and beta real numbers in [0, 1]; a bad one
+    raises ValueError naming it, as do an r that is not
     an integer >= 1, an alpha that is not positive and finite and a tile
     size b_k or b_v below 1 or not dividing d_k or d_v. The tile sizes are
     also the heights of the strips in which the rank-one writes are added
@@ -192,14 +176,18 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     r = check_iterations(r)
-    if not (0.0 <= gamma <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ValueError(f"gates out of [0, 1]: gamma={gamma}, beta={beta}")
+    gamma, beta = _step_gate("gamma", gamma), _step_gate("beta", beta)
     check_alpha(alpha)
     d_k, d_v = state.d_k, state.d_v
     _check_tile("k", b_k, d_k)
     _check_tile("v", b_v, d_v)
     k, v, q = _step_vector("k", k, d_k), _step_vector("v", v, d_v), _step_vector("q", q, d_k)
+    _require_real("the decode step", k=k, v=v, q=q)  # lam reads ||H'||_F, not analytic
     counters = TileCounters()
+    # U' first: its write's temporary strips are then not live beside H'
+    # and the tiled operand (a tiled step's tracemalloc peak at d = 256 is
+    # 1607 KiB, 1925 KiB with U' last)
+    u = kernels.decayed_rank_one(state.u, v, k, gamma, beta, b_v)
 
     if variant == "reference":
         h = kernels.decayed_rank_one(state.h, k, k, gamma, beta, b_k)
@@ -212,8 +200,7 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
             counters.loads += n_tiles  # whole matrix per Chebyshev iteration
             return h @ p
     else:
-        tiles, fro = tiled_update_and_norm(LowerTiles._split(state.h, b_k), k, gamma, beta,
-                                           counters)  # a GkaInfoState's H is symmetric
+        tiles, fro = tiled_update_and_norm(LowerTiles(state.h, b_k), k, gamma, beta, counters)
         h = tiles.to_dense()
         # the small-batch variant keeps its tiles resident across the Chebyshev
         # loop; the large-batch one reloads them every iteration
@@ -227,7 +214,6 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
         x, _ = chebyshev_solve(apply_h, lam, q, r, spectral_bounds=(lam, lam + fro))
     else:
         x = np.zeros(d_k)  # empty information matrix: nothing to read
-    u = kernels.decayed_rank_one(state.u, v, k, gamma, beta, b_v)
     return DecodeResult(y=u @ x, state=GkaInfoState._derived(h, u), lam=lam, fro_norm=fro,
                         counters=counters)
 

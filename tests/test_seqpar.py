@@ -110,6 +110,16 @@ class TestConv1dSp:
             assert len(sent) == 1
             assert sent[0].nbytes == 3 * 2 * 2  # (d_conv-1) tokens x channels x elem_bytes
 
+    @pytest.mark.parametrize("arg, row", [("u", 5), ("w", 2)])
+    def test_non_finite_row_or_tap_named(self, arg, row):
+        # a NaN tap made every output NaN, and a NaN row of u made NaN rows,
+        # both without complaint
+        rng = np.random.default_rng(4)
+        inputs = {"u": rng.standard_normal((16, 2)), "w": rng.standard_normal(4)}
+        inputs[arg][row] = np.nan
+        with pytest.raises(ValueError, match=f"{arg} is non-finite at row {row}"):
+            conv1d_sp(inputs["u"], inputs["w"], shard(16, 2, "zigzag"), MessageBus(2))
+
     def test_oversized_filter_reported(self):
         plan = shard(8, 4, "simple")
         with pytest.raises(ValueError, match="exceeds local chunk"):
@@ -179,6 +189,21 @@ class TestP2pForward:
         p2p_forward(SsmKind.GDN, k, v, q, gates, shard(T, 4, "simple"), bus)
         sizes = {m.nbytes for t in bus.traces for m in t.sent}
         assert sizes == {3 * 4 * 2}  # d_v * d_k * elem_bytes
+
+    @pytest.mark.parametrize("n, pattern", [(2, "simple"), (2, "zigzag"), (4, "simple")])
+    @pytest.mark.parametrize("kind", [SsmKind.MAMBA2, SsmKind.GDN])
+    def test_complex_step_equals_the_single_device_forward(self, kind, n, pattern):
+        # on a plan of whole blocks a complex-step P2P is the complex-step
+        # forward bit for bit (the casts to float64 dropped the imaginary
+        # part, and with it the derivative)
+        T = 4 * kernels.CHUNK
+        k, v, q, gates = rand_layer_inputs(T, seed=15)
+        k = k / np.linalg.norm(k, axis=1, keepdims=True)
+        k = k + 1e-30j * np.random.default_rng(16).standard_normal(k.shape)
+        y, s = ssm_forward(kind, k, v, q, gates)
+        y_p2p, s_p2p = p2p_forward(kind, k, v, q, gates, shard(T, n, pattern), MessageBus(n))
+        assert y_p2p.dtype == np.complex128 and np.any(y_p2p.imag != 0.0)
+        assert np.array_equal(y_p2p, y) and np.array_equal(s_p2p, s)
 
     def test_non_finite_key_raises(self):
         T, d = 64, 8

@@ -147,12 +147,24 @@ class TestGkaInfoUpdate:
             with pytest.raises(ValueError, match="non-finite info state"):
                 gka_info_update(info, np.array([1e200, 1.0]), np.ones(1), 1.0, 1.0)
 
+    @pytest.mark.parametrize("k, gamma, beta, match", [
+        (np.array([1.0, np.nan]), 1.0, 0.5, "k is non-finite at entry 1"),
+        (np.ones(2), np.nan, 0.5, re.escape("gamma must lie in [0, 1], got nan")),
+        (np.ones(2), 1.0, 1.5, re.escape("beta must lie in [0, 1], got 1.5")),
+    ])
+    def test_names_a_bad_key_or_gate(self, k, gamma, beta, match):
+        # a NaN key read "non-finite info state", and a NaN gate passed
+        # both range tests
+        info = GkaInfoState(h=np.eye(2), u=np.ones((1, 2)))
+        with pytest.raises(ValueError, match=match):
+            gka_info_update(info, k, np.ones(1), gamma, beta)
+
     def test_mismatched_key_or_value_rejected(self):
         # a length-3 key would otherwise broadcast a 1x1 H to 3x3
         info = GkaInfoState(h=np.eye(1), u=np.ones((2, 1)))
-        with pytest.raises(ValueError, match="incompatible"):
+        with pytest.raises(ValueError, match="k must be a vector of length 1"):
             gka_info_update(info, np.ones(3), np.ones(2), 1.0, 1.0)
-        with pytest.raises(ValueError, match="incompatible"):
+        with pytest.raises(ValueError, match="v must be a vector of length 2"):
             gka_info_update(info, np.ones(1), np.ones(3), 1.0, 1.0)
 
 
@@ -192,6 +204,19 @@ class TestGkaGain:
         with pytest.raises(ValueError):
             ShermanMorrisonGain(2, -1.0)
 
+    @pytest.mark.parametrize("k, beta, lam, match", [
+        (np.array([1.0, np.nan, 0.0, 0.0]), 0.5, 1.0, "k is non-finite at entry 1"),
+        (np.ones(3), 0.5, 1.0, "k must be a vector of length 4"),
+        (np.ones(4), 5.0, 1.0, re.escape("beta must lie in [0, 1], got 5.0")),
+        (np.ones(4), 0.5, np.nan, "lam must be positive and finite, got nan"),
+        (np.ones(4), 0.5, np.inf, "lam must be positive and finite, got inf"),
+    ])
+    def test_gka_gain_names_a_bad_k_beta_or_lam(self, k, beta, lam, match):
+        # a NaN k or lam gave a NaN gain and beta = 5 a gain of 5 k / lam;
+        # a short k raised numpy's solve message
+        with pytest.raises(ValueError, match=match):
+            gka_gain(zero_info_state(1, 4), k, beta, lam)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_sherman_morrison_gain_names_a_lam_that_is_not_positive_and_finite(self, lam):
         # NaN passed lam <= 0, and lam = inf gave Phi = 0
@@ -201,16 +226,18 @@ class TestGkaGain:
     @pytest.mark.parametrize("k, beta, match", [
         (np.array([1.0, np.nan]), 0.5, "k is non-finite"),
         (np.array([1.0, np.inf]), 0.5, "k is non-finite"),
-        (np.ones(3), 0.5, r"k must have shape \(2,\)"),
-        (np.ones((2, 1)), 0.5, r"k must have shape \(2,\)"),
+        (np.ones(3), 0.5, "k must be a vector of length 2"),
+        (np.ones((2, 1)), 0.5, "k must be a vector of length 2"),
         (np.ones(2), np.nan, r"beta must lie in \[0, 1\]"),
         (np.ones(2), -0.5, r"beta must lie in \[0, 1\]"),
         (np.ones(2), 1.5, r"beta must lie in \[0, 1\]"),
+        (np.ones(2) + 1e-30j, 0.5, "k is complex, but the in-place Sherman-Morrison downdate "
+                                   "is real-only"),
     ])
     def test_sherman_morrison_gain_names_a_bad_k_or_beta(self, k, beta, match):
         # each was accepted (a NaN Phi, or an update where beta < 0 turns
-        # the downdate around) or raised numpy's matmul message; Phi is
-        # left as it was
+        # the downdate around, or a complex k cast to float64) or raised
+        # numpy's matmul message; Phi is left as it was
         sm = ShermanMorrisonGain(2, 0.5)
         with pytest.raises(ValueError, match=match):
             sm.update(k, beta)
@@ -310,6 +337,18 @@ class TestChebyshev:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=re.escape(match)):
                 chebyshev_solve(h, lam, np.ones(3), 5, spectral_bounds=bounds)
+
+    @pytest.mark.parametrize("dense, q, match", [
+        (True, np.array([1.0, np.nan, 1.0]), "q is non-finite at entry 1"),
+        (False, np.array([1.0, np.nan, 1.0]), "q is non-finite at entry 1"),
+        (True, np.ones(2), "q must be a vector of length 3"),
+    ])
+    def test_bad_query_named(self, dense, q, match):
+        # a NaN q read "iterate non-finite at iteration 1", and a short q
+        # raised numpy's matmul message; an operator has no length to check
+        h = np.diag([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=match):
+            chebyshev_solve(h if dense else h.__matmul__, 0.5, q, 5, spectral_bounds=(1.5, 3.5))
 
     def test_divergence_reported_with_iteration_index(self):
         # bounds wildly below the true spectrum make the step sizes huge and
@@ -435,11 +474,14 @@ class TestRecurrenceEquivalence:
         ("k", lambda k: np.where(np.arange(8)[:, None] == 5, np.nan, k), "k is non-finite at row 5"),
         ("v", lambda v: np.where(np.arange(8)[:, None] == 2, np.inf, v), "v is non-finite at row 2"),
         ("q", lambda q: np.where(np.arange(8)[:, None] == 7, -np.inf, q), "q is non-finite at row 7"),
+        ("k", lambda k: k + 1e-30j, "k is complex, but the GKA recurrence form is real-only"),
+        ("v", lambda v: v + 1e-30j, "v is complex, but the GKA recurrence form is real-only"),
     ])
     def test_names_a_mis_shaped_or_non_finite_input_before_the_scan(self, monkeypatch, arg, bad,
                                                                      match):
         # the scan raised IndexError for a short v, numpy's matmul message
-        # for a narrow q and an unpacking error for a 1-D k
+        # for a narrow q and an unpacking error for a 1-D k; a complex k or
+        # v was cast to float64 and gave a real gap
         T = 8
         k, v, q = rand_kvq(T, 3, 2, seed=13)
         inputs = {"k": k, "v": v, "q": q}

@@ -165,6 +165,20 @@ class TestTiledUpdateAndNorm:
         assert norm == pytest.approx(1.0)  # ||k k^T||_F = ||k||^2 = 1
         assert np.allclose(tiles.to_dense(), np.outer(k, k), atol=1e-15)
 
+    @pytest.mark.parametrize("b", [1, 2, 4, 8])
+    def test_a_dense_symmetric_h_stands_in_for_its_lower_tiles(self, b):
+        # decode feeds a GkaInfoState's H straight in, uncopied: the write
+        # zeroes the strict-upper tiles itself, so the store keeps every
+        # bit, the sign of each zero included, and the input is untouched
+        h = random_spd(8, seed=7)
+        h_in = h.copy()
+        k = np.random.default_rng(8).standard_normal(8)
+        got, norm = tiled_update_and_norm(LowerTiles(h, b), k, 0.9, 0.6)
+        want, want_norm = tiled_update_and_norm(LowerTiles.from_dense(h, b), k, 0.9, 0.6)
+        assert got.lower.tobytes() == want.lower.tobytes()
+        assert norm == want_norm
+        assert np.array_equal(h, h_in)
+
     def test_counts_lower_tiles_once(self):
         counters = TileCounters()
         tiles = LowerTiles.from_dense(random_spd(8, seed=6), 2)
@@ -259,7 +273,7 @@ class TestDecodeStep:
     def test_step_allocates_at_most_its_budget_of_state_sized_arrays(self, variant, budget):
         # the writes go strip by strip, so besides the H' and U' it returns a
         # step holds at most one (d, d) array at a time (the reference) or
-        # two (a tiled step's two tile stores)
+        # two (a tiled step's tile store and a write's strips)
         d = 256
         state, rng = self.setup_state(d_k=d, d_v=d, seed=18)
         k, v, q = rng.standard_normal((3, d))
@@ -376,8 +390,8 @@ class TestDecodeStep:
     @pytest.mark.parametrize("variant", ["reference", "tiled_small_batch", "tiled_large_batch"])
     def test_gates_out_of_range_rejected_by_every_variant(self, variant):
         state, _ = self.setup_state()
-        for gamma, beta in ((1.0, 1.5), (1.2, 0.5), (0.9, -0.1)):
-            with pytest.raises(ValueError, match="gates"):
+        for gamma, beta, bad in ((1.0, 1.5, "beta"), (1.2, 0.5, "gamma"), (0.9, -0.1, "beta")):
+            with pytest.raises(ValueError, match=re.escape(f"{bad} must lie in [0, 1]")):
                 decode_step(state, np.ones(8), np.ones(8), np.ones(8), gamma, beta, variant,
                             r=1, b_k=4, b_v=4)
 
@@ -401,6 +415,8 @@ class TestDecodeStep:
         ("v", np.full(8, np.inf), "v is non-finite"),
         ("v", np.ones(7), "v must be a vector of length 8"),
         ("k", np.ones((2, 8)), "k must be a vector of length 8"),
+        ("k", np.ones(8) + 1e-30j, "k is complex, but the decode step is real-only"),
+        ("q", np.ones(8) + 1e-30j, "q is complex, but the decode step is real-only"),
     ])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_bad_step_vector_named(self, variant, arg, bad, match):
