@@ -1,6 +1,6 @@
 """Check that every test file passes alone as it does in the full run.
 
-    python3 scripts/files_alone.py [ROOT]
+    python3 scripts/files_alone.py [ROOT] [--json PATH]
 
 ROOT (default: the checkout this script lies in) holds tests/test_*.py and,
 where it exists, perfbench/test_perfbench.py. Each file runs in its own
@@ -8,12 +8,15 @@ where it exists, perfbench/test_perfbench.py. Each file runs in its own
 ROOT/src on PYTHONPATH, and then all of them run in one such process. The
 script prints each file's pass count and wall seconds, their sums and the
 full run's count and wall seconds, so that a file whose time grows shows
-up. It exits 1 if a file fails alone, if the full run fails, or if the counts
+up. With --json PATH it also writes those figures to PATH: each file's
+pass count, exit code and seconds, their sums, and the full run's. It
+exits 1 if a file fails alone, if the full run fails, or if the counts
 do not sum to the full run's: a derandomized property whose examples
 depend on which modules were loaded before it shows up as one of these.
 """
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -68,19 +71,27 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", nargs="?", default=str(Path(__file__).resolve().parents[1]),
                         help="checkout root (default: this script's checkout)")
+    parser.add_argument("--json", metavar="PATH", help="also write the figures to PATH")
     args = parser.parse_args(argv)
     files = test_files(args.root)
     if not files:
         parser.error(f"no tests/test_*.py under {args.root}")
-    alone, seconds = {}, 0.0
+    alone, alone_secs = {}, {}
     for name in files:
         alone[name], secs = timed(run_pytest, args.root, [name])
-        seconds += secs
+        alone_secs[name] = secs
         print(f"{name}: {alone[name][1]} passed" + (f", exit {alone[name][0]}" if alone[name][0] else "")
               + f" in {secs:.2f} s")
     full, full_secs = timed(run_pytest, args.root, files)
-    print(f"sum of the files alone: {sum(p for _, p in alone.values())} passed in {seconds:.2f} s; "
+    passed, seconds = sum(p for _, p in alone.values()), sum(alone_secs.values())
+    print(f"sum of the files alone: {passed} passed in {seconds:.2f} s; "
           f"full run: {full[1]} passed in {full_secs:.2f} s")
+    if args.json:
+        record = lambda run, secs: {"passed": run[1], "exit": run[0], "seconds": secs}
+        Path(args.json).write_text(json.dumps({
+            "files": {name: record(alone[name], alone_secs[name]) for name in files},
+            "files_alone": {"passed": passed, "seconds": seconds},
+            "full_run": record(full, full_secs)}, indent=1) + "\n")
     lines = problems(alone, full)
     for line in lines:
         print(line)

@@ -56,7 +56,11 @@ benchmark's request order (scripts/fault_profile.py) the Mamba-2 forward
 takes 0 minor faults a request, but in a loop of 1,000 forwards on one
 input it takes 352-608 a call. GKA's rank-one write (decayed_rank_one)
 adds its outer product one strip of rows at a time, so its only array of
-the state's size is the one it returns. The Chebyshev iteration and GKA's
+the state's size is the one it returns. GKA's Chebyshev forward scales
+each row's system by 1 / ||H_t||_F, so that its rows share one interval and
+the iteration's coefficients are scalars, and it forms no residual norm;
+only a single vector's solve (``ssm_core.chebyshev_solve``, decode) keeps
+its history. The Chebyshev iteration and GKA's
 Chebyshev operator allocate their arrays once and update them in place:
 in a loop of T = 1024 forwards, fresh 0.5 MiB temporaries in every
 iteration were handed back to the OS when freed and faulted in again,
@@ -405,17 +409,21 @@ def gdn_transition_prefixes(k, gamma, beta, q):
     return gdn_scan(k, np.zeros_like(k), q, gamma, beta, np.eye(k.shape[1]))
 
 
-def chebyshev_dense(matvec, lam, rhs, iters, a, b):
+def chebyshev_dense(matvec, lam, rhs, iters, a, b, history=True):
     """Chebyshev iteration for (H + lam I) x = rhs with spectrum in [a, b],
     where matvec(p) returns H p (a dense product or a tiled operator).
 
     rhs is one vector (d,) or a batch (..., d) of independent systems, one
     per row; lam, a and b are scalars or arrays of the batch shape, and
     matvec maps a batch of vectors (..., d) to the products row by row.
-    Standard SPD two-term recurrence; one matrix-vector product per
-    iteration. Returns (x, residual_history), residual_history of shape
+    A scalar coefficient costs one pass over its operand, an array one
+    short inner loop per row as well, so a batch whose rows share an
+    interval should pass scalars (GKA's prefill scales its rows so that
+    they do). Standard SPD two-term recurrence; one matrix-vector product
+    per iteration. Returns (x, residual_history), residual_history of shape
     (iters,) + batch with residual_history[i] the 2-norms of the
-    maintained residuals after iteration i+1.
+    maintained residuals after iteration i+1. With history=False no norm
+    is formed and residual_history is None; the iterates are the same.
 
     The recurrence runs in place: x, r, p and one scratch array are
     allocated once, and every update is an out= ufunc in the operand order
@@ -433,7 +441,7 @@ def chebyshev_dense(matvec, lam, rhs, iters, a, b):
     p = rhs.copy()
     tmp = np.empty_like(rhs)
     alpha = 1.0 / theta
-    hist = np.empty((iters,) + rhs.shape[:-1])
+    hist = np.empty((iters,) + rhs.shape[:-1]) if history else None
     # a single vector keeps the plain norm, by frobenius_norm's rule where
     # only its squares overflow: on the decode path the axis form costs
     # more than the iteration's arithmetic. A batch's row norms take one
@@ -454,7 +462,8 @@ def chebyshev_dense(matvec, lam, rhs, iters, a, b):
         np.multiply(lam, p, out=tmp)
         np.add(matvec(p), tmp, out=tmp)
         np.subtract(r, np.multiply(alpha, tmp, out=tmp), out=r)
-        hist[it] = norm(r)
+        if history:
+            hist[it] = norm(r)
     return x, hist
 
 
@@ -547,6 +556,12 @@ def _block_products(x, st, m, Kt, W, G, bufs=(None, None, None)):
     return out
 
 
+# the ||H_t||_F whose Chebyshev rows gka_info_forward scales by s_t = 1 / ||H_t||_F:
+# within it no operator intermediate grows by more than s_t^2 <= 2^128 over
+# the unscaled one, and subnormal and near-overflow norms stay unscaled
+SCALED_FRO = (2.0 ** -64, 2.0 ** 64)
+
+
 def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     """GKA information-form forward pass, in blocks of CHUNK tokens.
 
@@ -556,7 +571,18 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
     lam_t is lam[t], or alpha * ||H_t||_F (adaptive regularization) when lam
     is None; a step with lam_t <= 0 (H_t still empty) reads 0. solver_r = 0
     solves exactly; solver_r > 0 runs that many Chebyshev iterations on
-    [lam_t, lam_t + ||H_t||_F] for all tokens at once.
+    [lam_t, lam_t + ||H_t||_F] for all tokens at once. Each row's system and
+    interval are scaled together by s_t = 1 / ||H_t||_F, which leaves the
+    iterates the same polynomial in exact arithmetic (Saad, "Iterative
+    Methods for Sparse Linear Systems", 2003, 12.3): row t solves
+    (s_t H_t + s_t lam_t I) x = s_t q_t on [s_t lam_t, s_t lam_t + 1], so
+    under the adaptive lam every row runs on [alpha, 1 + alpha] and the
+    recurrence's coefficients are scalars. s_t is folded once into the
+    operator's W and G and into the right-hand side; x is the unscaled
+    system's solution, so the readout takes the unscaled W, G and U_0. A
+    row whose norm is 0 or lies outside SCALED_FRO stays unscaled on its
+    own interval, and the coefficients are then per-row arrays. No residual
+    norm is formed.
 
     Within a block entered with (H_0, U_0), with G, D the SSD decays of
     _ssd_terms and W = D diag(beta),
@@ -646,14 +672,25 @@ def gka_info_forward(k, v, q, gamma, beta, lam, alpha, solver_r):
         Gb, Kb, Ktb, Wb = G[:nb, :, None], K[:nb], Kt[:nb], W[:nb]
         if solver_r > 0:
             fro_s = np.where(solve, _blocks(fro, L)[:nb], 0.0)
+            # rows scaled by s_t = 1 / ||H_t||_F (see the docstring); a row
+            # outside SCALED_FRO, 0 among them, keeps s_t = 1
+            scaled = (fro_s >= SCALED_FRO[0]) & (fro_s <= SCALED_FRO[1])
+            s = np.divide(1.0, fro_s, out=np.ones_like(fro_s), where=scaled)
+            if lam is None and np.array_equal(scaled, solve):
+                # the other rows solve x = 0 (rhs = 0) on any interval
+                lam_c, hi = alpha, 1.0 + alpha
+            else:
+                lam_c = np.where(scaled, alpha, lam_s) if lam is None else lam_s * s
+                hi = lam_c + np.where(scaled, 1.0, fro_s)
             # all solver_r products are written into the same three buffers
             bufs = [np.empty((nb, L, n), dtype=rhs.dtype) for n in (L, d_k, d_k)]
-            apply_h = lambda p: _block_products(p, H0[:nb], Kb, Ktb, Wb, Gb, bufs)
-            # the discarded residual norms square the residuals, so they
-            # overflow for a query row past about 1e154 while every iterate
-            # is finite; an overflowing iterate reaches y, which is checked
+            Ws, Gs = Wb * s[..., None], Gb * s[..., None]  # s_t H_t, folded in once
+            apply_h = lambda p: _block_products(p, H0[:nb], Kb, Ktb, Ws, Gs, bufs)
+            # an overflowing iterate reaches y, which is checked; no residual
+            # norm is formed, as none is read
             with np.errstate(over="ignore"):
-                x, _ = chebyshev_dense(apply_h, lam_s, rhs, solver_r, lam_s, lam_s + fro_s)
+                x, _ = chebyshev_dense(apply_h, lam_c, rhs * s[..., None], solver_r, lam_c, hi,
+                                       history=False)
         else:
             x = np.zeros_like(rhs, dtype=np.result_type(rhs, H0))
             eye = np.eye(d_k)

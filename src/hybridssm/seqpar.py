@@ -35,7 +35,8 @@ import numpy as np
 
 from . import kernels
 from .ssm_core import (GateTrack, NonFiniteOutput, SsmKind, _as_kind, _finite_output,
-                       _layer_inputs, _require_finite, _require_real, ssm_forward)
+                       _layer_inputs, _real_or_complex, _require_finite, _require_real,
+                       ssm_forward)
 
 DEFAULT_ELEM_BYTES = 2  # BF16 accounting; simulation arithmetic stays float64
 
@@ -277,8 +278,9 @@ def usp_forward(layer_fn, x: np.ndarray, plan: ShardPlan,
     black-box layer on it, slice each rank's part back. Every rank would
     compute the same full output, so the layer runs once and each rank's
     slices are cut from that one result; the bus still carries every
-    rank's AllGather. The concatenation equals layer_fn(full) exactly."""
-    x = np.asarray(x, dtype=np.float64)
+    rank's AllGather. The concatenation equals layer_fn(full) exactly. A
+    complex x (a complex-step derivative) reaches layer_fn as complex128."""
+    x = _real_or_complex(x)
     if x.shape[0] != plan.length:
         raise ValueError(f"sequence length {x.shape[0]} != plan length {plan.length}")
     width = int(np.prod(x.shape[1:], dtype=np.int64))

@@ -161,9 +161,10 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     so y agrees bit for bit (to rounding on an H symmetric only within
     SYMMETRY_TOL). k, v and q must be finite real vectors of length d_k,
     d_v and d_k, and gamma and beta real numbers in [0, 1]; a bad one
-    raises ValueError naming it, as do an r that is not
-    an integer >= 1, an alpha that is not positive and finite and a tile
-    size b_k or b_v below 1 or not dividing d_k or d_v. The tile sizes are
+    raises ValueError naming it, as do a complex state.h or state.u (the
+    step is real-only), an r that is not an integer >= 1, an alpha that
+    is not positive and finite and a tile size b_k or b_v below 1 or not
+    dividing d_k or d_v. The tile sizes are
     also the heights of the strips in which the rank-one writes are added
     (kernels.decayed_rank_one): b_k rows for H' and b_v rows for U', whose
     traffic is not modeled. An updated H whose Frobenius norm is not
@@ -182,7 +183,8 @@ def decode_step(state: GkaInfoState, k: np.ndarray, v: np.ndarray, q: np.ndarray
     _check_tile("k", b_k, d_k)
     _check_tile("v", b_v, d_v)
     k, v, q = _step_vector("k", k, d_k), _step_vector("v", v, d_v), _step_vector("q", q, d_k)
-    _require_real("the decode step", k=k, v=v, q=q)  # lam reads ||H'||_F, not analytic
+    # lam reads ||H'||_F, not analytic
+    _require_real("the decode step", k=k, v=v, q=q, **{"state.h": state.h, "state.u": state.u})
     counters = TileCounters()
     # U' first: its write's temporary strips are then not live beside H'
     # and the tiled operand (a tiled step's tracemalloc peak at d = 256 is

@@ -55,9 +55,9 @@ def padded_forward(kind: SsmKind | str, k: np.ndarray, v: np.ndarray, q: np.ndar
     return y[:, :d_v], s[:d_v], y[:, d_v:], s[d_v:]
 
 
-def chebyshev_allocating(matvec, lam, rhs, iters, a, b):
+def chebyshev_allocating(matvec, lam, rhs, iters, a, b, history=True):
     """kernels.chebyshev_dense with a fresh array for every update, and the
-    residual norms by np.linalg.norm."""
+    residual norms by np.linalg.norm (none with history=False)."""
     lam, a, b = (np.asarray(z)[..., None] if np.ndim(z) else z for z in (lam, a, b))
     theta = 0.5 * (b + a)
     delta = 0.5 * (b - a)
@@ -65,7 +65,7 @@ def chebyshev_allocating(matvec, lam, rhs, iters, a, b):
     r = rhs.copy()
     p = r
     alpha = 1.0 / theta
-    hist = np.empty((iters,) + rhs.shape[:-1])
+    hist = np.empty((iters,) + rhs.shape[:-1]) if history else None
     norm = np.linalg.norm if rhs.ndim == 1 else lambda res: np.linalg.norm(res, axis=-1)
     for it in range(iters):
         if it > 0:
@@ -74,7 +74,8 @@ def chebyshev_allocating(matvec, lam, rhs, iters, a, b):
             p = r + beta * p
         x = x + alpha * p
         r = r - alpha * (matvec(p) + lam * p)
-        hist[it] = norm(r)
+        if history:
+            hist[it] = norm(r)
     return x, hist
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -23,7 +24,7 @@ def test_a_file_that_fails_alone_is_named(tmp_path, capsys, monkeypatch):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert files_alone.test_files(tmp_path) == ["tests/test_a.py", "tests/test_b.py"]
-    assert files_alone.main([str(tmp_path)]) == 1
+    assert files_alone.main([str(tmp_path), "--json", str(tmp_path / "alone.json")]) == 1
     out = capsys.readouterr().out.splitlines()
     # every count as before; the wall seconds vary, so they match a pattern
     secs = r"in \d+\.\d\d s"
@@ -35,6 +36,14 @@ def test_a_file_that_fails_alone_is_named(tmp_path, capsys, monkeypatch):
     assert len(out) == len(expected)
     for line, pattern in zip(out, expected):
         assert re.fullmatch(pattern, line), line
+    # the same figures, with the seconds the lines print rounded
+    written = json.loads((tmp_path / "alone.json").read_text())
+    printed = re.findall(r"in (\d+\.\d\d) s", "\n".join(out))
+    runs = [written["files"]["tests/test_a.py"], written["files"]["tests/test_b.py"],
+            written["files_alone"], written["full_run"]]
+    assert [(run["passed"], run.get("exit")) for run in runs] == [(2, 0), (0, 1), (2, None),
+                                                                   (3, 0)]
+    assert [f"{run['seconds']:.2f}" for run in runs] == printed
 
 
 def test_counts_that_sum_to_the_full_run_pass():

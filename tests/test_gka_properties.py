@@ -121,6 +121,10 @@ def test_gka_forward_state_passes_the_public_check(T, d_k, d_v, solver, fixed_la
        solver=st.sampled_from(["exact", "chebyshev"]), r=st.integers(1, 40),
        fixed_lam=st.booleans(), alpha=st.floats(0.01, 1.0), max_key_norm=st.floats(0.1, 3.0),
        filtered_frac=SHARES, plain_frac=SHARES, seed=st.integers(0, 2**32 - 1))
+# prefill_gka's Chebyshev forward: decaying, the adaptive lam, r = 30, keys
+# of norm up to 8 (standard normal at d = 64), every row on [alpha, 1 + alpha]
+@example(T=128, d_k=64, d_v=64, solver="chebyshev", r=30, fixed_lam=False, alpha=0.05,
+         max_key_norm=8.0, filtered_frac=0.0, plain_frac=0.0, seed=0)
 def test_blocked_gka_forward_replays_the_per_token_solves(T, d_k, d_v, solver, r, fixed_lam,
                                                           alpha, max_key_norm, filtered_frac,
                                                           plain_frac, seed):
@@ -310,6 +314,17 @@ def test_chunk_state_equals_the_forward_end_state(kind, T, d_k, d_v, solver, fix
          decay=False, seed=0)
 @example(T=20, d_k=4, d_v=4, arg="k", value=1e140, solver="exact", fixed_lam=True,
          decay=True, seed=0)
+# seed 1 puts the extreme row at row 0, so ||H_0||_F is about 1e-310
+# (subnormal) or 1e154 (its terms' squares near overflow) and the Chebyshev
+# forward leaves row 0 unscaled (kernels.SCALED_FRO), under either lam
+@example(T=20, d_k=4, d_v=4, arg="k", value=1e-155, solver="chebyshev", fixed_lam=False,
+         decay=False, seed=1)
+@example(T=20, d_k=4, d_v=4, arg="k", value=1e-155, solver="chebyshev", fixed_lam=True,
+         decay=False, seed=1)
+@example(T=20, d_k=4, d_v=4, arg="k", value=1e77, solver="chebyshev", fixed_lam=False,
+         decay=False, seed=1)
+@example(T=20, d_k=4, d_v=4, arg="k", value=1e77, solver="chebyshev", fixed_lam=True,
+         decay=True, seed=1)
 def test_gka_forward_on_an_extreme_row_is_finite_or_names_the_problem(T, d_k, d_v, arg, value,
                                                                       solver, fixed_lam, decay,
                                                                       seed):

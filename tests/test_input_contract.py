@@ -22,8 +22,8 @@ H = np.diag([1.0, 2.0, 3.0, 4.0])
 
 # roles: a sequence with one row per gate step, the conv input u (rows of
 # channels), the conv taps w, a step vector of length n, a gate in [0, 1],
-# a regularizer lam > 0
-ROWS, U, TAPS, GATE, LAM = "rows", "u", "taps", "gate", "lam"
+# a regularizer lam > 0, a GKA state whose h and u a real-only form keeps real
+ROWS, U, TAPS, GATE, LAM, STATE = "rows", "u", "taps", "gate", "lam", "state"
 SEQUENCES = {"k": ROWS, "v": ROWS, "q": ROWS}
 
 
@@ -37,7 +37,8 @@ def _valid(rng):
             "v": rng.standard_normal((T, D_V)), "q": rng.standard_normal((T, D_K)),
             "u": rng.standard_normal((T, 2)), "w": rng.standard_normal(3),
             "k_t": k[0] / np.linalg.norm(k[0]), "v_t": rng.standard_normal(D_V),
-            "q_t": rng.standard_normal(D_K), "gamma": 0.9, "beta": 0.5, "lam": 0.5}
+            "q_t": rng.standard_normal(D_K), "gamma": 0.9, "beta": 0.5, "lam": 0.5,
+            "state": INFO}
 
 
 # entry point -> (call, {argument: role}, arguments its form keeps real).
@@ -65,11 +66,12 @@ ENTRIES = {
                                    {"k": _vector(D_K), "beta": GATE}, ("k",)),
     "chebyshev_solve": (lambda a, kind: chebyshev_solve(H, 0.5, a["q_t"], 3, (1.5, 4.5)),
                         {"q": _vector(D_K)}, ()),
-    "decode_step": (lambda a, kind: decode_step(INFO, a["k_t"], a["v_t"], a["q_t"], a["gamma"],
-                                                a["beta"], VARIANTS[list(SsmKind).index(kind)],
+    "decode_step": (lambda a, kind: decode_step(a["state"], a["k_t"], a["v_t"], a["q_t"],
+                                                a["gamma"], a["beta"],
+                                                VARIANTS[list(SsmKind).index(kind)],
                                                 r=2, b_k=2, b_v=D_V),
                     {"k": _vector(D_K), "v": _vector(D_V), "q": _vector(D_K),
-                     "gamma": GATE, "beta": GATE}, ("k", "v", "q")),
+                     "gamma": GATE, "beta": GATE, "state": STATE}, ("k", "v", "q", "state")),
     "conv1d_sp": (lambda a, kind: conv1d_sp(a["u"], a["w"], shard(T, 2)),
                   {"u": U, "w": TAPS}, ("u", "w")),
 }
@@ -90,6 +92,14 @@ def malformed_calls(draw):
     a = _valid(np.random.default_rng(draw(st.integers(0, 2**16))))
     key = name + "_t" if isinstance(role, tuple) else name
     x = a[key]
+    if role == STATE:
+        # a complex-step H or U, built past the public check as a derived
+        # state is; the real-only form must name it, not fail on a cast
+        part = draw(st.sampled_from(["h", "u"]))
+        parts = {"h": x.h, "u": x.u}
+        parts[part] = parts[part] + 1e-30j
+        a[key] = GkaInfoState._derived(**parts)
+        return entry, kind, a, rf"^state\.{part} is complex"
     faults = ["non-finite"] + (["complex"] if name in real_only else [])
     if role in (ROWS, U) or isinstance(role, tuple):
         faults += ["rank", "length"]

@@ -134,6 +134,18 @@ class TestChebyshevInPlace:
         x, _ = K.chebyshev_dense(matvec, lam, rhs, 40, 0.5, 3.0)
         assert np.allclose((1.0 + lam) * x, rhs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [(), (2, 3)])
+    def test_without_history_the_iterates_keep_their_bits(self, batch):
+        rng = np.random.default_rng(22)
+        g = rng.standard_normal((5, 5))
+        h = g @ g.T
+        rhs = rng.standard_normal(batch + (5,))
+        b = 0.5 + np.linalg.norm(h)
+        x, hist = K.chebyshev_dense(lambda p: p @ h, 0.5, rhs, 20, 0.5, b)
+        x_bare, none = K.chebyshev_dense(lambda p: p @ h, 0.5, rhs, 20, 0.5, b, history=False)
+        assert hist.shape == (20,) + batch and none is None
+        assert np.array_equal(x_bare, x)
+
 
 @settings(max_examples=40, deadline=None, derandomize=True)  # same inputs every run
 @given(d=st.integers(1, 8), batch=st.sampled_from([(), (1,), (4,), (2, 3)]),
@@ -236,6 +248,40 @@ def test_gka_forward_keeps_the_bits_of_the_allocating_solves(T, d_k, d_v, solver
         y_ref, state_ref = ssm_forward("gka", k, v, q, gates, solver=solver, r=12)
     assert np.array_equal(y, y_ref)
     assert np.array_equal(state.h, state_ref.h) and np.array_equal(state.u, state_ref.u)
+
+
+@pytest.mark.parametrize("lam", [None, 0.5])
+def test_gka_chebyshev_rows_are_scaled_and_form_no_residual_norms(lam):
+    # each row solves s_t (H_t + lam_t I) x = s_t q_t with s_t = 1 / ||H_t||_F,
+    # so under the adaptive lam every row's coefficients are the scalars
+    # alpha, [alpha, 1 + alpha]; under a fixed lam they are lam_t s_t per
+    # row on an interval of width 1. The forward reads no residual norm
+    rng = np.random.default_rng(0)
+    T, d = 128, 64  # prefill_gka's Chebyshev forward
+    k, v, q = (rng.standard_normal((T, d)) for _ in range(3))
+    gamma, beta = rng.uniform(0.9, 1.0, T), rng.uniform(0.1, 0.9, T)
+    gates = GateTrack(gamma, beta, None if lam is None else np.full(T, lam))
+    calls, dense = [], K.chebyshev_dense
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return dense(*args, **kwargs)
+
+    with mock.patch.object(K, "chebyshev_dense", spy):
+        ssm_forward("gka", k, v, q, gates, solver="chebyshev", r=30, alpha=0.05)
+    [((_, coef, rhs, iters, a, b), kwargs)] = calls
+    assert kwargs == {"history": False} and iters == 30
+    if lam is None:
+        assert all(type(z) is float for z in (coef, a, b))
+        assert (coef, a, b) == (0.05, 0.05, 1.05)
+        return
+    h, fro = np.zeros((d, d)), np.empty(T)
+    for t in range(T):
+        h = gamma[t] * h + beta[t] * np.outer(k[t], k[t])
+        fro[t] = np.linalg.norm(h)
+    assert coef.shape == a.shape == b.shape == rhs.shape[:-1]
+    assert np.allclose(coef.reshape(-1)[:T], lam / fro, rtol=1e-13, atol=0.0)
+    assert np.array_equal(a, coef) and np.allclose(b - a, 1.0, rtol=0.0, atol=1e-15)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -301,6 +301,21 @@ class TestUspForward:
         got = usp_forward(gka_layer, v, plan, MessageBus(n))
         assert np.array_equal(got, gka_layer(v))
 
+    @pytest.mark.parametrize("pattern", ["simple", "zigzag"])
+    def test_complex_step_layer_keeps_its_imaginary_part(self, pattern):
+        # a complex-step value (see autodiff) through USP reaches the layer
+        # as complex128, so the sharded result equals the full layer's
+        T = 16
+        k, v, q, gates = rand_layer_inputs(T, seed=13)
+        x = v + 1e-30j * np.random.default_rng(14).standard_normal(v.shape)
+
+        def gka_layer(z):
+            return ssm_forward(SsmKind.GKA, k, z, q, gates)[0]
+
+        got = usp_forward(gka_layer, x, shard(T, 4, pattern), MessageBus(4))
+        assert got.dtype == np.complex128 and np.any(got.imag != 0.0)
+        assert np.array_equal(got, gka_layer(x))
+
     def test_gather_volume_logged(self):
         T, d = 12, 3
         x = np.zeros((T, d))
